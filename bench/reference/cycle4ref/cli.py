@@ -1,0 +1,304 @@
+"""Command-line surface.
+
+Subcommands: check, realize, spectrum, sample, trace, psi, verify.
+Exit codes: 0 ok, 2 usage, 3 outside-region, 4 construction failure,
+5 I/O failure.  Every command is deterministic: identical arguments give
+byte-identical stdout and output files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+
+from . import criterion, sampling, synthesis
+from .errors import Cycle4Error, OutsideRegion
+from .figure import render_region_svg
+from .matrix import eigen_residual, make_cycle_matrix, spectrum
+from .region import (
+    left_boundary_form,
+    membership,
+    trace_left_curve,
+    trace_right_segment,
+)
+from .scalar import Tolerance
+
+EXIT_OK = 0
+EXIT_USAGE = 2
+EXIT_OUTSIDE = 3
+EXIT_CONSTRUCTION = 4
+EXIT_IO = 5
+
+_SAMPLE_HEADER = "index,alpha1,alpha2,alpha3,alpha4,re,im,status"
+_TRACE_HEADER = "curve,param,re,im,G"
+_VERDICT_HEADER = "re,im,status,a_check,right_check,g_check"
+
+
+def _g17(value: float) -> str:
+    """17 significant digits: guarantees exact float round-trips in CSV."""
+    return format(float(value), ".17g")
+
+
+def _tolerance(args: argparse.Namespace) -> Tolerance:
+    kwargs = {}
+    if getattr(args, "tol_residual", None) is not None:
+        kwargs["eigen_residual"] = args.tol_residual
+    if getattr(args, "tol_band", None) is not None:
+        kwargs["boundary_band"] = args.tol_band
+    return Tolerance(**kwargs)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def _verdict_payload(lam: complex, verdict) -> dict:
+    return {
+        "re": lam.real,
+        "im": lam.imag,
+        "status": verdict.status.value,
+        "a_check": verdict.a_check,
+        "right_check": verdict.right_check,
+        "g_check": verdict.g_check,
+    }
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    lam = complex(args.re, args.im)
+    verdict = membership(lam, tol)
+    payload = _verdict_payload(lam, verdict)
+    print(json.dumps(payload))
+    if args.out:
+        row = ",".join(
+            [
+                _g17(lam.real),
+                _g17(lam.imag),
+                verdict.status.value,
+                _g17(verdict.a_check),
+                _g17(verdict.right_check),
+                _g17(verdict.g_check),
+            ]
+        )
+        _write_text(args.out, _VERDICT_HEADER + "\n" + row + "\n")
+    return EXIT_OUTSIDE if verdict.outside else EXIT_OK
+
+
+def cmd_realize(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    lam = complex(args.re, args.im)
+    verdict = membership(lam, tol)
+    if verdict.outside:
+        print(json.dumps(_verdict_payload(lam, verdict)))
+        return EXIT_OUTSIDE
+    if args.method == "criterion":
+        result = synthesis.realize_via_criterion(lam, tol)
+    else:
+        result = synthesis.realize(lam, tol)
+    print(json.dumps(result.to_dict()))
+    return EXIT_OK
+
+
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    matrix = make_cycle_matrix(args.a1, args.a2, args.a3, args.a4)
+    eigenvalues = spectrum(matrix, tol)
+    payload = {
+        "alpha": list(matrix.alpha),
+        "eigenvalues": [[lam.real, lam.imag] for lam in eigenvalues],
+        "residuals": [eigen_residual(matrix, lam) for lam in eigenvalues],
+    }
+    print(json.dumps(payload))
+    return EXIT_OK
+
+
+def cmd_sample(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    seed = args.seed if args.seed_override is None else args.seed_override
+    alphas, eigenvalues, codes = sampling.sample_records(args.n, seed, tol)
+    order = sampling.status_order()
+
+    lines = [_SAMPLE_HEADER]
+    for i in range(args.n):
+        a_cols = ",".join(_g17(alphas[i, k]) for k in range(4))
+        for j in range(4):
+            lam = eigenvalues[i, j]
+            lines.append(
+                f"{i},{a_cols},{_g17(lam.real)},{_g17(lam.imag)},{order[codes[i, j]].value}"
+            )
+    _write_text(args.out, "\n".join(lines) + "\n")
+
+    counts = {status.value: int((codes == k).sum()) for k, status in enumerate(order)}
+    print("verdicts: " + " ".join(f"{name}={counts[name]}" for name in sorted(counts)))
+
+    # The pass/fail gate re-checks at the wide necessity band.
+    wide = sampling.classify_points(eigenvalues.real, eigenvalues.imag, 1e-7)
+    n_outside = int((wide == len(order) - 1).sum())
+    if n_outside:
+        print(f"outside at band 1e-07: {n_outside}", file=sys.stderr)
+        return EXIT_OUTSIDE
+    return EXIT_OK
+
+
+def _trace_rows(curve: str, n: int, tol: Tolerance) -> list[str]:
+    rows = []
+    if curve in ("CR", "region"):
+        for p in trace_right_segment(n):
+            rows.append(
+                f"CR,{_g17(p.param)},{_g17(p.point.real)},{_g17(p.point.imag)},{_g17(p.boundary_form)}"
+            )
+    if curve in ("CL", "region"):
+        for p in trace_left_curve(n, tol):
+            rows.append(
+                f"CL,{_g17(p.param)},{_g17(p.point.real)},{_g17(p.point.imag)},{_g17(p.boundary_form)}"
+            )
+    if curve == "region":
+        for r in (-1.0, 1.0):
+            rows.append(f"real,{_g17(r)},{_g17(r)},0,{_g17(left_boundary_form(r, 0.0))}")
+    return rows
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    rows = _trace_rows(args.curve, args.n, tol)
+    _write_text(args.out, _TRACE_HEADER + "\n" + "\n".join(rows) + "\n")
+    if args.svg:
+        _write_text(args.svg, render_region_svg(args.n, tol))
+    return EXIT_OK
+
+
+def cmd_psi(args: argparse.Namespace) -> int:
+    ctx = criterion.make_context(complex(args.re, args.im))
+    top = criterion.criterion_max(ctx)
+    payload = {
+        "m": ctx.lower_arg,
+        "M": ctx.upper_arg,
+        "regime": ctx.regime.value,
+        "U": ctx.peak_arg,
+        "maxPsi": "inf" if math.isinf(top) else top,
+    }
+    print(json.dumps(payload))
+    return EXIT_OK
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    from .identities import verify_identity_suite
+
+    results = verify_identity_suite()
+    width = max(len(r.description) for r in results)
+    failed = 0
+    for r in results:
+        print(f"{r.ident}  {r.description.ljust(width)}  {r.status}")
+        if not r.ok:
+            failed += 1
+    print(f"identities: {len(results) - failed}/{len(results)} zero")
+    return EXIT_CONSTRUCTION if failed else EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cycle4",
+        description=(
+            "Spectral region of 4-cycle row-stochastic matrices: membership "
+            "checks, realizing matrices, spectra, Monte Carlo sampling, "
+            "boundary traces, and exact identity verification."
+        ),
+        epilog=(
+            "Exit codes: 0 ok, 2 usage, 3 outside-region, 4 construction "
+            "failure, 5 I/O failure. CSV floats carry 17 significant digits."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_tol(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol-residual", type=float, default=None, help="eigen-residual tolerance (default 1e-8)")
+        p.add_argument("--tol-band", type=float, default=None, help="boundary band half-width (default 1e-9)")
+
+    p = sub.add_parser("check", help="classify a point against the region")
+    p.add_argument("re", type=float)
+    p.add_argument("im", type=float)
+    p.add_argument("--out", default=None, help=f"optional verdict CSV ({_VERDICT_HEADER})")
+    add_tol(p)
+    p.set_defaults(func=cmd_check)
+
+    p = sub.add_parser("realize", help="construct a matrix with the point in its spectrum")
+    p.add_argument("re", type=float)
+    p.add_argument("im", type=float)
+    p.add_argument("--method", choices=("auto", "criterion"), default="auto")
+    add_tol(p)
+    p.set_defaults(func=cmd_realize)
+
+    p = sub.add_parser("spectrum", help="eigenvalues of the matrix with the given parameters")
+    p.add_argument("a1", type=float)
+    p.add_argument("a2", type=float)
+    p.add_argument("a3", type=float)
+    p.add_argument("a4", type=float)
+    add_tol(p)
+    p.set_defaults(func=cmd_spectrum)
+
+    p = sub.add_parser(
+        "sample",
+        help="sample n random matrices, write all eigenvalues with verdicts as CSV",
+        description=f"CSV columns: {_SAMPLE_HEADER}. Row i is reproducible from (seed, i).",
+    )
+    p.add_argument("n", type=int)
+    p.add_argument("seed", type=int)
+    p.add_argument("out")
+    p.add_argument(
+        "--seed",
+        dest="seed_override",
+        type=int,
+        default=None,
+        help="override the positional seed",
+    )
+    add_tol(p)
+    p.set_defaults(func=cmd_sample)
+
+    p = sub.add_parser(
+        "trace",
+        help="trace boundary curves to CSV (and optionally the region SVG)",
+        description=f"CSV columns: {_TRACE_HEADER}.",
+    )
+    p.add_argument("curve", choices=("CR", "CL", "region"))
+    p.add_argument("n", type=int)
+    p.add_argument("out")
+    p.add_argument("--svg", default=None, help="also render the closed region as SVG")
+    add_tol(p)
+    p.set_defaults(func=cmd_trace)
+
+    p = sub.add_parser("psi", help="criterion diagnostics for an upper-half-plane point")
+    p.add_argument("re", type=float)
+    p.add_argument("im", type=float)
+    p.set_defaults(func=cmd_psi)
+
+    p = sub.add_parser("verify", help="run the exact identity suite")
+    p.set_defaults(func=cmd_verify)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "n", None) is not None and args.n < 1:
+        parser.error("n must be >= 1")
+    if args.command == "trace" and args.n < 2:
+        parser.error("trace needs n >= 2")
+    try:
+        return args.func(args)
+    except OutsideRegion as exc:
+        print(f"outside-region: {exc}", file=sys.stderr)
+        return EXIT_OUTSIDE
+    except (Cycle4Error, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+
+if __name__ == "__main__":
+    sys.exit(main())

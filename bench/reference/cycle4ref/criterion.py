@@ -1,0 +1,316 @@
+"""Argument-space criterion for eigenvalue realizability.
+
+For a nonreal target ``lam = a + ib`` (b > 0) write ``z = lam - 1``.  The
+multiplicative eigenvalue identity
+
+    (z + t1)(z + t2)(z + t3)(z + t4) = t1 t2 t3 t4,   t_k in (0, 1],
+
+holds for some hop weights t_k exactly when four angles u_k in
+[lower_arg, upper_arg) satisfy
+
+    u1 + u2 + u3 + u4 = 2*pi   and   sum_k log_modulus_ratio(u_k) = 0,
+
+where u_k is the argument of z + t_k.  The map between shifts and angles is
+a strictly decreasing bijection, and the log-modulus ratio
+
+    F(u) = log|z + t(u)| - log t(u) = log(y csc u) - log(y cot u - x)
+
+is strictly convex, which pins down the supremum of the sum over the
+feasible set: unbounded when 3*lower + upper <= 2*pi, and otherwise
+attained at the angle vector (peak, lower, lower, lower) with
+peak = 2*pi - 3*lower.
+
+The solver walks the one-parameter family u_123 = (2*pi - u_4)/3 from the
+barycenter (pi/2,...,pi/2) toward the supremum and bisects the sign change,
+which turns the existence proof into a deterministic construction.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+from .errors import (
+    ArgumentOutOfRange,
+    FeasibilityViolation,
+    InfeasiblePoint,
+    LowerHalfPlane,
+    NoConvergence,
+    NonrealRequired,
+    NotRealizable,
+)
+from .region import left_boundary_form
+from .scalar import DEFAULT_TOLERANCE, Tolerance
+
+_TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
+_ANGLE_SLACK = 1e-12  # float slack below the lower angle bound
+
+
+class Regime(str, Enum):
+    UNBOUNDED = "Unbounded"
+    TIGHT = "Tight"
+
+
+@dataclass(frozen=True)
+class CriterionContext:
+    """Per-target quantities of the angle parametrisation.
+
+    lower_arg is Arg(lam) (the angle realised by shift t = 1), upper_arg is
+    Arg(lam - 1) (the open supremum as t -> 0).  peak_arg is
+    2*pi - 3*lower_arg, defined only in the tight regime where it bounds
+    the feasible box.
+    """
+
+    lam: complex
+    z: complex
+    lower_arg: float
+    upper_arg: float
+    regime: Regime
+    peak_arg: float | None
+
+    @property
+    def x(self) -> float:
+        return self.z.real
+
+    @property
+    def y(self) -> float:
+        return self.z.imag
+
+
+def make_context(lam: complex) -> CriterionContext:
+    """Build the criterion context for an upper-half-plane target left of 1."""
+    lam = complex(lam)
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ValueError(f"non-finite point {lam!r}")
+    if lam.imag == 0.0:
+        raise NonrealRequired(f"{lam!r} is real")
+    if lam.imag < 0.0:
+        raise LowerHalfPlane(f"{lam!r} lies in the lower half-plane; conjugate first")
+    if lam.real >= 1.0:
+        raise FeasibilityViolation(f"real part {lam.real} >= 1")
+    z = lam - 1.0
+    lower = math.atan2(lam.imag, lam.real)
+    upper = math.atan2(z.imag, z.real)
+    if 3.0 * lower + upper > _TWO_PI:
+        regime = Regime.TIGHT
+        peak = _TWO_PI - 3.0 * lower
+    else:
+        regime = Regime.UNBOUNDED
+        peak = None
+    return CriterionContext(lam, z, lower, upper, regime, peak)
+
+
+def _check_angle(ctx: CriterionContext, u: float) -> float:
+    if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
+        raise ArgumentOutOfRange(
+            f"angle {u!r} outside [{ctx.lower_arg}, {ctx.upper_arg})"
+        )
+    return u
+
+
+def shift_for_angle(ctx: CriterionContext, u: float) -> float:
+    """Hop weight t with Arg(z + t) = u; decreases from t(lower_arg) = 1
+    toward 0 as u approaches upper_arg."""
+    _check_angle(ctx, u)
+    t = ctx.y * math.cos(u) / math.sin(u) - ctx.x
+    if t > 1.0:
+        # t(lower_arg) = 1 exactly; anything above is rounding noise
+        if t > 1.0 + 1e-9:
+            raise ArgumentOutOfRange(f"angle {u!r} maps to shift {t!r} > 1")
+        t = 1.0
+    return t
+
+
+def angle_for_shift(ctx: CriterionContext, t: float) -> float:
+    """Inverse of shift_for_angle on (0, 1]."""
+    if not 0.0 < t <= 1.0 + 1e-12:
+        raise ArgumentOutOfRange(f"shift {t!r} outside (0, 1]")
+    return math.atan2(ctx.y, ctx.x + min(t, 1.0))
+
+
+def log_modulus_ratio(ctx: CriterionContext, u: float) -> float:
+    """log |z + t(u)| - log t(u), evaluated in the cosecant form.
+
+    Tends to +infinity as u approaches upper_arg (t -> 0); the value at
+    lower_arg is log|lam| and the value at pi/2 is log(b / (1 - a)).
+    """
+    t = shift_for_angle(ctx, u)
+    if t <= 0.0:
+        return math.inf
+    return math.log(ctx.y / math.sin(u)) - math.log(t)
+
+
+def criterion_sum(ctx: CriterionContext, angles) -> float:
+    """Sum of log-modulus ratios over a feasible angle 4-tuple.
+
+    Raises InfeasiblePoint unless every angle is inside the box and the
+    angles sum to 2*pi within 1e-9.
+    """
+    angles = tuple(float(u) for u in angles)
+    if len(angles) != 4:
+        raise InfeasiblePoint(f"need 4 angles, got {len(angles)}")
+    for u in angles:
+        if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
+            raise InfeasiblePoint(f"angle {u!r} outside the feasible box")
+    if abs(math.fsum(angles) - _TWO_PI) > 1e-9:
+        raise InfeasiblePoint(f"angles sum to {math.fsum(angles)!r}, not 2*pi")
+    # fsum is exactly rounded, which makes the value permutation-invariant
+    return math.fsum(log_modulus_ratio(ctx, u) for u in angles)
+
+
+def criterion_max(ctx: CriterionContext) -> float:
+    """Supremum of the criterion sum over the feasible set.
+
+    +infinity in the unbounded regime; otherwise the attained maximum
+    3 F(lower_arg) + F(peak_arg), which also equals
+    log(|lam|^6 / modulus_threshold(a, b)).
+    """
+    if ctx.regime is Regime.UNBOUNDED:
+        return math.inf
+    return 3.0 * log_modulus_ratio(ctx, ctx.lower_arg) + log_modulus_ratio(
+        ctx, ctx.peak_arg
+    )
+
+
+def _path_sum(ctx: CriterionContext, u4: float) -> float:
+    """Criterion sum along the one-parameter family u_123 = (2*pi - u_4)/3."""
+    u123 = (_TWO_PI - u4) / 3.0
+    return 3.0 * log_modulus_ratio(ctx, u123) + log_modulus_ratio(ctx, u4)
+
+
+def solve_criterion(
+    ctx: CriterionContext, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[float, float, float, float]:
+    """Hop weights t_1..t_4 realizing ``ctx.lam`` as an eigenvalue.
+
+    Requires a strictly admissible target: 0 <= a < 1, a + b <= 1,
+    left_boundary_form(a, b) >= 0, b > 0.  The returned weights satisfy the
+    multiplicative identity with relative defect below tol.eigen_residual;
+    equivalently, lam is in the spectrum of the matrix with self-loop
+    weights 1 - t_k.  The zero returned is the one met along the solver's
+    path; other zeros may exist and realize lam with different weights.
+    """
+    a, b = ctx.lam.real, ctx.lam.imag
+    if a < 0.0 or a >= 1.0:
+        raise FeasibilityViolation(f"real part {a} outside [0, 1)")
+    if a + b > 1.0:
+        raise NotRealizable(f"{ctx.lam!r} violates a + b <= 1")
+    if left_boundary_form(a, b) < 0.0:
+        raise NotRealizable(f"{ctx.lam!r} lies beyond the left boundary")
+
+    base = 4.0 * log_modulus_ratio(ctx, _HALF_PI)
+    if base >= -1e-15:
+        # On the right segment a + b = 1 the barycenter itself is the zero:
+        # equal shifts t = 1 - a.
+        t = shift_for_angle(ctx, _HALF_PI)
+        return (t, t, t, t)
+
+    if ctx.regime is Regime.TIGHT:
+        u_end = ctx.peak_arg
+        top = _path_sum(ctx, u_end)
+        if top <= 0.0:
+            if top > -1e-12:
+                # Target sits on the left curve: the supremum itself is the zero.
+                t123 = shift_for_angle(ctx, (_TWO_PI - u_end) / 3.0)
+                return (t123, t123, t123, shift_for_angle(ctx, u_end))
+            raise NotRealizable(
+                f"criterion maximum {top} < 0; {ctx.lam!r} is not realizable"
+            )
+    else:
+        # Push u_4 toward the open end until the path sum goes positive;
+        # the log-modulus ratio blows up there, so this terminates unless
+        # the zero falls below angle resolution (handled by the shift-space
+        # polish below, or reported as NoConvergence).
+        u_cap = math.nextafter(ctx.upper_arg, ctx.lower_arg)
+        u_end = 0.5 * (_HALF_PI + ctx.upper_arg)
+        top = _path_sum(ctx, u_end)
+        steps = 0
+        while top <= 0.0:
+            steps += 1
+            nxt = min(0.5 * (u_end + ctx.upper_arg), u_cap)
+            if steps > tol.max_iter or nxt <= u_end:
+                # The sum stays nonpositive at every representable angle:
+                # the zero sits beyond angle resolution at the open end.
+                # Anchor there and let the shift-space polish find it.
+                u_end = u_cap
+                top = math.inf
+                break
+            u_end = nxt
+            top = _path_sum(ctx, u_end)
+
+    # Bisect the sign change in tau = log(upper_arg - u_4).  The log scale
+    # keeps resolution near the open end, where the path sum is steepest.
+    tau_pos = math.log(ctx.upper_arg - u_end)  # path sum > 0 here
+    tau_neg = math.log(ctx.upper_arg - _HALF_PI)  # path sum < 0 here
+    target = 0.1 * tol.eigen_residual
+    u4 = u_end
+    value = top
+    for _ in range(4 * tol.max_iter):
+        tau_mid = 0.5 * (tau_pos + tau_neg)
+        u4_mid = ctx.upper_arg - math.exp(tau_mid)
+        mid = _path_sum(ctx, u4_mid)
+        if abs(mid) <= abs(value):
+            u4, value = u4_mid, mid
+        width = abs(tau_pos - tau_neg)
+        if abs(mid) <= target or width < 1e-14 * max(1.0, abs(tau_pos), abs(tau_neg)):
+            break
+        if mid > 0.0:
+            tau_pos = tau_mid
+        else:
+            tau_neg = tau_mid
+
+    u123 = (_TWO_PI - u4) / 3.0
+    t123 = shift_for_angle(ctx, u123)
+    base3 = 3.0 * (math.log(abs(ctx.z + t123)) - math.log(t123))
+
+    # Polish the fourth shift directly in t-space.  The angle-to-shift map
+    # cancels catastrophically when t_4 is far below |x|, capping the
+    # bisection's attainable accuracy; the log-modulus sum evaluated from
+    # the shifts themselves has no such cancellation, so Newton steps push
+    # the defect to rounding level.
+    t4 = shift_for_angle(ctx, u4)
+    if t4 <= 0.0:
+        # beyond angle resolution near the open end; seed from the
+        # small-shift limit of the zero equation: log t = log|z| + base3
+        t4 = abs(ctx.z) * math.exp(base3)
+        if t4 <= 0.0:
+            raise NoConvergence(f"required shift underflows for {ctx.lam!r}")
+
+    def modulus_sum(tt: float) -> float:
+        return base3 + math.log(abs(ctx.z + tt)) - math.log(tt)
+
+    # Newton in log t: the objective is close to affine in log t for small
+    # shifts, so the iteration never leaves (0, 1] and converges fast.
+    value = modulus_sum(t4)
+    for _ in range(80):
+        if abs(value) <= 0.01 * tol.eigen_residual:
+            break
+        slope = t4 * (t4 + ctx.x) / abs(ctx.z + t4) ** 2 - 1.0
+        if abs(slope) < 0.25:
+            break  # near the stationary shift; keep the bisection result
+        candidate = min(math.exp(math.log(t4) - value / slope), 1.0)
+        if candidate == t4:
+            break
+        t4 = candidate
+        value = modulus_sum(t4)
+
+    if 1.0 - t4 >= 1.0:
+        # the shift exists but its matrix weight 1 - t rounds onto the
+        # excluded value 1: the target hugs the real axis too closely
+        raise NoConvergence(
+            f"realizing weight for {ctx.lam!r} collapses onto 1 in floating point"
+        )
+
+    shifts = (t123, t123, t123, t4)
+    left = 1.0 + 0.0j
+    right = 1.0
+    for t in shifts:
+        left *= ctx.z + t
+        right *= t
+    if abs(left / right - 1.0) > tol.eigen_residual:
+        raise NoConvergence(
+            f"path zero at {ctx.lam!r} left relative defect {abs(left / right - 1.0)}"
+        )
+    return shifts

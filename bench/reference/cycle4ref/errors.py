@@ -1,0 +1,82 @@
+"""Exception types raised across the package.
+
+Every failure mode has its own class so callers (and the CLI exit-code
+mapping) can dispatch on type rather than parse messages.
+"""
+
+
+class Cycle4Error(Exception):
+    """Base class for all package-specific errors."""
+
+
+class ZeroArgument(Cycle4Error):
+    """Argument of the zero complex number was requested."""
+
+
+class DegenerateLeadingCoefficient(Cycle4Error):
+    """Quartic solver was handed a vanishing leading coefficient."""
+
+
+class ParameterOutOfRange(Cycle4Error):
+    """A cycle-matrix parameter lies outside [0, 1)."""
+
+    def __init__(self, index: int, value: float):
+        self.index = index
+        self.value = value
+        super().__init__(f"parameter {index} = {value!r} is outside [0, 1)")
+
+
+class SpectrumFailure(Cycle4Error):
+    """Root finder did not deliver a spectrum meeting the residual contract."""
+
+
+class LowerHalfPlane(Cycle4Error):
+    """Operation requires a point in the open upper half-plane."""
+
+
+class NonrealRequired(Cycle4Error):
+    """Operation requires a nonreal point."""
+
+
+class FeasibilityViolation(Cycle4Error):
+    """The feasible angle set is empty for this point."""
+
+
+class ArgumentOutOfRange(Cycle4Error):
+    """Angle or shift parameter outside its admissible interval."""
+
+
+class InfeasiblePoint(Cycle4Error):
+    """Angle tuple violates the box or sum constraint of the feasible set."""
+
+
+class NotRealizable(Cycle4Error):
+    """The criterion cannot reach zero: the point is outside the region."""
+
+
+class NoConvergence(Cycle4Error):
+    """Iterative search exhausted its iteration budget."""
+
+
+class NotOnCurve(Cycle4Error):
+    """Point is not on the left boundary curve within tolerance."""
+
+
+class AlphaOutOfRange(Cycle4Error):
+    """Recovered matrix parameter falls outside [0, 1)."""
+
+
+class NotInterior(Cycle4Error):
+    """Point is not strictly interior to the nonreal region."""
+
+
+class BracketFailure(Cycle4Error):
+    """A sign-change bracket could not be established."""
+
+
+class ShrinkOutOfRange(Cycle4Error):
+    """Shrink factor outside (0, 1]."""
+
+
+class OutsideRegion(Cycle4Error):
+    """Realization was requested for a point outside the spectral region."""

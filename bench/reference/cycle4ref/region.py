@@ -1,0 +1,178 @@
+"""The spectral region of the 4-cycle stochastic matrices.
+
+The region is the union of the real interval [-1, 1] with the nonreal set
+
+    { a + ib : 0 <= a < 1,  a + |b| <= 1,  left_boundary_form(a, |b|) >= 0 }.
+
+Its nonreal boundary has two pieces in the upper half-plane: the straight
+right segment ``lam = 1 - x + ix`` (where ``a + b = 1``) and the curved
+left branch joining i to 0 (where the quartic form below vanishes).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+from .errors import ArgumentOutOfRange, SpectrumFailure
+from .scalar import DEFAULT_TOLERANCE, Tolerance, solve_quartic
+
+
+def left_boundary_form(a, b):
+    """Implicit form of the curved left boundary: (b^2+a^2+a)^2 + 2a^2 - b^2.
+
+    Nonnegative exactly on the admissible side; even in b.  Accepts floats
+    or numpy arrays.
+    """
+    s = b * b + a * a + a
+    return s * s + 2.0 * a * a - b * b
+
+
+def modulus_threshold(a, b):
+    """Cubic form 4a^3 - 3a^2 - 4ab^2 + b^2 compared against |lam|^6.
+
+    Linked to the left boundary by the factorisation
+    |lam|^6 - modulus_threshold(a, b) = ((a-1)^2 + b^2) * left_boundary_form(a, b).
+    """
+    return 4.0 * a**3 - 3.0 * a * a - 4.0 * a * b * b + b * b
+
+
+class Status(str, Enum):
+    INSIDE_NONREAL = "InsideNonreal"
+    INSIDE_REAL_INTERVAL = "InsideRealInterval"
+    BOUNDARY_CR = "BoundaryCR"
+    BOUNDARY_CL = "BoundaryCL"
+    BOUNDARY_REAL_ENDPOINT = "BoundaryRealEndpoint"
+    OUTSIDE = "Outside"
+
+
+@dataclass(frozen=True)
+class RegionVerdict:
+    """Classification of a point plus the constraint values that produced it.
+
+    a_check is the real part itself, right_check is 1 - a - |b| (nonnegative
+    inside), g_check is the left boundary form at (a, |b|).
+    """
+
+    status: Status
+    a_check: float
+    right_check: float
+    g_check: float
+
+    @property
+    def outside(self) -> bool:
+        return self.status is Status.OUTSIDE
+
+    def to_dict(self) -> dict:
+        return {
+            "status": self.status.value,
+            "a_check": self.a_check,
+            "right_check": self.right_check,
+            "g_check": self.g_check,
+        }
+
+
+def membership(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionVerdict:
+    """Classify ``lam`` against the spectral region.
+
+    Deterministic in ``lam`` and ``tol.boundary_band``; invariant under
+    conjugation.  Real points (|Im| below the band) are judged against
+    [-1, 1]; nonreal points against the three region constraints, with
+    boundary bands applied to the constraint values and the right segment
+    taking precedence over the left curve where both trigger (near i).
+    """
+    lam = complex(lam)
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ValueError(f"non-finite point {lam!r}")
+    band = tol.boundary_band
+    a = lam.real
+    b = abs(lam.imag)
+    right = 1.0 - a - b
+    g = left_boundary_form(a, b)
+
+    if b < band:
+        if abs(abs(a) - 1.0) <= band:
+            status = Status.BOUNDARY_REAL_ENDPOINT
+        elif abs(a) < 1.0:
+            status = Status.INSIDE_REAL_INTERVAL
+        else:
+            status = Status.OUTSIDE
+        return RegionVerdict(status, a, right, g)
+
+    if a < 0.0 or a >= 1.0 or right < -band or g < -band:
+        status = Status.OUTSIDE
+    elif abs(right) <= band:
+        status = Status.BOUNDARY_CR
+    elif abs(g) <= band:
+        status = Status.BOUNDARY_CL
+    else:
+        status = Status.INSIDE_NONREAL
+    return RegionVerdict(status, a, right, g)
+
+
+@dataclass(frozen=True)
+class TracePoint:
+    """One sampled boundary point: curve tag, curve parameter, location,
+    and the left boundary form at the location."""
+
+    curve: str
+    param: float
+    point: complex
+    boundary_form: float
+
+
+def trace_right_segment(n: int) -> list[TracePoint]:
+    """n points of the right boundary segment lam = 1 - x + ix, x in [0, 1],
+    endpoints included."""
+    if n < 2:
+        raise ArgumentOutOfRange(f"need at least 2 points, got {n}")
+    points = []
+    for j in range(n):
+        x = j / (n - 1)
+        lam = complex(1.0 - x, x)
+        points.append(TracePoint("CR", x, lam, left_boundary_form(lam.real, abs(lam.imag))))
+    return points
+
+
+def left_branch_root(anchor_alpha: float, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
+    """Unique upper-half-plane nonreal eigenvalue of the left boundary
+    matrix with self-loop weight ``anchor_alpha``.
+
+    Solves lam^4 - alpha lam^3 + alpha - 1 = 0 and picks the root of
+    maximal imaginary part; fails loudly if the pick is ambiguous.
+    """
+    if not 0.0 <= anchor_alpha < 1.0:
+        raise ArgumentOutOfRange(f"left anchor weight {anchor_alpha!r} outside [0, 1)")
+    roots = solve_quartic(1.0, -anchor_alpha, 0.0, 0.0, anchor_alpha - 1.0, tol=tol)
+    candidates = [r for r in roots if r.imag > tol.boundary_band]
+    if not candidates:
+        raise SpectrumFailure(f"no upper-half-plane root at alpha={anchor_alpha}")
+    candidates.sort(key=lambda r: r.imag)
+    best = candidates[-1]
+    if len(candidates) > 1 and best.imag - candidates[-2].imag <= tol.boundary_band:
+        raise SpectrumFailure(f"ambiguous upper root at alpha={anchor_alpha}")
+    return best
+
+
+def trace_left_curve(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> list[TracePoint]:
+    """n points of the curved left boundary, parametrised by the anchor
+    weight alpha on a uniform grid over [0, 1 - 1/n].
+
+    Every returned point satisfies |left_boundary_form| < 1e-9 and has real
+    part in [0, 1/6] up to the band; violations raise SpectrumFailure.
+    """
+    if n < 2:
+        raise ArgumentOutOfRange(f"need at least 2 points, got {n}")
+    top = 1.0 - 1.0 / n
+    points = []
+    for j in range(n):
+        alpha = top * j / (n - 1)
+        lam = left_branch_root(alpha, tol=tol)
+        g = left_boundary_form(lam.real, lam.imag)
+        if abs(g) >= 1e-9:
+            raise SpectrumFailure(f"traced point {lam!r} misses the curve: form={g}")
+        if not -tol.boundary_band <= lam.real <= 1.0 / 6.0 + tol.boundary_band:
+            raise SpectrumFailure(f"traced point {lam!r} outside the left strip")
+        points.append(TracePoint("CL", alpha, lam, g))
+    return points

@@ -1,0 +1,225 @@
+"""Constructive realization of region points as eigenvalues.
+
+Real targets use the equal-parameter matrix (1-x)I + xP with P the cyclic
+permutation.  Right-segment targets 1 - x + ix use the same matrix.  Left
+curve targets use the anchor matrix with weights (alpha, 0, 0, 0).  Strict
+interior targets are obtained by following the ray from 1 through the
+target until it meets the left curve, realizing the hit point, and pulling
+the spectrum back with the affine shrink lam -> (1-l) + l*lam, which the
+matrix family supports parameter-wise.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+
+from . import criterion
+from .errors import (
+    AlphaOutOfRange,
+    BracketFailure,
+    LowerHalfPlane,
+    NonrealRequired,
+    NotInterior,
+    NotOnCurve,
+    OutsideRegion,
+    ShrinkOutOfRange,
+)
+from .matrix import CycleMatrix4, eigen_residual, make_cycle_matrix
+from .region import Status, left_boundary_form, membership
+from .scalar import DEFAULT_TOLERANCE, Tolerance
+
+_EPS = 2.220446049250313e-16
+
+
+class Method(str, Enum):
+    REAL_INTERVAL = "RealInterval"
+    BOUNDARY_CR = "BoundaryCR"
+    BOUNDARY_CL = "BoundaryCL"
+    INTERIOR_SHRINK = "InteriorShrink"
+    CRITERION_SOLVER = "CriterionSolver"
+
+
+@dataclass(frozen=True)
+class Realization:
+    """A realizing matrix plus the provenance of its construction."""
+
+    matrix: CycleMatrix4
+    lam: complex
+    method: Method
+    mu: complex | None
+    shrink_l: float | None
+    residual: float
+
+    def to_dict(self) -> dict:
+        data: dict = {
+            "alpha": list(self.matrix.alpha),
+            "method": self.method.value,
+        }
+        if self.mu is not None:
+            data["mu"] = [self.mu.real, self.mu.imag]
+        if self.shrink_l is not None:
+            data["l"] = self.shrink_l
+        data["residual"] = self.residual
+        return data
+
+
+def alpha_for_left_point(mu: complex) -> float:
+    """Anchor weight alpha with mu in the spectrum of the left boundary
+    matrix (alpha, 0, 0, 0).
+
+    Inverts the characteristic equation: alpha = (mu^4 - 1) / (mu^3 - 1),
+    which is real exactly when mu sits on the left curve.  Raises NotOnCurve
+    when the imaginary part betrays an off-curve input.
+    """
+    mu = complex(mu)
+    if mu.imag == 0.0:
+        raise NonrealRequired(f"{mu!r} is real")
+    if mu.imag < 0.0:
+        raise LowerHalfPlane(f"{mu!r} lies in the lower half-plane")
+    ratio = (mu**4 - 1.0) / (mu**3 - 1.0)
+    if abs(ratio.imag) >= 1e-8:
+        raise NotOnCurve(f"{mu!r} is off the left curve: Im(alpha) = {ratio.imag}")
+    alpha = ratio.real
+    if -1e-9 <= alpha < 0.0:
+        alpha = 0.0
+    if not 0.0 <= alpha < 1.0:
+        raise AlphaOutOfRange(f"recovered weight {alpha!r} outside [0, 1)")
+    return alpha
+
+
+def ray_to_left_boundary(
+    lam: complex, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[complex, float]:
+    """Hit point of the ray from 1 through ``lam`` on the left curve.
+
+    Returns (mu, s) with mu = 1 + s * (lam - 1), s >= 1, and
+    |left_boundary_form(mu)| < 1e-12.  The bracket is [1, s0] where s0 is
+    the ray parameter of the imaginary-axis crossing: the form is positive
+    at the strictly interior start and negative on the axis segment
+    (0, i), so a sign change is guaranteed.
+    """
+    lam = complex(lam)
+    a, b = lam.real, lam.imag
+    if not (b > 0.0 and 0.0 < a < 1.0 and a + b < 1.0 and left_boundary_form(a, b) > 0.0):
+        raise NotInterior(f"{lam!r} is not strictly interior")
+
+    direction = lam - 1.0
+
+    def form_at(s: float) -> float:
+        mu = 1.0 + s * direction
+        return left_boundary_form(mu.real, mu.imag)
+
+    s_lo = 1.0
+    s_hi = 1.0 / (1.0 - a)  # real part of the ray hits 0 here
+    f_hi = form_at(s_hi)
+    if f_hi >= 0.0:
+        # Rounding at razor-thin gaps; one nudge past the axis, then give up.
+        s_hi *= 1.0 + 1e-6
+        f_hi = form_at(s_hi)
+        if f_hi >= 0.0:
+            raise BracketFailure(f"no sign change toward the axis for {lam!r}")
+
+    s_mid = s_hi
+    for _ in range(4 * tol.max_iter):
+        s_mid = 0.5 * (s_lo + s_hi)
+        f_mid = form_at(s_mid)
+        if abs(f_mid) < 1e-12:
+            break
+        if f_mid > 0.0:
+            s_lo = s_mid
+        else:
+            s_hi = s_mid
+        if s_hi - s_lo < 4.0 * _EPS * s_hi:
+            s_mid = 0.5 * (s_lo + s_hi)
+            break
+    mu = 1.0 + s_mid * direction
+    if abs(left_boundary_form(mu.real, mu.imag)) >= 1e-12:
+        raise BracketFailure(f"bisection stalled at {mu!r} for {lam!r}")
+    return mu, s_mid
+
+
+def shrink(m: CycleMatrix4, l: float) -> CycleMatrix4:
+    """Parameter-wise affine shrink toward the identity.
+
+    The result equals (1-l) I + l A, so its spectrum is the image of the
+    spectrum of ``m`` under lam -> (1-l) + l*lam.
+    """
+    if not (isinstance(l, (int, float)) and 0.0 < l <= 1.0):
+        raise ShrinkOutOfRange(f"shrink factor {l!r} outside (0, 1]")
+    return make_cycle_matrix(*((1.0 - l) + l * a for a in m.alpha))
+
+
+def _real_interval_matrix(r: float) -> CycleMatrix4:
+    # 1 is in every spectrum of the family; for targets at the right
+    # endpoint the formula weight 1 - x would hit the excluded value 1, so
+    # the plain cyclic permutation serves instead.
+    if abs(r - 1.0) < 1e-12:
+        return make_cycle_matrix(0.0, 0.0, 0.0, 0.0)
+    x = 0.5 * (1.0 - r)
+    a = 1.0 - x
+    return make_cycle_matrix(a, a, a, a)
+
+
+def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
+    """Realizing matrix for any point of the spectral region.
+
+    Dispatches on the membership verdict: real interval, right segment,
+    left curve, or interior (ray hit plus shrink).  Lower half-plane
+    targets are realized through their conjugate; the matrix is real, so it
+    serves both.  Raises OutsideRegion for points outside the region.
+    """
+    lam = complex(lam)
+    verdict = membership(lam, tol)
+    if verdict.status is Status.OUTSIDE:
+        raise OutsideRegion(f"{lam!r} is outside the spectral region")
+
+    work = lam if lam.imag >= 0.0 else lam.conjugate()
+
+    if verdict.status in (Status.INSIDE_REAL_INTERVAL, Status.BOUNDARY_REAL_ENDPOINT):
+        matrix = _real_interval_matrix(work.real)
+        method = Method.REAL_INTERVAL
+        mu = None
+        l = None
+    elif verdict.status is Status.BOUNDARY_CR:
+        x = abs(lam.imag)
+        weight = 1.0 - x
+        matrix = make_cycle_matrix(weight, weight, weight, weight)
+        method = Method.BOUNDARY_CR
+        mu = None
+        l = None
+    elif verdict.status is Status.BOUNDARY_CL:
+        alpha = alpha_for_left_point(work)
+        matrix = make_cycle_matrix(alpha, 0.0, 0.0, 0.0)
+        method = Method.BOUNDARY_CL
+        mu = work
+        l = None
+    else:
+        mu, s_star = ray_to_left_boundary(work, tol)
+        alpha = alpha_for_left_point(mu)
+        base = make_cycle_matrix(alpha, 0.0, 0.0, 0.0)
+        l = 1.0 / s_star
+        matrix = shrink(base, l)
+        method = Method.INTERIOR_SHRINK
+
+    residual = eigen_residual(matrix, lam)
+    if residual >= tol.eigen_residual:
+        raise OutsideRegion(
+            f"construction for {lam!r} missed the residual contract: {residual}"
+        )
+    return Realization(matrix, lam, method, mu, l, residual)
+
+
+def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
+    """Realizing matrix obtained from the criterion solver's path zero.
+
+    An independent route to the same spectrum membership as ``realize``;
+    the matrices generally differ.
+    """
+    lam = complex(lam)
+    work = lam if lam.imag >= 0.0 else lam.conjugate()
+    ctx = criterion.make_context(work)
+    shifts = criterion.solve_criterion(ctx, tol)
+    matrix = make_cycle_matrix(*(1.0 - t for t in shifts))
+    residual = eigen_residual(matrix, lam)
+    return Realization(matrix, lam, Method.CRITERION_SOLVER, None, None, residual)

@@ -55,23 +55,11 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _verdict_payload(lam: complex, verdict) -> dict:
-    return {
-        "re": lam.real,
-        "im": lam.imag,
-        "status": verdict.status.value,
-        "a_check": verdict.a_check,
-        "right_check": verdict.right_check,
-        "g_check": verdict.g_check,
-    }
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     lam = complex(args.re, args.im)
     verdict = membership(lam, tol)
-    payload = _verdict_payload(lam, verdict)
-    print(json.dumps(payload))
+    print(json.dumps({"re": lam.real, "im": lam.imag, **verdict.to_dict()}))
     if args.out:
         row = ",".join(
             [
@@ -92,7 +80,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     lam = complex(args.re, args.im)
     verdict = membership(lam, tol)
     if verdict.outside:
-        print(json.dumps(_verdict_payload(lam, verdict)))
+        print(json.dumps({"re": lam.real, "im": lam.imag, **verdict.to_dict()}))
         return EXIT_OUTSIDE
     if args.method == "criterion":
         result = synthesis.realize_via_criterion(lam, tol)
@@ -117,8 +105,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    seed = args.seed if args.seed_override is None else args.seed_override
-    alphas, eigenvalues, codes = sampling.sample_records(args.n, seed, tol)
+    alphas, eigenvalues, codes = sampling.sample_records(args.n, args.seed, tol)
     order = sampling.status_order()
 
     lines = [_SAMPLE_HEADER]
@@ -247,13 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("seed", type=int)
     p.add_argument("out")
-    p.add_argument(
-        "--seed",
-        dest="seed_override",
-        type=int,
-        default=None,
-        help="override the positional seed",
-    )
     add_tol(p)
     p.set_defaults(func=cmd_sample)
 

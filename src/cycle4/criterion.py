@@ -20,9 +20,10 @@ feasible set: unbounded when 3*lower + upper <= 2*pi, and otherwise
 attained at the angle vector (peak, lower, lower, lower) with
 peak = 2*pi - 3*lower.
 
-The solver walks the one-parameter family u_123 = (2*pi - u_4)/3 from the
-barycenter (pi/2,...,pi/2) toward the supremum and bisects the sign change,
-which turns the existence proof into a deterministic construction.
+The solver follows the one-parameter family u_123 = (2*pi - u_4)/3 from the
+barycenter (pi/2,...,pi/2) toward the supremum.  Convexity of F makes the
+sum monotone along this family, so a single bisection in s = log t_4 finds
+its zero, which turns the existence proof into a deterministic construction.
 """
 
 from __future__ import annotations
@@ -174,30 +175,29 @@ def criterion_max(ctx: CriterionContext) -> float:
     )
 
 
-def _path_sum(ctx: CriterionContext, u4: float) -> float:
-    """Criterion sum along the one-parameter family u_123 = (2*pi - u_4)/3."""
-    u123 = (_TWO_PI - u4) / 3.0
-    return 3.0 * log_modulus_ratio(ctx, u123) + log_modulus_ratio(ctx, u4)
-
-
 def solve_criterion(
     ctx: CriterionContext, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[float, float, float, float]:
     """Hop weights t_1..t_4 realizing ``ctx.lam`` as an eigenvalue.
 
-    Requires a strictly admissible target: 0 <= a < 1, a + b <= 1,
-    left_boundary_form(a, b) >= 0, b > 0.  The returned weights satisfy the
-    multiplicative identity with relative defect below tol.eigen_residual;
-    equivalently, lam is in the spectrum of the matrix with self-loop
-    weights 1 - t_k.  The zero returned is the one met along the solver's
-    path; other zeros may exist and realize lam with different weights.
+    Requires an admissible target: 0 <= a < 1, a + b <= 1, b > 0 and
+    left_boundary_form(a, b) >= -tol.boundary_band.  The returned weights
+    satisfy the multiplicative identity with relative defect below
+    tol.eigen_residual; equivalently, lam is in the spectrum of the matrix
+    with self-loop weights 1 - t_k.  The zero returned is the one met along
+    the solver's path; other zeros may exist and realize lam with different
+    weights.
+
+    One bisection in s = log t_4 along the path u_123 = (2*pi - u_4)/3
+    finds the zero: the sum is monotone in s there, as its u_4-slope
+    F'(u_4) - F'(u_123) is positive by convexity (u_4 >= pi/2 >= u_123).
     """
     a, b = ctx.lam.real, ctx.lam.imag
     if a < 0.0 or a >= 1.0:
         raise FeasibilityViolation(f"real part {a} outside [0, 1)")
     if a + b > 1.0:
         raise NotRealizable(f"{ctx.lam!r} violates a + b <= 1")
-    if left_boundary_form(a, b) < 0.0:
+    if left_boundary_form(a, b) < -tol.boundary_band:
         raise NotRealizable(f"{ctx.lam!r} lies beyond the left boundary")
 
     base = 4.0 * log_modulus_ratio(ctx, _HALF_PI)
@@ -207,94 +207,48 @@ def solve_criterion(
         t = shift_for_angle(ctx, _HALF_PI)
         return (t, t, t, t)
 
+    def path_sum(s: float) -> tuple[float, float, float]:
+        # log-moduli from the shifts themselves; the angle form cancels once t_4 << |x|
+        t4 = math.exp(s)
+        if t4 == 0.0:
+            raise NoConvergence(f"required shift underflows for {ctx.lam!r}")
+        t123 = shift_for_angle(ctx, (_TWO_PI - angle_for_shift(ctx, t4)) / 3.0)
+        value = 3.0 * (math.log(abs(ctx.z + t123)) - math.log(t123))
+        return value + math.log(abs(ctx.z + t4)) - s, t123, t4
+
+    s_neg = math.log(1.0 - a)  # the barycenter, where the sum is base < 0
     if ctx.regime is Regime.TIGHT:
         u_end = ctx.peak_arg
-        top = _path_sum(ctx, u_end)
-        if top <= 0.0:
-            if top > -1e-12:
+        s_pos = math.log(shift_for_angle(ctx, u_end))
+        best = path_sum(s_pos)
+        if best[0] <= 0.0:
+            if best[0] > -1e-12:
                 # Target sits on the left curve: the supremum itself is the zero.
                 t123 = shift_for_angle(ctx, (_TWO_PI - u_end) / 3.0)
                 return (t123, t123, t123, shift_for_angle(ctx, u_end))
-            raise NotRealizable(
-                f"criterion maximum {top} < 0; {ctx.lam!r} is not realizable"
-            )
+            raise NotRealizable(f"criterion maximum {best[0]} < 0; {ctx.lam!r} is not realizable")
     else:
-        # Push u_4 toward the open end until the path sum goes positive;
-        # the log-modulus ratio blows up there, so this terminates unless
-        # the zero falls below angle resolution (handled by the shift-space
-        # polish below, or reported as NoConvergence).
-        u_cap = math.nextafter(ctx.upper_arg, ctx.lower_arg)
-        u_end = 0.5 * (_HALF_PI + ctx.upper_arg)
-        top = _path_sum(ctx, u_end)
-        steps = 0
-        while top <= 0.0:
-            steps += 1
-            nxt = min(0.5 * (u_end + ctx.upper_arg), u_cap)
-            if steps > tol.max_iter or nxt <= u_end:
-                # The sum stays nonpositive at every representable angle:
-                # the zero sits beyond angle resolution at the open end.
-                # Anchor there and let the shift-space polish find it.
-                u_end = u_cap
-                top = math.inf
-                break
-            u_end = nxt
-            top = _path_sum(ctx, u_end)
+        # The sum grows without bound as t_4 -> 0: step s down by 1, 2, 4, ...
+        # until it turns positive, moving the negative end along.
+        step = 1.0
+        best = path_sum(s_neg - step)
+        while best[0] <= 0.0:
+            s_neg -= step
+            step *= 2.0
+            best = path_sum(s_neg - step)
+        s_pos = s_neg - step
 
-    # Bisect the sign change in tau = log(upper_arg - u_4).  The log scale
-    # keeps resolution near the open end, where the path sum is steepest.
-    tau_pos = math.log(ctx.upper_arg - u_end)  # path sum > 0 here
-    tau_neg = math.log(ctx.upper_arg - _HALF_PI)  # path sum < 0 here
-    target = 0.1 * tol.eigen_residual
-    u4 = u_end
-    value = top
-    for _ in range(4 * tol.max_iter):
-        tau_mid = 0.5 * (tau_pos + tau_neg)
-        u4_mid = ctx.upper_arg - math.exp(tau_mid)
-        mid = _path_sum(ctx, u4_mid)
-        if abs(mid) <= abs(value):
-            u4, value = u4_mid, mid
-        width = abs(tau_pos - tau_neg)
-        if abs(mid) <= target or width < 1e-14 * max(1.0, abs(tau_pos), abs(tau_neg)):
-            break
-        if mid > 0.0:
-            tau_pos = tau_mid
+    while abs(best[0]) > 0.01 * tol.eigen_residual:
+        s_mid = 0.5 * (s_pos + s_neg)
+        if s_mid in (s_pos, s_neg):
+            break  # the bracket holds adjacent floats
+        mid = path_sum(s_mid)
+        best = min(best, mid, key=lambda r: abs(r[0]))
+        if mid[0] > 0.0:
+            s_pos = s_mid
         else:
-            tau_neg = tau_mid
-
-    u123 = (_TWO_PI - u4) / 3.0
-    t123 = shift_for_angle(ctx, u123)
-    base3 = 3.0 * (math.log(abs(ctx.z + t123)) - math.log(t123))
-
-    # Polish the fourth shift directly in t-space.  The angle-to-shift map
-    # cancels catastrophically when t_4 is far below |x|, capping the
-    # bisection's attainable accuracy; the log-modulus sum evaluated from
-    # the shifts themselves has no such cancellation, so Newton steps push
-    # the defect to rounding level.
-    t4 = shift_for_angle(ctx, u4)
-    if t4 <= 0.0:
-        # beyond angle resolution near the open end; seed from the
-        # small-shift limit of the zero equation: log t = log|z| + base3
-        t4 = abs(ctx.z) * math.exp(base3)
-        if t4 <= 0.0:
-            raise NoConvergence(f"required shift underflows for {ctx.lam!r}")
-
-    def modulus_sum(tt: float) -> float:
-        return base3 + math.log(abs(ctx.z + tt)) - math.log(tt)
-
-    # Newton in log t: the objective is close to affine in log t for small
-    # shifts, so the iteration never leaves (0, 1] and converges fast.
-    value = modulus_sum(t4)
-    for _ in range(80):
-        if abs(value) <= 0.01 * tol.eigen_residual:
-            break
-        slope = t4 * (t4 + ctx.x) / abs(ctx.z + t4) ** 2 - 1.0
-        if abs(slope) < 0.25:
-            break  # near the stationary shift; keep the bisection result
-        candidate = min(math.exp(math.log(t4) - value / slope), 1.0)
-        if candidate == t4:
-            break
-        t4 = candidate
-        value = modulus_sum(t4)
+            s_neg = s_mid
+    _, t123, t4 = best
 
     if 1.0 - t4 >= 1.0:
         # the shift exists but its matrix weight 1 - t rounds onto the

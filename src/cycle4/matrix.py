@@ -54,10 +54,6 @@ class CycleMatrix4:
     def to_dict(self) -> dict:
         return {"alpha": list(self.alpha)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CycleMatrix4":
-        return make_cycle_matrix(*data["alpha"])
-
 
 def make_cycle_matrix(a1: float, a2: float, a3: float, a4: float) -> CycleMatrix4:
     """Validated construction; rejects any parameter outside [0, 1)."""

@@ -12,18 +12,10 @@ routes agree to solver accuracy and are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .region import Status
-from .scalar import DEFAULT_TOLERANCE, Tolerance
-
-_EPS = 2.220446049250313e-16
-# Same start/retry phases as the scalar solver; see scalar.py for why they
-# are unevenly spaced.
-_START_PHASES = (0.40, 2.05, 3.85, 5.40)
-_RETRY_PHASES = (1.30, 2.95, 4.75, 6.30)
+from .scalar import _EPS, _RETRY_PHASES, _START_PHASES, DEFAULT_TOLERANCE, Tolerance
 
 _STATUS_ORDER = (
     Status.INSIDE_NONREAL,
@@ -34,16 +26,6 @@ _STATUS_ORDER = (
     Status.OUTSIDE,
 )
 _STATUS_CODE = {status: code for code, status in enumerate(_STATUS_ORDER)}
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One eigenvalue of one sampled matrix, with its region verdict."""
-
-    index: int
-    alpha: tuple[float, float, float, float]
-    eigenvalue: complex
-    status: Status
 
 
 def sample_parameters(n: int, seed: int) -> np.ndarray:
@@ -196,17 +178,3 @@ def sample_records(
     eigenvalues = bulk_spectra(alphas, tol)
     codes = classify_points(eigenvalues.real, eigenvalues.imag, tol.boundary_band)
     return alphas, eigenvalues, codes
-
-
-def iter_sample_records(n: int, seed: int, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Yield one SampleRecord per eigenvalue, in (index, eigenvalue) order.
-
-    Same content as ``sample_records``; the array form is what the CLI
-    writes, this form is for callers who want typed records.
-    """
-    alphas, eigenvalues, codes = sample_records(n, seed, tol)
-    order = status_order()
-    for i in range(n):
-        row = tuple(float(a) for a in alphas[i])
-        for j in range(4):
-            yield SampleRecord(i, row, complex(eigenvalues[i, j]), order[codes[i, j]])

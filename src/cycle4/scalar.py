@@ -36,17 +36,15 @@ class Tolerance:
         eigenvalue.
     boundary_band: half-width of the band within which a constraint value
         counts as "on the boundary" (also the real-axis snapping band).
-    bisection_eps: target width for bisection searches.
-    max_iter: iteration cap for the root finder and bracket expansions.
+    max_iter: iteration cap for the root finder and the ray bisection.
     """
 
     eigen_residual: float = 1e-8
     boundary_band: float = 1e-9
-    bisection_eps: float = 1e-12
     max_iter: int = 200
 
     def __post_init__(self):
-        for name in ("eigen_residual", "boundary_band", "bisection_eps"):
+        for name in ("eigen_residual", "boundary_band"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")

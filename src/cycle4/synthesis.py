@@ -27,9 +27,7 @@ from .errors import (
 )
 from .matrix import CycleMatrix4, eigen_residual, make_cycle_matrix
 from .region import Status, left_boundary_form, membership
-from .scalar import DEFAULT_TOLERANCE, Tolerance
-
-_EPS = 2.220446049250313e-16
+from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
 
 
 class Method(str, Enum):

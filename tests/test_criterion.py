@@ -1,23 +1,30 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import sample_feasible_angles, sample_inside_nonreal, sample_tight
 from cycle4 import (
     ArgumentOutOfRange,
+    Cycle4Error,
     FeasibilityViolation,
     InfeasiblePoint,
     LowerHalfPlane,
+    NoConvergence,
     NonrealRequired,
     NotRealizable,
+    Status,
     angle_for_shift,
     criterion_max,
     criterion_sum,
+    left_boundary_form,
     log_modulus_ratio,
     make_context,
     make_cycle_matrix,
+    membership,
     modulus_threshold,
+    realize_via_criterion,
     shift_for_angle,
     solve_criterion,
     spectrum,
@@ -281,3 +288,51 @@ class TestSolveCriterion:
             angles = [angle_for_shift(ctx, t) for t in shifts]
             assert abs(sum(angles) - TWO_PI) < 1e-9
             assert abs(sum(log_modulus_ratio(ctx, u) for u in angles)) < 1e-9
+
+
+def relative_defect(ctx, shifts) -> float:
+    """|prod(z + t_k) / prod(t_k) - 1| of the multiplicative identity."""
+    left, right = 1.0 + 0.0j, 1.0
+    for t in shifts:
+        left *= ctx.z + t
+        right *= t
+    return abs(left / right - 1.0)
+
+
+def oracle_gap(alpha, lam: complex) -> float:
+    """Distance from lam to the nearest root of prod(x - a_k) - prod(1 - a_k),
+    with the roots found in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(1)]
+        for a in map(mpmath.mpf, alpha):
+            coeffs = [c - a * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[-1] -= mpmath.fprod(1 - mpmath.mpf(a) for a in alpha)
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+        return float(min(abs(r - mpmath.mpc(lam.real, lam.imag)) for r in roots))
+
+
+class TestCriterionPath:
+    @pytest.mark.parametrize(
+        "lam", [0.1421350694010412 + 0.7450175416053759j, 0.0789222787846143 + 0.15644616023896302j]
+    )
+    def test_left_curve_points_inside_band(self, lam):
+        # rounding puts these left-curve points a hair beyond the curve;
+        # membership accepts them within the band, so the solver must too
+        assert membership(lam).status is Status.BOUNDARY_CL
+        assert left_boundary_form(lam.real, lam.imag) < 0.0
+        assert realize_via_criterion(lam).residual < 1e-8
+
+    @pytest.mark.parametrize("b", [1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+    def test_near_axis(self, a, b):
+        lam = complex(a, b)
+        ctx = make_context(lam)
+        assert relative_defect(ctx, solve_criterion(ctx)) <= 1e-8
+        result = realize_via_criterion(lam)
+        assert result.residual <= 1e-8
+        assert oracle_gap(result.matrix.alpha, lam) <= b / 100
+
+    def test_collapse_onto_axis_raises_no_convergence(self):
+        with pytest.raises(Cycle4Error) as err:
+            realize_via_criterion(0.55 + 1e-8j)
+        assert type(err.value) is NoConvergence

@@ -3,13 +3,11 @@ import pytest
 
 from cycle4 import Status, make_cycle_matrix, membership, spectrum
 from cycle4.sampling import (
-    SampleRecord,
     bulk_char_coeffs,
     bulk_quartic_roots,
     bulk_residuals,
     bulk_spectra,
     classify_points,
-    iter_sample_records,
     sample_parameters,
     sample_records,
     status_order,
@@ -87,19 +85,6 @@ class TestClassification:
         order = status_order()
         for k in range(3000):
             assert order[codes[k]] is membership(complex(re[k], im[k])).status
-
-    def test_typed_records_match_arrays(self):
-        records = list(iter_sample_records(20, 5))
-        assert len(records) == 80
-        alphas, eigenvalues, codes = sample_records(20, 5)
-        order = status_order()
-        for k, record in enumerate(records):
-            i, j = divmod(k, 4)
-            assert isinstance(record, SampleRecord)
-            assert record.index == i
-            assert record.alpha == tuple(alphas[i])
-            assert record.eigenvalue == complex(eigenvalues[i, j])
-            assert record.status is order[codes[i, j]]
 
     def test_sample_records_shapes(self):
         alphas, eigenvalues, codes = sample_records(100, 23)

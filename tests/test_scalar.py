@@ -27,7 +27,6 @@ class TestTolerance:
         tol = Tolerance()
         assert tol.eigen_residual == 1e-8
         assert tol.boundary_band == 1e-9
-        assert tol.bisection_eps == 1e-12
         assert tol.max_iter == 200
 
     @pytest.mark.parametrize(
@@ -35,7 +34,6 @@ class TestTolerance:
         [
             {"eigen_residual": 0.0},
             {"boundary_band": -1e-9},
-            {"bisection_eps": float("nan")},
             {"max_iter": 0},
         ],
     )

@@ -34,6 +34,7 @@ class TestTolerance:
         [
             {"eigen_residual": 0.0},
             {"boundary_band": -1e-9},
+            {"eigen_residual": float("nan")},
             {"max_iter": 0},
         ],
     )

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from . import criterion, sampling, synthesis
+from . import criterion, synthesis
 from .errors import Cycle4Error, OutsideRegion
 from .figure import render_region_svg
 from .matrix import eigen_residual, make_cycle_matrix, spectrum
@@ -34,6 +34,7 @@ EXIT_IO = 5
 _SAMPLE_HEADER = "index,alpha1,alpha2,alpha3,alpha4,re,im,status"
 _TRACE_HEADER = "curve,param,re,im,G"
 _VERDICT_HEADER = "re,im,status,a_check,right_check,g_check"
+_SAMPLE_CHUNK = 256  # rows converted to Python lists at a time
 
 
 def _g17(value: float) -> str:
@@ -104,19 +105,30 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import sampling
+
     tol = _tolerance(args)
     alphas, eigenvalues, codes = sampling.sample_records(args.n, args.seed, tol)
     order = sampling.status_order()
+    names = [status.value for status in order]
 
-    lines = [_SAMPLE_HEADER]
-    for i in range(args.n):
-        a_cols = ",".join(_g17(alphas[i, k]) for k in range(4))
-        for j in range(4):
-            lam = eigenvalues[i, j]
-            lines.append(
-                f"{i},{a_cols},{_g17(lam.real)},{_g17(lam.imag)},{order[codes[i, j]].value}"
-            )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # Python floats format faster than numpy scalars; converting a chunk at
+    # a time keeps the lists small.
+    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(_SAMPLE_HEADER + "\n")
+        for start in range(0, args.n, _SAMPLE_CHUNK):
+            stop = start + _SAMPLE_CHUNK
+            lines = []
+            for i, a, lams, row_codes in zip(
+                range(start, stop),
+                alphas[start:stop].tolist(),
+                eigenvalues[start:stop].tolist(),
+                codes[start:stop].tolist(),
+            ):
+                prefix = f"{i},{a[0]:.17g},{a[1]:.17g},{a[2]:.17g},{a[3]:.17g},"
+                for lam, code in zip(lams, row_codes):
+                    lines.append(f"{prefix}{lam.real:.17g},{lam.imag:.17g},{names[code]}\n")
+            handle.write("".join(lines))
 
     counts = {status.value: int((codes == k).sum()) for k, status in enumerate(order)}
     print("verdicts: " + " ".join(f"{name}={counts[name]}" for name in sorted(counts)))
@@ -267,6 +279,8 @@ def main(argv=None) -> int:
         parser.error("n must be >= 1")
     if args.command == "trace" and args.n < 2:
         parser.error("trace needs n >= 2")
+    if args.command == "sample" and not 0 <= args.seed < 2**128:
+        parser.error("seed must be in [0, 2**128)")
     try:
         return args.func(args)
     except OutsideRegion as exc:

@@ -5,9 +5,14 @@ row i consumes a fixed counter range: the tuple at (seed, i) is independent
 of the batch size, and batches may be evaluated in any order without
 changing the output.
 
-Spectra for large batches are computed by a vectorised version of the same
-simultaneous root iteration used by the scalar solver; the scalar and bulk
-routes agree to solver accuracy and are cross-checked in the test suite.
+Spectra for large batches come from a kernel built on the structure of the
+family.  The root 1 is pinned exactly; the other three are roots of the
+cubic factor ``p(lam) / (lam - 1)``, seeded from Cardano's formula and
+refined by Aberth's simultaneous iteration (Math. Comp. 27, 1973), with
+``p`` and ``p'`` evaluated in the product form
+``prod(lam - alpha_k) - prod(1 - alpha_k)``.  Each row is iterated on its
+own until it converges, so its eigenvalues depend only on its own
+parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .region import Status
-from .scalar import _EPS, _RETRY_PHASES, _START_PHASES, DEFAULT_TOLERANCE, Tolerance
+from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
 
 _STATUS_ORDER = (
     Status.INSIDE_NONREAL,
@@ -27,6 +32,16 @@ _STATUS_ORDER = (
 )
 _STATUS_CODE = {status: code for code, status in enumerate(_STATUS_ORDER)}
 
+_OMEGA = np.exp(2j * np.pi / 3)  # primitive cube root of unity
+
+# Seeds are rotated about their centroid and moved off the real axis by a
+# fixed, asymmetric amount.  The polynomial is real, so a conjugation-
+# symmetric set of iterates stays symmetric and real iterates stay real: a
+# triple cluster x + d*omega^k whose Cardano seeds come out real would
+# otherwise collapse onto x.
+_SEED_ROTATION = np.exp(0.3j)
+_SEED_OFFSETS = 1e-3j * np.array([[1.0], [2.0], [-3.0]])
+
 
 def sample_parameters(n: int, seed: int) -> np.ndarray:
     """(n, 4) array of parameter tuples, i.i.d. uniform on [0, 1).
@@ -36,105 +51,111 @@ def sample_parameters(n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     return gen.random((n, 4))
 
 
-def bulk_char_coeffs(alphas: np.ndarray) -> np.ndarray:
-    """(n, 5) monic characteristic coefficients for each parameter row."""
-    a1, a2, a3, a4 = (alphas[:, k] for k in range(4))
-    e1 = a1 + a2 + a3 + a4
-    e2 = a1 * a2 + a1 * a3 + a1 * a4 + a2 * a3 + a2 * a4 + a3 * a4
-    e3 = a1 * a2 * a3 + a1 * a2 * a4 + a1 * a3 * a4 + a2 * a3 * a4
-    e4 = a1 * a2 * a3 * a4
-    hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
-    ones = np.ones_like(e1)
-    return np.stack([ones, -e1, e2, -e3, e4 - hop], axis=1)
-
-
-def bulk_quartic_roots(coeffs: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """(n, 4) complex roots of each quartic row, sorted by (re, im).
-
-    Same iteration as the scalar solver (fixed start circle, simultaneous
-    updates, one Newton pass, real-axis snapping) run over the whole batch,
-    with converged rows frozen so stubborn clusters do not stall the rest.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[1] != 5:
-        raise ValueError(f"expected (n, 5) coefficients, got {coeffs.shape}")
-    if np.any(coeffs[:, 0] == 0.0):
-        raise ValueError("vanishing leading coefficient in batch")
-    monic = coeffs[:, 1:] / coeffs[:, :1]
-    n = monic.shape[0]
-
-    radius = 1.0 + np.abs(monic).max(axis=1)
-    step_tol = 8.0 * _EPS * radius
-    scale = 1.0 + np.abs(monic).sum(axis=1)
-
-    def poly_at(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return (((r + m[:, 0:1]) * r + m[:, 1:2]) * r + m[:, 2:3]) * r + m[:, 3:4]
-
-    def noise_bound(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # evaluation-noise scale of each monic quartic at each root iterate
-        am = np.abs(m)
-        mr = np.abs(r)
-        return (((mr + am[:, 0:1]) * mr + am[:, 1:2]) * mr + am[:, 2:3]) * mr + am[:, 3:4]
-
-    def run(rows: np.ndarray, phases: tuple[float, ...]) -> np.ndarray:
-        roots = radius[rows, None] * np.exp(1j * np.asarray(phases))[None, :]
-        active = np.arange(len(rows))
-        for _ in range(tol.max_iter):
-            r = roots[active]
-            m = monic[rows[active]]
-            vals = poly_at(r, m)
-            diff = r[:, :, None] - r[:, None, :]
-            diff[:, np.arange(4), np.arange(4)] = 1.0
-            den = diff.prod(axis=2)
-            den[den == 0] = _EPS
-            step = vals / den
-            roots[active] = r - step
-            step_size = np.abs(step).max(axis=1)
-            at_floor = (np.abs(vals) <= 64.0 * _EPS * noise_bound(r, m)).all(axis=1)
-            done = (step_size <= step_tol[rows[active]]) | at_floor
-            active = active[~done]
-            if active.size == 0:
-                break
-        # One Newton pass on the whole subset.
-        m = monic[rows]
-        der = ((4.0 * roots + 3.0 * m[:, 0:1]) * roots + 2.0 * m[:, 1:2]) * roots + m[:, 2:3]
-        vals = poly_at(roots, m)
-        safe = np.abs(der) > 1e-300
-        return np.where(safe, roots - vals / np.where(safe, der, 1.0), roots)
-
-    all_rows = np.arange(n)
-    roots = run(all_rows, _START_PHASES)
-    worst = np.abs(poly_at(roots, monic)).max(axis=1)
-    stuck = np.nonzero(worst > 1e-9 * scale)[0]
-    if stuck.size:
-        retry = run(stuck, _RETRY_PHASES)
-        better = np.abs(poly_at(retry, monic[stuck])).max(axis=1) < worst[stuck]
-        roots[stuck[better]] = retry[better]
-
-    snap = np.abs(roots.imag) <= tol.boundary_band
-    roots = np.where(snap, roots.real + 0.0j, roots)
-    return np.sort(roots, axis=1)
+def _cardano_offsets(c2: np.ndarray, c1: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """(3, n) closed-form roots of ``lam^3 + c2 lam^2 + c1 lam + c0``, as
+    offsets from their centroid ``-c2 / 3``."""
+    p = c1 - c2 * c2 / 3.0
+    q = c0 + c2 * (2.0 * c2 * c2 - 9.0 * c1) / 27.0
+    # the larger of Cardano's two cubes, so that u carries no cancellation
+    cube = -0.5 * q - np.copysign(1.0, q) * np.sqrt(0.25 * q * q + p * p * p / 27.0 + 0j)
+    u = cube ** (1.0 / 3.0)
+    v = np.divide(-p / 3.0, u, out=np.zeros_like(u), where=u != 0.0)
+    return np.stack([u + v, _OMEGA * u + _OMEGA.conjugate() * v, _OMEGA.conjugate() * u + _OMEGA * v])
 
 
 def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """(n, 4) eigenvalues for each parameter row, sorted by (re, im)."""
-    return bulk_quartic_roots(bulk_char_coeffs(np.asarray(alphas, dtype=float)), tol)
+    """(n, 4) eigenvalues for each parameter row, sorted by (re, im).
 
-
-def bulk_residuals(alphas: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """Multiplicative-identity defect of each claimed eigenvalue."""
+    Each row holds the exact root 1 and either three reals or a real root
+    and an exact conjugate pair; roots within ``tol.boundary_band`` of the
+    real axis are snapped onto it.  Rows are refined independently, at most
+    ``tol.max_iter`` Aberth steps each.
+    """
     alphas = np.asarray(alphas, dtype=float)
-    lam = np.asarray(eigenvalues)
-    left = np.ones_like(lam)
-    right = np.ones(alphas.shape[0])
-    for k in range(4):
-        left = left * (lam - alphas[:, k : k + 1])
-        right = right * (1.0 - alphas[:, k])
-    return np.abs(left - right[:, None])
+    if alphas.ndim != 2 or alphas.shape[1] != 4:
+        raise ValueError(f"expected (n, 4) parameters, got {alphas.shape}")
+    a = np.ascontiguousarray(alphas.T)
+    hop = (1.0 - a[0]) * (1.0 - a[1]) * (1.0 - a[2]) * (1.0 - a[3])
+
+    # q = p / (lam - 1) by synthetic division of the expanded quartic; its
+    # coefficients only seed the iteration, which never evaluates them.
+    e1 = a[0] + a[1] + a[2] + a[3]
+    e2 = a[0] * (a[1] + a[2] + a[3]) + a[1] * (a[2] + a[3]) + a[2] * a[3]
+    e3 = a[0] * a[1] * (a[2] + a[3]) + (a[0] + a[1]) * a[2] * a[3]
+    c2 = 1.0 - e1
+    c1 = c2 + e2
+    c0 = c1 - e3
+    roots = -c2 / 3.0 + _SEED_ROTATION * _cardano_offsets(c2, c1, c0) + _SEED_OFFSETS
+    roots = _aberth(roots, a, hop, tol.max_iter)
+    return _close_rows(roots, tol.boundary_band)
+
+
+def _aberth(z: np.ndarray, a: np.ndarray, hop: np.ndarray, max_iter: int) -> np.ndarray:
+    """Refine the (3, n) roots of the cubic factor in place.
+
+    Aberth's correction for each root of ``p`` counts the pinned root 1 among
+    the others.  A row freezes once every root either moves by less than a
+    few ulps or has ``|p|`` at the rounding-noise floor of its product form.
+    """
+    idx = np.arange(z.shape[1])
+    zs, al, hp = z, a, hop
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            d0, d1, d2, d3 = zs - al[0], zs - al[1], zs - al[2], zs - al[3]
+            left, right = d0 * d1, d2 * d3
+            prod = left * right
+            value = prod - hp
+            slope = (d0 + d1) * right + left * (d2 + d3)
+            i01 = 1.0 / (zs[0] - zs[1])
+            i02 = 1.0 / (zs[0] - zs[2])
+            i12 = 1.0 / (zs[1] - zs[2])
+            # sum of 1 / (z_i - z_j) over the other roots, 1 included
+            others = 1.0 / (zs - 1.0)
+            others[0] += i01 + i02
+            others[1] += i12 - i01
+            others[2] -= i02 + i12
+            step = value / (slope - value * others)
+            moved = np.abs(step) <= 4.0 * _EPS * np.abs(zs)
+            floor = np.abs(value) <= 16.0 * _EPS * (np.abs(prod) + hp)
+            ok = np.isfinite(step)
+            zs = np.where(ok, zs - step, zs)
+            done = ((moved | floor) | ~ok).all(axis=0)
+            if done.any():
+                z[:, idx[done]] = zs[:, done]
+                keep = ~done
+                idx, zs, al, hp = idx[keep], zs[:, keep], al[:, keep], hp[keep]
+                if idx.size == 0:
+                    break
+    z[:, idx] = zs
+    return z
+
+
+def _close_rows(z: np.ndarray, band: float) -> np.ndarray:
+    """(n, 4) rows ``{1, r, w, conj(w)}`` or four reals, sorted by (re, im).
+
+    The root with the smallest imaginary part is the real root of the cubic
+    factor; the other two are symmetrised into an exact conjugate pair, or
+    both snapped onto the real axis when the pair lies within ``band``.
+    """
+    order = np.argsort(np.abs(z.imag), axis=0, kind="stable")
+    real, u, v = np.take_along_axis(z, order, axis=0)
+    pair_re = 0.5 * (u.real + v.real)
+    pair_im = 0.5 * (np.abs(u.imag) + np.abs(v.imag))
+    snap = pair_im <= band
+    out = np.zeros((z.shape[1], 4), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1] = real.real
+    out[:, 2].real = np.where(snap, u.real, pair_re)
+    out[:, 3].real = np.where(snap, v.real, pair_re)
+    out[:, 2].imag = np.where(snap, 0.0, -pair_im)
+    out[:, 3].imag = np.where(snap, 0.0, pair_im)
+    return np.sort(out, axis=1)
 
 
 def classify_points(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:

@@ -71,7 +71,10 @@ def principal_arg(w: complex) -> float:
     if w == 0:
         raise ZeroArgument("argument of zero is undefined")
     im = 0.0 if w.imag == 0.0 else w.imag  # normalise -0.0 so arg(-1) = +pi
-    return math.atan2(im, w.real)
+    theta = math.atan2(im, w.real)
+    if theta == 0.0 and im > 0.0:
+        return math.ulp(0.0)  # im / re underflowed; the angle is still positive
+    return theta
 
 
 def _horner4(r: complex, a3: float, a2: float, a1: float, a0: float) -> complex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from cycle4 import Status, make_context, membership
@@ -58,3 +59,14 @@ def sample_feasible_angles(rng: np.random.Generator, ctx, count: int) -> np.ndar
         rows.append(keep[:need])
         need -= len(keep[:need])
     return np.vstack(rows)
+
+
+def oracle_roots(alpha) -> list:
+    """The four roots of prod(x - a_k) - prod(1 - a_k) found in 60-digit
+    arithmetic, as mpmath complex numbers."""
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(1)]
+        for a in map(mpmath.mpf, alpha):
+            coeffs = [c - a * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[-1] -= mpmath.fprod(1 - mpmath.mpf(a) for a in alpha)
+        return mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cycle4.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -234,6 +240,24 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["check", "abc", "0.3"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "too_large"])
+    def test_sample_seed_out_of_range_exits_2(self, capsys, tmp_path, seed):
+        out_path = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "3", seed, str(out_path)])
+        assert err.value.code == 2
+        assert "seed must be in [0, 2**128)" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_import_leaves_numpy_unloaded(self):
+        # only the sample command needs numpy; it imports sampling lazily
+        probe = "import sys, cycle4.cli; print('numpy' in sys.modules)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_trace_needs_two_points(self):
         with pytest.raises(SystemExit) as err:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import sample_feasible_angles, sample_inside_nonreal, sample_tight
+from conftest import oracle_roots, sample_feasible_angles, sample_inside_nonreal, sample_tight
 from cycle4 import (
     ArgumentOutOfRange,
     Cycle4Error,
@@ -300,15 +300,10 @@ def relative_defect(ctx, shifts) -> float:
 
 
 def oracle_gap(alpha, lam: complex) -> float:
-    """Distance from lam to the nearest root of prod(x - a_k) - prod(1 - a_k),
-    with the roots found in 60-digit arithmetic."""
+    """Distance from lam to the nearest 60-digit root of the characteristic
+    polynomial."""
     with mpmath.workdps(60):
-        coeffs = [mpmath.mpf(1)]
-        for a in map(mpmath.mpf, alpha):
-            coeffs = [c - a * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
-        coeffs[-1] -= mpmath.fprod(1 - mpmath.mpf(a) for a in alpha)
-        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
-        return float(min(abs(r - mpmath.mpc(lam.real, lam.imag)) for r in roots))
+        return float(min(abs(r - mpmath.mpc(lam.real, lam.imag)) for r in oracle_roots(alpha)))
 
 
 class TestCriterionPath:

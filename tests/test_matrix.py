@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -17,6 +18,34 @@ def sorted_close(actual, expected, tol):
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert abs(got - want) < tol, (got, want)
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def exact_char_poly(dense):
+    """Coefficients of det(lam I - dense), lowest power first, by the
+    Leibniz expansion over the 24 permutations in exact rationals."""
+    n = len(dense)
+    # entry (i, j) of lam I - dense as a polynomial in lam
+    entry = [
+        [[-Fraction(dense[i][j])] + ([Fraction(1)] if i == j else []) for j in range(n)]
+        for i in range(n)
+    ]
+    total = [Fraction(0)] * (n + 1)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [Fraction(-1 if inversions % 2 else 1)]
+        for i in range(n):
+            term = _poly_mul(term, entry[i][perm[i]])
+        for k, c in enumerate(term):
+            total[k] += c
+    return total
 
 
 class TestConstruction:
@@ -52,6 +81,12 @@ class TestConstruction:
 
 
 class TestCharPoly:
+    def test_exact_oracle_on_known_matrix(self):
+        # all alpha = 1/2: det(lam I - D) = (lam - 1/2)^4 - 1/16
+        half = Fraction(1, 2)
+        dense = make_cycle_matrix(0.5, 0.5, 0.5, 0.5).dense()
+        assert exact_char_poly(dense) == [0, -half, Fraction(3, 2), -2, 1]
+
     def test_equal_parameters_half(self):
         # all alpha = 0.5: (lam - 0.5)^4 - 0.5^4 expands to
         # lam^4 - 2 lam^3 + 1.5 lam^2 - 0.5 lam + 0
@@ -77,16 +112,11 @@ class TestCharPoly:
 
     def test_matches_exact_determinant_expansion(self):
         # independent oracle: exact rational charpoly of the dense matrix
-        sympy = pytest.importorskip("sympy")
-        lam = sympy.Symbol("lam")
         rng = np.random.default_rng(17)
         for _ in range(60):
             m = make_cycle_matrix(*rng.random(4))
-            dense = sympy.Matrix(
-                [[sympy.Rational(Fraction(entry)) for entry in row] for row in m.dense()]
-            )
-            exact = sympy.expand((lam * sympy.eye(4) - dense).det())
-            exact_coeffs = [float(exact.coeff(lam, k)) for k in (4, 3, 2, 1, 0)]
+            exact = exact_char_poly(m.dense())
+            exact_coeffs = [float(exact[k]) for k in (4, 3, 2, 1, 0)]
             mine = char_poly(m)
             for got, want in zip(mine, exact_coeffs):
                 assert abs(got - want) < 1e-12

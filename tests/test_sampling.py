@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
+from conftest import oracle_roots
 
-from cycle4 import Status, make_cycle_matrix, membership, spectrum
+from cycle4 import Cycle4Error, Status, Tolerance, make_cycle_matrix, membership, realize, spectrum
 from cycle4.sampling import (
-    bulk_char_coeffs,
-    bulk_quartic_roots,
-    bulk_residuals,
     bulk_spectra,
     classify_points,
     sample_parameters,
@@ -36,18 +34,35 @@ class TestParameterSampling:
         with pytest.raises(ValueError):
             sample_parameters(0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "too_large"])
+    def test_rejects_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+            sample_parameters(3, seed)
+
+
+def _clustered_rows() -> list[tuple[tuple[float, ...], float]]:
+    """(alpha, b) pairs: equal and near-equal parameters, and the near-axis
+    matrices ``realize`` builds, whose spectra hold a triple cluster."""
+    one = 1.0 - 2.0**-53
+    rows = [
+        ((0.5,) * 4, 0.0),
+        ((0.0,) * 4, 0.0),
+        ((0.99999, 0.99999, 0.5, 0.5), 0.0),
+        # three parameters within 1e-8 of 1: a root pair 2.5e-9 apart
+        # sitting 6e-11 from the pinned root
+        ((0.01332988124137724, 0.9999999999959326, 0.999999997467337, 0.9999999999456344), 0.0),
+        ((one, one, one, 0.5), 0.0),
+    ]
+    for a in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+        for b in (1e-2, 1e-3, 1e-4, 1e-5, 5e-6, 2e-6):
+            try:
+                rows.append((realize(complex(a, b)).matrix.alpha, b))
+            except Cycle4Error:
+                continue
+    return rows
+
 
 class TestBulkSolvers:
-    def test_coeffs_match_scalar(self):
-        from cycle4 import char_poly
-
-        rng = np.random.default_rng(3)
-        alphas = rng.random((50, 4))
-        bulk = bulk_char_coeffs(alphas)
-        for i in range(50):
-            scalar = char_poly(make_cycle_matrix(*alphas[i]))
-            assert np.allclose(bulk[i], scalar, atol=1e-15)
-
     def test_roots_match_scalar_as_multisets(self):
         rng = np.random.default_rng(7)
         alphas = rng.random((2000, 4))
@@ -57,20 +72,38 @@ class TestBulkSolvers:
             for r in bulk[i]:
                 assert min(abs(r - s) for s in scalar) < 1e-9
 
-    def test_handles_symmetric_quartic(self):
-        roots = bulk_quartic_roots(np.array([[1.0, 0.0, 1.0, 0.0, 0.0]]))[0]
-        for want in (1j, -1j):
-            assert min(abs(r - want) for r in roots) < 1e-9
-        assert sorted(abs(r) for r in roots)[:2] == pytest.approx([0.0, 0.0], abs=1e-6)
+    def test_clustered_spectra_match_oracle(self):
+        rows = _clustered_rows()
+        assert len(rows) > 30
+        bulk = bulk_spectra(np.array([alpha for alpha, _ in rows]))
+        for (alpha, b), roots in zip(rows, bulk):
+            oracle = [complex(r) for r in oracle_roots(alpha)]
+            bound = max(b / 100, 1e-13)
+            for r in roots:
+                assert min(abs(r - o) for o in oracle) <= bound, (alpha, r)
+            for o in oracle:
+                assert min(abs(r - o) for r in roots) <= bound, (alpha, o)
 
-    def test_residuals_small(self):
-        alphas = sample_parameters(500, 11)
-        eigenvalues = bulk_spectra(alphas)
-        assert bulk_residuals(alphas, eigenvalues).max() < 1e-10
+    def test_rows_are_conjugation_closed(self):
+        _, eigenvalues, _ = sample_records(100000, 42)
+        closed = np.sort(eigenvalues, axis=1) == np.sort(eigenvalues.conj(), axis=1)
+        assert closed.all()
 
-    def test_rejects_degenerate_rows(self):
+    @pytest.mark.parametrize("max_iter", [1, 200])
+    def test_rows_hold_exact_one(self, max_iter):
+        # rows the iteration cap stops early keep the structure too
+        eigenvalues = bulk_spectra(sample_parameters(2000, 9), Tolerance(max_iter=max_iter))
+        assert ((eigenvalues == 1.0).sum(axis=1) >= 1).all()
+        assert (np.sort(eigenvalues, axis=1) == np.sort(eigenvalues.conj(), axis=1)).all()
+
+    @pytest.mark.parametrize("k", [1, 7, 100, 2999])
+    def test_eigenvalues_prefix_stable(self, k):
+        full = sample_records(3000, 31)[1]
+        assert np.array_equal(sample_records(k, 31)[1], full[:k])
+
+    def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            bulk_quartic_roots(np.array([[0.0, 1.0, 0.0, 0.0, -1.0]]))
+            bulk_spectra(np.zeros((3, 5)))
 
 
 class TestClassification:

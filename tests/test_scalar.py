@@ -59,6 +59,10 @@ class TestPrincipalArg:
         with pytest.raises(ZeroArgument):
             principal_arg(0j)
 
+    def test_underflowing_upper_angle_stays_positive(self):
+        # atan2(5e-324, 2) rounds to 0, outside (0, pi)
+        assert principal_arg(complex(2.0, 5e-324)) == 5e-324
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             principal_arg(complex(float("nan"), 1.0))

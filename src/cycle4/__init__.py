@@ -21,7 +21,6 @@ from .errors import (
     ArgumentOutOfRange,
     BracketFailure,
     Cycle4Error,
-    DegenerateLeadingCoefficient,
     FeasibilityViolation,
     InfeasiblePoint,
     LowerHalfPlane,
@@ -43,7 +42,7 @@ from .identities import (
     modulus_threshold_poly,
     verify_identity_suite,
 )
-from .matrix import CycleMatrix4, char_poly, eigen_residual, make_cycle_matrix, spectrum
+from .matrix import CycleMatrix4, eigen_residual, make_cycle_matrix, spectrum
 from .region import (
     RegionVerdict,
     Status,
@@ -54,7 +53,7 @@ from .region import (
     trace_left_curve,
     trace_right_segment,
 )
-from .scalar import DEFAULT_TOLERANCE, Tolerance, principal_arg, solve_quartic
+from .scalar import DEFAULT_TOLERANCE, Tolerance, principal_arg
 from .synthesis import (
     Method,
     Realization,

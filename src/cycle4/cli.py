@@ -42,6 +42,14 @@ def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type of the tolerance options: a finite float above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _tolerance(args: argparse.Namespace) -> Tolerance:
     kwargs = {}
     if getattr(args, "tol_residual", None) is not None:
@@ -213,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tol(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol-residual", type=float, default=None, help="eigen-residual tolerance (default 1e-8)")
-        p.add_argument("--tol-band", type=float, default=None, help="boundary band half-width (default 1e-9)")
+        p.add_argument("--tol-residual", type=_finite_positive, help="eigen-residual tolerance (default 1e-8)")
+        p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
 
     p = sub.add_parser("check", help="classify a point against the region")
     p.add_argument("re", type=float)

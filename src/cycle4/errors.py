@@ -13,10 +13,6 @@ class ZeroArgument(Cycle4Error):
     """Argument of the zero complex number was requested."""
 
 
-class DegenerateLeadingCoefficient(Cycle4Error):
-    """Quartic solver was handed a vanishing leading coefficient."""
-
-
 class ParameterOutOfRange(Cycle4Error):
     """A cycle-matrix parameter lies outside [0, 1)."""
 

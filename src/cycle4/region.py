@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ArgumentOutOfRange, SpectrumFailure
-from .scalar import DEFAULT_TOLERANCE, Tolerance, solve_quartic
+from .matrix import CycleMatrix4, spectrum
+from .scalar import DEFAULT_TOLERANCE, Tolerance
 
 
 def left_boundary_form(a, b):
@@ -139,12 +140,13 @@ def left_branch_root(anchor_alpha: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
     """Unique upper-half-plane nonreal eigenvalue of the left boundary
     matrix with self-loop weight ``anchor_alpha``.
 
-    Solves lam^4 - alpha lam^3 + alpha - 1 = 0 and picks the root of
-    maximal imaginary part; fails loudly if the pick is ambiguous.
+    lam^4 - alpha lam^3 + alpha - 1 is the characteristic polynomial of the
+    anchor matrix (alpha, 0, 0, 0); of its spectrum this picks the root of
+    maximal imaginary part and fails loudly if the pick is ambiguous.
     """
     if not 0.0 <= anchor_alpha < 1.0:
         raise ArgumentOutOfRange(f"left anchor weight {anchor_alpha!r} outside [0, 1)")
-    roots = solve_quartic(1.0, -anchor_alpha, 0.0, 0.0, anchor_alpha - 1.0, tol=tol)
+    roots = spectrum(CycleMatrix4((anchor_alpha, 0.0, 0.0, 0.0)), tol)
     candidates = [r for r in roots if r.imag > tol.boundary_band]
     if not candidates:
         raise SpectrumFailure(f"no upper-half-plane root at alpha={anchor_alpha}")

@@ -5,20 +5,24 @@ row i consumes a fixed counter range: the tuple at (seed, i) is independent
 of the batch size, and batches may be evaluated in any order without
 changing the output.
 
-Spectra for large batches come from a kernel built on the structure of the
-family.  The root 1 is pinned exactly; the other three are roots of the
-cubic factor ``p(lam) / (lam - 1)``, seeded from Cardano's formula and
-refined by Aberth's simultaneous iteration (Math. Comp. 27, 1973), with
-``p`` and ``p'`` evaluated in the product form
+Spectra for large batches come from ``bulk_spectra``, which runs the same
+algorithm as ``matrix.spectrum`` on whole arrays: the root 1 is pinned
+exactly; the other three are roots of the cubic factor
+``p(lam) / (lam - 1)``, seeded from Cardano's formula and refined by
+Aberth's simultaneous iteration (Math. Comp. 27, 1973), with ``p`` and
+``p'`` evaluated in the product form
 ``prod(lam - alpha_k) - prod(1 - alpha_k)``.  Each row is iterated on its
 own until it converges, so its eigenvalues depend only on its own
-parameters.
+parameters.  The Cardano step and the iteration are written once per
+backend, since numpy's complex power and division differ from CPython's in
+the last ulp.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .matrix import _SEED_OFFSETS, _SEED_ROTATION, _cubic_factor
 from .region import Status
 from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
 
@@ -33,14 +37,6 @@ _STATUS_ORDER = (
 _STATUS_CODE = {status: code for code, status in enumerate(_STATUS_ORDER)}
 
 _OMEGA = np.exp(2j * np.pi / 3)  # primitive cube root of unity
-
-# Seeds are rotated about their centroid and moved off the real axis by a
-# fixed, asymmetric amount.  The polynomial is real, so a conjugation-
-# symmetric set of iterates stays symmetric and real iterates stay real: a
-# triple cluster x + d*omega^k whose Cardano seeds come out real would
-# otherwise collapse onto x.
-_SEED_ROTATION = np.exp(0.3j)
-_SEED_OFFSETS = 1e-3j * np.array([[1.0], [2.0], [-3.0]])
 
 
 def sample_parameters(n: int, seed: int) -> np.ndarray:
@@ -83,15 +79,12 @@ def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.n
     a = np.ascontiguousarray(alphas.T)
     hop = (1.0 - a[0]) * (1.0 - a[1]) * (1.0 - a[2]) * (1.0 - a[3])
 
-    # q = p / (lam - 1) by synthetic division of the expanded quartic; its
-    # coefficients only seed the iteration, which never evaluates them.
-    e1 = a[0] + a[1] + a[2] + a[3]
-    e2 = a[0] * (a[1] + a[2] + a[3]) + a[1] * (a[2] + a[3]) + a[2] * a[3]
-    e3 = a[0] * a[1] * (a[2] + a[3]) + (a[0] + a[1]) * a[2] * a[3]
-    c2 = 1.0 - e1
-    c1 = c2 + e2
-    c0 = c1 - e3
-    roots = -c2 / 3.0 + _SEED_ROTATION * _cardano_offsets(c2, c1, c0) + _SEED_OFFSETS
+    c2, c1, c0 = _cubic_factor(*a)
+    # np.multiply keeps the rotation as the first operand: a Python complex
+    # times an array runs ndarray.__rmul__, which swaps them, and numpy's
+    # vectorised complex product can round differently when swapped.
+    rotated = np.multiply(_SEED_ROTATION, _cardano_offsets(c2, c1, c0))
+    roots = -c2 / 3.0 + rotated + np.array(_SEED_OFFSETS)[:, None]
     roots = _aberth(roots, a, hop, tol.max_iter)
     return _close_rows(roots, tol.boundary_band)
 

@@ -41,7 +41,6 @@ from cycle4 import (
     modulus_threshold_poly,
     realize,
     solve_criterion,
-    solve_quartic,
     spectrum,
     trace_left_curve,
     verify_identity_suite,
@@ -169,11 +168,12 @@ def test_criterion_4_boundary_exactness():
 
     # x = 0 would need the excluded weight 1; check the claimed eigenvalue
     # list against the characteristic structure directly instead: every
-    # claimed value has an exactly vanishing defect, and the quartic route
-    # sees the quadruple root at 1 (to cluster accuracy)
+    # claimed value has an exactly vanishing defect, and the spectrum of the
+    # nearest family member sees the quadruple root at 1 (to cluster
+    # accuracy)
     for v in (1 + 0j, complex(1, 0), complex(1, -0.0)):
         assert abs((v - 1.0) ** 4 - 0.0) == 0.0
-    cluster = solve_quartic(1.0, -4.0, 6.0, -4.0, 1.0)
+    cluster = spectrum(make_cycle_matrix(*(1 - 1e-12,) * 4))
     assert all(abs(r - 1.0) < 1e-3 for r in cluster)
 
     # left curve: 100 anchors over [0, 0.99]

@@ -241,6 +241,15 @@ class TestUsage:
             main(["check", "abc", "0.3"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("option, value", [("--tol-band", "inf"), ("--tol-residual", "nan"),
+                                               ("--tol-band", "0")])
+    def test_bad_tolerance_exits_2(self, capsys, option, value):
+        # an infinite band would call 0.5+0.3i BoundaryRealEndpoint
+        with pytest.raises(SystemExit) as err:
+            main(["check", "0.5", "0.3", option, value])
+        assert err.value.code == 2
+        assert "expected a finite positive number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "too_large"])
     def test_sample_seed_out_of_range_exits_2(self, capsys, tmp_path, seed):
         out_path = tmp_path / "never.csv"

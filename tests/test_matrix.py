@@ -6,7 +6,6 @@ import pytest
 
 from cycle4 import (
     ParameterOutOfRange,
-    char_poly,
     eigen_residual,
     make_cycle_matrix,
     spectrum,
@@ -87,39 +86,20 @@ class TestCharPoly:
         dense = make_cycle_matrix(0.5, 0.5, 0.5, 0.5).dense()
         assert exact_char_poly(dense) == [0, -half, Fraction(3, 2), -2, 1]
 
-    def test_equal_parameters_half(self):
-        # all alpha = 0.5: (lam - 0.5)^4 - 0.5^4 expands to
-        # lam^4 - 2 lam^3 + 1.5 lam^2 - 0.5 lam + 0
-        coeffs = char_poly(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))
-        assert coeffs == pytest.approx((1.0, -2.0, 1.5, -0.5, 0.0), abs=1e-15)
-
-    def test_left_anchor_form(self):
-        # (alpha, 0, 0, 0): lam^4 - alpha lam^3 + alpha - 1
-        alpha = 0.7
-        coeffs = char_poly(make_cycle_matrix(alpha, 0, 0, 0))
-        assert coeffs == pytest.approx((1.0, -alpha, 0.0, 0.0, alpha - 1.0), abs=1e-15)
-
-    def test_value_one_is_root(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            m = make_cycle_matrix(*rng.random(4))
-            c4, c3, c2, c1, c0 = char_poly(m)
-            p1 = (((c4 + c3) + c2) + c1) + c0
-            assert abs(p1) < 1e-12
-
-    def test_monic(self):
-        assert char_poly(make_cycle_matrix(0.3, 0.7, 0.1, 0.9))[0] == 1.0
-
     def test_matches_exact_determinant_expansion(self):
-        # independent oracle: exact rational charpoly of the dense matrix
+        # the product form the spectrum kernel evaluates is the determinant
+        # of lam I - dense, exactly, with the hop weights as the matrix
+        # stores them (1.0 - a rounded to double)
         rng = np.random.default_rng(17)
         for _ in range(60):
             m = make_cycle_matrix(*rng.random(4))
-            exact = exact_char_poly(m.dense())
-            exact_coeffs = [float(exact[k]) for k in (4, 3, 2, 1, 0)]
-            mine = char_poly(m)
-            for got, want in zip(mine, exact_coeffs):
-                assert abs(got - want) < 1e-12
+            product = [Fraction(1)]
+            hop = Fraction(1)
+            for a in m.alpha:
+                product = _poly_mul(product, [-Fraction(a), Fraction(1)])
+                hop *= Fraction(1.0 - a)
+            product[0] -= hop
+            assert exact_char_poly(m.dense()) == product
 
 
 class TestSpectrum:
@@ -144,7 +124,7 @@ class TestSpectrum:
         for _ in range(1000):
             m = make_cycle_matrix(*rng.random(4))
             roots = spectrum(m)
-            assert min(abs(r - 1.0) for r in roots) < 1e-8
+            assert 1.0 in roots
             assert max(abs(r) for r in roots) <= 1.0 + 1e-9
             for r in roots:
                 assert any(s.real == r.real and s.imag == -r.imag for s in roots)

@@ -62,6 +62,18 @@ def _clustered_rows() -> list[tuple[tuple[float, ...], float]]:
     return rows
 
 
+def _assert_match_oracle(rows, spectra) -> None:
+    """Every root within max(b/100, 1e-13) of a 60-digit root, both ways."""
+    assert len(rows) > 30
+    for (alpha, b), roots in zip(rows, spectra):
+        oracle = [complex(r) for r in oracle_roots(alpha)]
+        bound = max(b / 100, 1e-13)
+        for r in roots:
+            assert min(abs(r - o) for o in oracle) <= bound, (alpha, r)
+        for o in oracle:
+            assert min(abs(r - o) for r in roots) <= bound, (alpha, o)
+
+
 class TestBulkSolvers:
     def test_roots_match_scalar_as_multisets(self):
         rng = np.random.default_rng(7)
@@ -70,19 +82,15 @@ class TestBulkSolvers:
         for i in range(0, 2000, 7):
             scalar = spectrum(make_cycle_matrix(*alphas[i]))
             for r in bulk[i]:
-                assert min(abs(r - s) for s in scalar) < 1e-9
+                assert min(abs(r - s) for s in scalar) < 1e-14
 
     def test_clustered_spectra_match_oracle(self):
         rows = _clustered_rows()
-        assert len(rows) > 30
-        bulk = bulk_spectra(np.array([alpha for alpha, _ in rows]))
-        for (alpha, b), roots in zip(rows, bulk):
-            oracle = [complex(r) for r in oracle_roots(alpha)]
-            bound = max(b / 100, 1e-13)
-            for r in roots:
-                assert min(abs(r - o) for o in oracle) <= bound, (alpha, r)
-            for o in oracle:
-                assert min(abs(r - o) for r in roots) <= bound, (alpha, o)
+        _assert_match_oracle(rows, bulk_spectra(np.array([alpha for alpha, _ in rows])))
+
+    def test_clustered_scalar_spectra_match_oracle(self):
+        rows = _clustered_rows()
+        _assert_match_oracle(rows, [spectrum(make_cycle_matrix(*alpha)) for alpha, _ in rows])
 
     def test_rows_are_conjugation_closed(self):
         _, eigenvalues, _ = sample_records(100000, 42)

@@ -22,7 +22,7 @@ peak = 2*pi - 3*lower.
 
 The solver follows the one-parameter family u_123 = (2*pi - u_4)/3 from the
 barycenter (pi/2,...,pi/2) toward the supremum.  Convexity of F makes the
-sum monotone along this family, so a single bisection in s = log t_4 finds
+sum monotone along this family, so false position in s = log t_4 finds
 its zero, which turns the existence proof into a deterministic construction.
 """
 
@@ -42,7 +42,7 @@ from .errors import (
     NotRealizable,
 )
 from .region import left_boundary_form
-from .scalar import DEFAULT_TOLERANCE, Tolerance
+from .scalar import DEFAULT_TOLERANCE, Tolerance, bracketed_zero
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -188,8 +188,9 @@ def solve_criterion(
     the solver's path; other zeros may exist and realize lam with different
     weights.
 
-    One bisection in s = log t_4 along the path u_123 = (2*pi - u_4)/3
-    finds the zero: the sum is monotone in s there, as its u_4-slope
+    False position (``scalar.bracketed_zero``, at most 4 * tol.max_iter
+    evaluations) in s = log t_4 along the path u_123 = (2*pi - u_4)/3 finds
+    the zero: the sum is monotone in s there, as its u_4-slope
     F'(u_4) - F'(u_123) is positive by convexity (u_4 >= pi/2 >= u_123).
     """
     a, b = ctx.lam.real, ctx.lam.imag
@@ -200,12 +201,12 @@ def solve_criterion(
     if left_boundary_form(a, b) < -tol.boundary_band:
         raise NotRealizable(f"{ctx.lam!r} lies beyond the left boundary")
 
+    t_bar = shift_for_angle(ctx, _HALF_PI)
     base = 4.0 * log_modulus_ratio(ctx, _HALF_PI)
     if base >= -1e-15:
         # On the right segment a + b = 1 the barycenter itself is the zero:
         # equal shifts t = 1 - a.
-        t = shift_for_angle(ctx, _HALF_PI)
-        return (t, t, t, t)
+        return (t_bar, t_bar, t_bar, t_bar)
 
     def path_sum(s: float) -> tuple[float, float, float]:
         # log-moduli from the shifts themselves; the angle form cancels once t_4 << |x|
@@ -216,39 +217,31 @@ def solve_criterion(
         value = 3.0 * (math.log(abs(ctx.z + t123)) - math.log(t123))
         return value + math.log(abs(ctx.z + t4)) - s, t123, t4
 
-    s_neg = math.log(1.0 - a)  # the barycenter, where the sum is base < 0
+    s_neg, neg = math.log(1.0 - a), (base, t_bar, t_bar)  # the barycenter: base < 0
     if ctx.regime is Regime.TIGHT:
         u_end = ctx.peak_arg
         s_pos = math.log(shift_for_angle(ctx, u_end))
-        best = path_sum(s_pos)
-        if best[0] <= 0.0:
-            if best[0] > -1e-12:
+        pos = path_sum(s_pos)
+        if pos[0] <= 0.0:
+            if pos[0] > -1e-12:
                 # Target sits on the left curve: the supremum itself is the zero.
                 t123 = shift_for_angle(ctx, (_TWO_PI - u_end) / 3.0)
                 return (t123, t123, t123, shift_for_angle(ctx, u_end))
-            raise NotRealizable(f"criterion maximum {best[0]} < 0; {ctx.lam!r} is not realizable")
+            raise NotRealizable(f"criterion maximum {pos[0]} < 0; {ctx.lam!r} is not realizable")
     else:
         # The sum grows without bound as t_4 -> 0: step s down by 1, 2, 4, ...
         # until it turns positive, moving the negative end along.
         step = 1.0
-        best = path_sum(s_neg - step)
-        while best[0] <= 0.0:
-            s_neg -= step
+        pos = path_sum(s_neg - step)
+        while pos[0] <= 0.0:
+            s_neg, neg = s_neg - step, pos
             step *= 2.0
-            best = path_sum(s_neg - step)
+            pos = path_sum(s_neg - step)
         s_pos = s_neg - step
 
-    while abs(best[0]) > 0.01 * tol.eigen_residual:
-        s_mid = 0.5 * (s_pos + s_neg)
-        if s_mid in (s_pos, s_neg):
-            break  # the bracket holds adjacent floats
-        mid = path_sum(s_mid)
-        best = min(best, mid, key=lambda r: abs(r[0]))
-        if mid[0] > 0.0:
-            s_pos = s_mid
-        else:
-            s_neg = s_mid
-    _, t123, t4 = best
+    _, (_, t123, t4) = bracketed_zero(
+        path_sum, s_neg, neg, s_pos, pos, 0.01 * tol.eigen_residual, 4 * tol.max_iter
+    )
 
     if 1.0 - t4 >= 1.0:
         # the shift exists but its matrix weight 1 - t rounds onto the

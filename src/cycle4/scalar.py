@@ -24,7 +24,9 @@ class Tolerance:
         eigenvalue.
     boundary_band: half-width of the band within which a constraint value
         counts as "on the boundary" (also the real-axis snapping band).
-    max_iter: iteration cap for the spectrum kernel and the ray bisection.
+    max_iter: iteration cap: Aberth steps in the spectrum kernel, and a
+        quarter of the evaluations each bracketed search (the ray to the
+        left curve, the criterion path) may make.
 
     Both tolerances must be finite positive numbers and ``max_iter`` a
     positive integer; bools are rejected.
@@ -70,3 +72,45 @@ def principal_arg(w: complex) -> float:
     if theta == 0.0 and im > 0.0:
         return math.ulp(0.0)  # im / re underflowed; the angle is still positive
     return theta
+
+
+def bracketed_zero(f, x_neg, r_neg, x_pos, r_pos, stop, max_iter):
+    """Zero of ``f`` in a sign-change bracket: false position with the
+    Illinois rule (Dowell & Jarratt, BIT 11, 1971), safeguarded by bisection.
+
+    ``f(x)`` returns ``(value, *payload)``; ``r_neg``, ``r_pos`` are its
+    results at the ends, with ``r_neg[0] <= 0 < r_pos[0]`` (the ends may
+    come in either order).  When one end is replaced twice in a row, the
+    other end's value is halved.  A step bisects when the false-position
+    point is not strictly inside the bracket, or when the bracket is wider
+    than bisection at every other step would leave it, with three halvings
+    to spare.  Stops at a |value| <= ``stop``, at adjacent floats, or after
+    ``max_iter`` evaluations; returns ``(x, f(x))`` with the smallest
+    |value| seen, the ends included.
+    """
+    best = min((x_neg, r_neg), (x_pos, r_pos), key=lambda e: abs(e[1][0]))
+    v_neg, v_pos = r_neg[0], r_pos[0]
+    last = 0  # +1 / -1: the last step replaced the positive / negative end
+    budget = 8.0 * abs(x_pos - x_neg)
+    for n in range(max_iter):
+        if abs(best[1][0]) <= stop:
+            break
+        mid = 0.5 * (x_neg + x_pos)
+        if mid == x_neg or mid == x_pos:
+            break  # the bracket holds adjacent floats
+        x = x_neg - v_neg * (x_pos - x_neg) / (v_pos - v_neg)
+        inside = min(x_neg, x_pos) < x < max(x_neg, x_pos)
+        if not inside or abs(x_pos - x_neg) > budget * 0.5 ** (n / 2):
+            x = mid
+        r = f(x)
+        if abs(r[0]) < abs(best[1][0]):
+            best = (x, r)
+        if r[0] > 0.0:
+            if last > 0:
+                v_neg *= 0.5
+            x_pos, v_pos, last = x, r[0], 1
+        else:
+            if last < 0:
+                v_pos *= 0.5
+            x_neg, v_neg, last = x, r[0], -1
+    return best

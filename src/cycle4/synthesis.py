@@ -23,11 +23,12 @@ from .errors import (
     NotInterior,
     NotOnCurve,
     OutsideRegion,
+    ParameterOutOfRange,
     ShrinkOutOfRange,
 )
 from .matrix import CycleMatrix4, eigen_residual, make_cycle_matrix
 from .region import Status, left_boundary_form, membership
-from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
+from .scalar import DEFAULT_TOLERANCE, Tolerance, bracketed_zero
 
 
 class Method(str, Enum):
@@ -92,49 +93,37 @@ def ray_to_left_boundary(
     """Hit point of the ray from 1 through ``lam`` on the left curve.
 
     Returns (mu, s) with mu = 1 + s * (lam - 1), s >= 1, and
-    |left_boundary_form(mu)| < 1e-12.  The bracket is [1, s0] where s0 is
-    the ray parameter of the imaginary-axis crossing: the form is positive
-    at the strictly interior start and negative on the axis segment
-    (0, i), so a sign change is guaranteed.
+    |left_boundary_form(mu)| < 1e-12, found by false position
+    (``scalar.bracketed_zero``, at most 4 * tol.max_iter evaluations).  The
+    bracket is [1, s0] where s0 is the ray parameter of the imaginary-axis
+    crossing: the form is positive at the strictly interior start and
+    negative on the axis segment (0, i), so a sign change is guaranteed.
     """
     lam = complex(lam)
     a, b = lam.real, lam.imag
-    if not (b > 0.0 and 0.0 < a < 1.0 and a + b < 1.0 and left_boundary_form(a, b) > 0.0):
+    g = left_boundary_form(a, b)
+    if not (b > 0.0 and 0.0 < a < 1.0 and a + b < 1.0 and g > 0.0):
         raise NotInterior(f"{lam!r} is not strictly interior")
 
     direction = lam - 1.0
 
-    def form_at(s: float) -> float:
+    def form_at(s: float) -> tuple[float, complex]:
         mu = 1.0 + s * direction
-        return left_boundary_form(mu.real, mu.imag)
+        return left_boundary_form(mu.real, mu.imag), mu
 
-    s_lo = 1.0
     s_hi = 1.0 / (1.0 - a)  # real part of the ray hits 0 here
-    f_hi = form_at(s_hi)
-    if f_hi >= 0.0:
+    hi = form_at(s_hi)
+    if hi[0] >= 0.0:
         # Rounding at razor-thin gaps; one nudge past the axis, then give up.
         s_hi *= 1.0 + 1e-6
-        f_hi = form_at(s_hi)
-        if f_hi >= 0.0:
+        hi = form_at(s_hi)
+        if hi[0] >= 0.0:
             raise BracketFailure(f"no sign change toward the axis for {lam!r}")
 
-    s_mid = s_hi
-    for _ in range(4 * tol.max_iter):
-        s_mid = 0.5 * (s_lo + s_hi)
-        f_mid = form_at(s_mid)
-        if abs(f_mid) < 1e-12:
-            break
-        if f_mid > 0.0:
-            s_lo = s_mid
-        else:
-            s_hi = s_mid
-        if s_hi - s_lo < 4.0 * _EPS * s_hi:
-            s_mid = 0.5 * (s_lo + s_hi)
-            break
-    mu = 1.0 + s_mid * direction
-    if abs(left_boundary_form(mu.real, mu.imag)) >= 1e-12:
-        raise BracketFailure(f"bisection stalled at {mu!r} for {lam!r}")
-    return mu, s_mid
+    s, (form, mu) = bracketed_zero(form_at, s_hi, hi, 1.0, (g, lam), 1e-12, 4 * tol.max_iter)
+    if abs(form) >= 1e-12:
+        raise BracketFailure(f"search stalled at {mu!r} for {lam!r}")
+    return mu, s
 
 
 def shrink(m: CycleMatrix4, l: float) -> CycleMatrix4:
@@ -197,7 +186,11 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
         alpha = alpha_for_left_point(mu)
         base = make_cycle_matrix(alpha, 0.0, 0.0, 0.0)
         l = 1.0 / s_star
-        matrix = shrink(base, l)
+        try:
+            matrix = shrink(base, l)
+        except ParameterOutOfRange as err:
+            # a shrunk weight (1 - l) + l*alpha rounds onto the excluded 1
+            raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
         method = Method.INTERIOR_SHRINK
 
     residual = eigen_residual(matrix, lam)

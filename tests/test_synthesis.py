@@ -3,26 +3,68 @@ import pytest
 
 from conftest import sample_inside_nonreal
 from cycle4 import (
+    AlphaOutOfRange,
+    BracketFailure,
+    Cycle4Error,
     Method,
+    NoConvergence,
     NotInterior,
     NotOnCurve,
     OutsideRegion,
     ShrinkOutOfRange,
     Status,
+    Tolerance,
     alpha_for_left_point,
     eigen_residual,
     left_boundary_form,
     left_branch_root,
+    make_context,
     make_cycle_matrix,
     membership,
     ray_to_left_boundary,
     realize,
     realize_via_criterion,
     shrink,
+    solve_criterion,
     spectrum,
     trace_left_curve,
     trace_right_segment,
 )
+from cycle4 import criterion, synthesis
+
+
+def interior_grid() -> list[complex]:
+    """The strictly interior points of the 60x60 grid of acceptance criterion 3."""
+    grid = (complex(i / 60, (j + 1) / 60) for i in range(60) for j in range(60))
+    return [lam for lam in grid if membership(lam).status is Status.INSIDE_NONREAL]
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def calls_past_setup(monkeypatch, module, name) -> tuple[list, list]:
+    """count_calls, plus the count reached when the module enters its
+    bracketed search: the calls after it are the search's own."""
+    calls = count_calls(monkeypatch, module, name)
+    entered = []
+    search = module.bracketed_zero
+
+    def spy(*args):
+        entered.append(len(calls))
+        return search(*args)
+
+    monkeypatch.setattr(module, "bracketed_zero", spy)
+    return calls, entered
 
 
 class TestLeftAnchorWeight:
@@ -164,6 +206,27 @@ class TestRealize:
         data = realize(0.5 + 0.5j).to_dict()
         assert set(data) == {"alpha", "method", "residual"}
 
+    @pytest.mark.parametrize("lam", [0.85 + 1e-6j, 0.8 + 1e-6j])
+    def test_near_axis_leaks_no_parameter_error(self, lam):
+        # both leaked ParameterOutOfRange once: a shrunk weight
+        # (1 - l) + l*alpha rounded onto 1
+        try:
+            realize(lam)
+        except Cycle4Error as err:
+            assert type(err) is AlphaOutOfRange
+
+    def test_near_axis_raises_only_alpha_out_of_range(self):
+        messages = {}
+        for b in (2e-6, 1e-6, 1e-7):
+            for k in range(1, 100):
+                try:
+                    realize(complex(k / 100, b))
+                except Cycle4Error as err:
+                    messages.setdefault(type(err), []).append(str(err))
+        assert set(messages) == {AlphaOutOfRange}
+        # the anchor weight rounds onto 1, and so does some shrunk weight
+        assert any("shrunk weight" in m for m in messages[AlphaOutOfRange])
+
     def test_boundary_completeness(self):
         for p in trace_right_segment(21):
             r = realize(p.point)
@@ -191,3 +254,47 @@ class TestCrossConstruction:
         # axis point is classified interior
         for b in np.linspace(0.01, 1.5, 80):
             assert membership(complex(0.0, b)).status is not Status.INSIDE_NONREAL
+
+
+class TestSearchCost:
+    """Evaluations the two bracketed searches make, counted at the functions
+    they evaluate."""
+
+    def test_path_evaluations_per_solve(self, monkeypatch):
+        calls = count_calls(monkeypatch, criterion, "angle_for_shift")
+        worst = 0
+        for lam in interior_grid():
+            calls.clear()
+            solve_criterion(make_context(lam))
+            worst = max(worst, len(calls))
+        assert worst <= 12
+
+    def test_form_calls_per_interior_realize(self, monkeypatch):
+        calls = count_calls(monkeypatch, synthesis, "left_boundary_form")
+        worst = 0
+        for lam in interior_grid():
+            calls.clear()
+            assert realize(lam).method is Method.INTERIOR_SHRINK
+            worst = max(worst, len(calls))
+        assert worst <= 20
+
+    def test_ray_obeys_iteration_cap(self, monkeypatch):
+        calls, entered = calls_past_setup(monkeypatch, synthesis, "left_boundary_form")
+        with pytest.raises(BracketFailure):
+            ray_to_left_boundary(0.2 + 0.3j, Tolerance(max_iter=1))
+        assert len(calls) - entered[0] <= 4
+
+    def test_criterion_path_obeys_iteration_cap(self, monkeypatch):
+        calls, entered = calls_past_setup(monkeypatch, criterion, "angle_for_shift")
+        try:
+            result = realize_via_criterion(0.9 + 0.05j, Tolerance(max_iter=1))
+        except Cycle4Error as err:
+            assert type(err) is NoConvergence
+        else:
+            ctx = make_context(0.9 + 0.05j)
+            left = right = 1.0
+            for a in result.matrix.alpha:
+                left *= ctx.z + 1.0 - a
+                right *= 1.0 - a
+            assert abs(left / right - 1.0) <= 1e-8
+        assert len(calls) - entered[0] <= 4

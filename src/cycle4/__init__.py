@@ -3,65 +3,48 @@
 Decides membership of complex numbers in the region, constructs realizing
 matrices for admissible points, and verifies the underlying algebraic
 identities in exact arithmetic.
+
+Submodules load on first use: ``import cycle4`` loads none of them, and
+``cycle4.realize`` (or ``from cycle4 import realize``) imports only
+``synthesis`` and what it needs.  ``_EXPORTS`` names the module that
+defines each exported name; the submodules in it are exported too.
 """
 
-from .criterion import (
-    CriterionContext,
-    Regime,
-    angle_for_shift,
-    criterion_max,
-    criterion_sum,
-    log_modulus_ratio,
-    make_context,
-    shift_for_angle,
-    solve_criterion,
-)
-from .errors import (
-    AlphaOutOfRange,
-    ArgumentOutOfRange,
-    BracketFailure,
-    Cycle4Error,
-    FeasibilityViolation,
-    InfeasiblePoint,
-    LowerHalfPlane,
-    NoConvergence,
-    NonrealRequired,
-    NotInterior,
-    NotOnCurve,
-    NotRealizable,
-    OutsideRegion,
-    ParameterOutOfRange,
-    ShrinkOutOfRange,
-    SpectrumFailure,
-    ZeroArgument,
-)
-from .identities import (
-    BivarPoly,
-    IdentityResult,
-    left_boundary_poly,
-    modulus_threshold_poly,
-    verify_identity_suite,
-)
-from .matrix import CycleMatrix4, eigen_residual, make_cycle_matrix, spectrum
-from .region import (
-    RegionVerdict,
-    Status,
-    left_boundary_form,
-    left_branch_root,
-    membership,
-    modulus_threshold,
-    trace_left_curve,
-    trace_right_segment,
-)
-from .scalar import DEFAULT_TOLERANCE, Tolerance, principal_arg
-from .synthesis import (
-    Method,
-    Realization,
-    alpha_for_left_point,
-    ray_to_left_boundary,
-    realize,
-    realize_via_criterion,
-    shrink,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "criterion": "CriterionContext Regime angle_for_shift criterion_max criterion_sum "
+    "log_modulus_ratio make_context shift_for_angle solve_criterion",
+    "errors": "AlphaOutOfRange ArgumentOutOfRange BracketFailure Cycle4Error "
+    "FeasibilityViolation InfeasiblePoint LowerHalfPlane NoConvergence NonrealRequired "
+    "NotInterior NotOnCurve NotRealizable OutsideRegion ParameterOutOfRange "
+    "ShrinkOutOfRange SpectrumFailure",
+    "identities": "BivarPoly IdentityResult left_boundary_poly modulus_threshold_poly "
+    "verify_identity_suite",
+    "matrix": "CycleMatrix4 eigen_residual make_cycle_matrix spectrum",
+    "region": "RegionVerdict Status left_boundary_form left_branch_root membership "
+    "modulus_threshold trace_left_curve trace_right_segment",
+    "scalar": "DEFAULT_TOLERANCE Tolerance",
+    "synthesis": "Method Realization alpha_for_left_point ray_to_left_boundary realize "
+    "realize_via_criterion shrink",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    """Import the submodule ``name``, or the module defining ``name``, on
+    first access, and keep the value in the package namespace."""
+    if name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

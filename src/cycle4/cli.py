@@ -4,6 +4,10 @@ Subcommands: check, realize, spectrum, sample, trace, psi, verify.
 Exit codes: 0 ok, 2 usage, 3 outside-region, 4 construction failure,
 5 I/O failure.  Every command is deterministic: identical arguments give
 byte-identical stdout and output files.
+
+At module level this imports only the standard library, ``errors`` and
+``scalar``; each ``cmd_*`` imports the modules it runs, so ``check`` never
+loads the criterion, synthesis, identity or sampling code, nor numpy.
 """
 
 from __future__ import annotations
@@ -13,16 +17,7 @@ import json
 import math
 import sys
 
-from . import criterion, synthesis
 from .errors import Cycle4Error, OutsideRegion
-from .figure import render_region_svg
-from .matrix import eigen_residual, make_cycle_matrix, spectrum
-from .region import (
-    left_boundary_form,
-    membership,
-    trace_left_curve,
-    trace_right_segment,
-)
 from .scalar import Tolerance
 
 EXIT_OK = 0
@@ -65,6 +60,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .region import membership
+
     tol = _tolerance(args)
     lam = complex(args.re, args.im)
     verdict = membership(lam, tol)
@@ -85,6 +82,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
+    from . import synthesis
+    from .region import membership
+
     tol = _tolerance(args)
     lam = complex(args.re, args.im)
     verdict = membership(lam, tol)
@@ -100,6 +100,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .matrix import eigen_residual, make_cycle_matrix, spectrum
+
     tol = _tolerance(args)
     matrix = make_cycle_matrix(args.a1, args.a2, args.a3, args.a4)
     eigenvalues = spectrum(matrix, tol)
@@ -150,34 +152,34 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_rows(curve: str, n: int, tol: Tolerance) -> list[str]:
-    rows = []
-    if curve in ("CR", "region"):
-        for p in trace_right_segment(n):
-            rows.append(
-                f"CR,{_g17(p.param)},{_g17(p.point.real)},{_g17(p.point.imag)},{_g17(p.boundary_form)}"
-            )
-    if curve in ("CL", "region"):
-        for p in trace_left_curve(n, tol):
-            rows.append(
-                f"CL,{_g17(p.param)},{_g17(p.point.real)},{_g17(p.point.imag)},{_g17(p.boundary_form)}"
-            )
-    if curve == "region":
+def cmd_trace(args: argparse.Namespace) -> int:
+    from .region import left_boundary_form, trace_left_curve, trace_right_segment
+
+    tol = _tolerance(args)
+    # Each curve is traced at most once; the SVG reuses the CSV's points.
+    right = trace_right_segment(args.n)
+    left = trace_left_curve(args.n, tol) if args.curve != "CR" else None
+    points = right if args.curve == "CR" else left if args.curve == "CL" else right + left
+    rows = [
+        f"{p.curve},{_g17(p.param)},{_g17(p.point.real)},{_g17(p.point.imag)},{_g17(p.boundary_form)}"
+        for p in points
+    ]
+    if args.curve == "region":
         for r in (-1.0, 1.0):
             rows.append(f"real,{_g17(r)},{_g17(r)},0,{_g17(left_boundary_form(r, 0.0))}")
-    return rows
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
-    rows = _trace_rows(args.curve, args.n, tol)
     _write_text(args.out, _TRACE_HEADER + "\n" + "\n".join(rows) + "\n")
     if args.svg:
-        _write_text(args.svg, render_region_svg(args.n, tol))
+        from .figure import render_region_svg
+
+        if left is None:
+            left = trace_left_curve(args.n, tol)
+        _write_text(args.svg, render_region_svg(right, left))
     return EXIT_OK
 
 
 def cmd_psi(args: argparse.Namespace) -> int:
+    from . import criterion
+
     ctx = criterion.make_context(complex(args.re, args.im))
     top = criterion.criterion_max(ctx)
     payload = {

@@ -9,10 +9,6 @@ class Cycle4Error(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroArgument(Cycle4Error):
-    """Argument of the zero complex number was requested."""
-
-
 class ParameterOutOfRange(Cycle4Error):
     """A cycle-matrix parameter lies outside [0, 1)."""
 

@@ -8,8 +8,7 @@ arguments: fixed viewport, fixed decimal formatting, no timestamps.
 
 from __future__ import annotations
 
-from .region import trace_left_curve, trace_right_segment
-from .scalar import DEFAULT_TOLERANCE, Tolerance
+from .region import TracePoint
 
 _SIZE = 800
 _WINDOW = 1.25  # plane window is [-w, w] x [-w, w]
@@ -24,11 +23,9 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def render_region_svg(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
-    """SVG document (as text) showing the region with n points per curve."""
-    right = trace_right_segment(n)
-    left = trace_left_curve(n, tol)
-
+def render_region_svg(right: list[TracePoint], left: list[TracePoint]) -> str:
+    """SVG document (as text) showing the region outlined by the traced
+    right segment (from 1 to i) and left curve (from i to 0)."""
     upper = [p.point for p in right] + [p.point for p in left]
     lower = [p.conjugate() for p in reversed(upper)]
     outline = upper + lower

@@ -1,15 +1,12 @@
-"""Shared scalar machinery: the tolerance policy and principal arguments.
+"""Shared scalar machinery: the tolerance policy and the bracketed root finder.
 
-All complex values are plain Python ``complex``.  The spectrum kernel lives
-in ``matrix``.
+Both are real-valued; the spectrum kernel lives in ``matrix``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import ZeroArgument
 
 _EPS = 2.220446049250313e-16
 
@@ -50,28 +47,6 @@ class Tolerance:
 
 
 DEFAULT_TOLERANCE = Tolerance()
-
-
-def _require_finite(w: complex) -> complex:
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ValueError(f"non-finite complex value {w!r}")
-    return w
-
-
-def principal_arg(w: complex) -> float:
-    """Argument of ``w`` on the principal branch (-pi, pi].
-
-    Upper half-plane points map into (0, pi); negative reals map to +pi,
-    including values carrying a negative-zero imaginary part.
-    """
-    w = _require_finite(complex(w))
-    if w == 0:
-        raise ZeroArgument("argument of zero is undefined")
-    im = 0.0 if w.imag == 0.0 else w.imag  # normalise -0.0 so arg(-1) = +pi
-    theta = math.atan2(im, w.real)
-    if theta == 0.0 and im > 0.0:
-        return math.ulp(0.0)  # im / re underflowed; the angle is still positive
-    return theta
 
 
 def bracketed_zero(f, x_neg, r_neg, x_pos, r_pos, stop, max_iter):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cycle4 import region
 from cycle4.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -198,6 +199,32 @@ class TestTrace:
         run(capsys, "trace", "region", "40", str(tmp_path / "a.csv"), "--svg", str(a))
         run(capsys, "trace", "region", "40", str(tmp_path / "b.csv"), "--svg", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_svg_independent_of_curve(self, capsys, tmp_path):
+        svgs = []
+        for curve in ("CR", "CL", "region"):
+            svg = tmp_path / f"{curve}.svg"
+            run(capsys, "trace", curve, "40", str(tmp_path / f"{curve}.csv"), "--svg", str(svg))
+            svgs.append(svg.read_bytes())
+        assert svgs[0] == svgs[1] == svgs[2]
+
+    @pytest.mark.parametrize(
+        "curve, svg, calls",
+        [("CR", False, 0), ("CR", True, 1), ("CL", False, 1), ("CL", True, 1),
+         ("region", False, 1), ("region", True, 1)],
+    )
+    def test_left_curve_traced_at_most_once(self, capsys, tmp_path, monkeypatch, curve, svg, calls):
+        traced = []
+        untraced = region.trace_left_curve
+
+        def counting(*args, **kwargs):
+            traced.append(args)
+            return untraced(*args, **kwargs)
+
+        monkeypatch.setattr(region, "trace_left_curve", counting)
+        extra = ["--svg", str(tmp_path / "r.svg")] if svg else []
+        code, _ = run(capsys, "trace", curve, "400", str(tmp_path / "r.csv"), *extra)
+        assert (code, len(traced)) == (0, calls)
 
 
 class TestPsi:

@@ -140,7 +140,10 @@ def shrink(m: CycleMatrix4, l: float) -> CycleMatrix4:
 def _real_interval_matrix(r: float) -> CycleMatrix4:
     # 1 is in every spectrum of the family; for targets at the right
     # endpoint the formula weight 1 - x would hit the excluded value 1, so
-    # the plain cyclic permutation serves instead.
+    # the plain cyclic permutation serves instead.  Endpoint targets inside
+    # the boundary band but just past +-1 are clamped onto the endpoint, where
+    # the plain cycle (spectrum {1, -1, i, -i}) realizes both.
+    r = min(max(r, -1.0), 1.0)
     if abs(r - 1.0) < 1e-12:
         return make_cycle_matrix(0.0, 0.0, 0.0, 0.0)
     x = 0.5 * (1.0 - r)

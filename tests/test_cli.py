@@ -70,6 +70,15 @@ class TestRealize:
         code, _ = run(capsys, "realize", "0", "0.05")
         assert code == 3
 
+    @pytest.mark.parametrize("re", ["-1.0000000005", "1.0000000005"])
+    def test_real_endpoint_just_past_band(self, capsys, re):
+        code, out = run(capsys, "realize", "--", re, "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "RealInterval"
+        assert payload["alpha"] == [0.0, 0.0, 0.0, 0.0]
+        assert payload["residual"] < 1e-8
+
     def test_criterion_method(self, capsys):
         code, out = run(capsys, "realize", "0.2", "0.3", "--method", "criterion")
         assert code == 0
@@ -148,6 +157,31 @@ class TestSample:
             i = int(parts[0])
             for k in range(4):
                 assert float(parts[1 + k]) == alphas[i, k]
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_bytes_match_plain_rendering(self, capsys, tmp_path, n):
+        # chunk edges at 256 rows: a per-row f-string rendering of the same
+        # records must give the same bytes
+        from cycle4.sampling import sample_records, status_order
+
+        out_path = tmp_path / "s.csv"
+        code, _ = run(capsys, "sample", str(n), "5", str(out_path))
+        assert code == 0
+        alphas, eigenvalues, codes = sample_records(n, 5)
+        names = [status.value for status in status_order()]
+        lines = ["index,alpha1,alpha2,alpha3,alpha4,re,im,status\n"]
+        for i, row_alphas, row_lams, row_codes in zip(
+            range(n), alphas.tolist(), eigenvalues.tolist(), codes.tolist()
+        ):
+            prefix = f"{i}," + "".join(f"{a:.17g}," for a in row_alphas)
+            for lam, k in zip(row_lams, row_codes):
+                lines.append(f"{prefix}{lam.real:.17g},{lam.imag:.17g},{names[k]}\n")
+        assert out_path.read_bytes() == "".join(lines).encode()
+        ones = [0] * n
+        for row in out_path.read_text().splitlines()[1:]:
+            parts = row.split(",")
+            ones[int(parts[0])] += parts[5:7] == ["1", "0"]
+        assert ones == [1] * n
 
     def test_io_error_exit_5(self, capsys):
         code = main(["sample", "5", "1", "/nonexistent-dir/x.csv"])

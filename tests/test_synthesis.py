@@ -155,6 +155,16 @@ class TestRealize:
         assert r.matrix.alpha == (0.0, 0.0, 0.0, 0.0)
         assert eigen_residual(r.matrix, 1.0) == 0.0
 
+    @pytest.mark.parametrize("r", [-1.0000000005, 1.0000000005])
+    def test_real_endpoint_just_past_band(self, r):
+        # membership accepts these inside the boundary band; the plain cycle
+        # has both +-1 in its spectrum
+        assert membership(complex(r, 0.0)).status is Status.BOUNDARY_REAL_ENDPOINT
+        result = realize(complex(r, 0.0))
+        assert result.method is Method.REAL_INTERVAL
+        assert result.matrix.alpha == (0.0, 0.0, 0.0, 0.0)
+        assert result.residual < 1e-8
+
     def test_real_interior(self):
         r = realize(0.7 + 0j)
         assert r.method is Method.REAL_INTERVAL

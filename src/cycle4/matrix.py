@@ -13,9 +13,12 @@ Its characteristic polynomial has the multiplicative form
     p(lam) = prod(lam - alpha_k) - prod(1 - alpha_k),
 
 so 1 is always a root.  ``spectrum`` pins that root exactly; the other
-three are roots of the cubic factor ``p(lam) / (lam - 1)``, seeded from
-Cardano's formula and refined by Aberth's simultaneous iteration (Math.
-Comp. 27, 1973) with ``p`` and ``p'`` evaluated in the product form above.
+three are roots of the cubic factor ``p(lam) / (lam - 1)``, seeded at
+Cardano's closed-form roots, each moved by a tiny asymmetric spread, and
+refined by Aberth's simultaneous iteration (Math. Comp. 27, 1973) with
+``p`` and ``p'`` evaluated in the product form above.  Away from clustered
+roots the seeds are already accurate, and two steps suffice: one to reach
+full accuracy and one to confirm it.
 ``sampling.bulk_spectra`` runs the same algorithm on whole arrays; the seed
 constants and the cubic-factor coefficients below are shared with it.  A
 dense determinant expansion exists only as a test oracle.
@@ -30,13 +33,26 @@ from dataclasses import dataclass
 from .errors import ParameterOutOfRange, SpectrumFailure
 from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
 
-# Seeds are rotated about their centroid and moved off the real axis by a
-# fixed, asymmetric amount.  The polynomial is real, so a conjugation-
-# symmetric set of iterates stays symmetric and real iterates stay real: a
-# triple cluster x + d*omega^k whose Cardano seeds come out real would
-# otherwise collapse onto x.
-_SEED_ROTATION = cmath.exp(0.3j)
-_SEED_OFFSETS = (1e-3j, 2e-3j, -3e-3j)
+# Cardano's roots are accurate to a few ulp unless the roots cluster, so the
+# seeds stay on them: root k starts at ``d_k + _SEED_SPREAD[k] * s`` from the
+# centroid, where d_k is Cardano's offset and s = max(max|d_k|, _SEED_FLOOR).
+# The polynomial is real, so a conjugation-symmetric set of iterates stays
+# symmetric and real iterates stay real: a triple cluster whose Cardano
+# roots come out real would collapse onto one point, and a real pair that
+# Cardano returns as a complex pair would never split.  Moving each seed
+# along 1 + i by a different multiple breaks both symmetries.
+# - At 1e-6 * s one step brings a seed to full accuracy and a second
+#   confirms it.  At 1e-5 * s the interior-grid matrices need three steps.
+# - Near a triple cluster Cardano's roots are off by about eps^(1/3), and the
+#   iteration shrinks the seeds' asymmetry as it closes in; once that falls
+#   below the rounding of the real parts, a real pair in the cluster never
+#   separates and the iterates wander until the cap.  The floor keeps every
+#   seed at least 1e-8 off.  On parameters 1 - u^16, u uniform, some rows
+#   reach the 200-step cap with a floor of 1e-8; with a floor of 1e-3, or
+#   a spread of 1e-7 * s, they take up to 113 steps.
+# s is formed from + - * / and sqrt only, so both backends round it alike.
+_SEED_SPREAD = (1e-6 + 1e-6j, 2e-6 + 2e-6j, -3e-6 - 3e-6j)
+_SEED_FLOOR = 1e-2
 
 _OMEGA = cmath.exp(2j * math.pi / 3)  # primitive cube root of unity
 
@@ -67,9 +83,10 @@ class CycleMatrix4:
         if len(self.alpha) != 4:
             raise ParameterOutOfRange(len(self.alpha), float("nan"))
         for k, value in enumerate(self.alpha, start=1):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ParameterOutOfRange(k, value)
-            if not 0.0 <= value < 1.0:
+            # the range test also rejects NaN and infinities
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and 0.0 <= value < 1.0
+            ):
                 raise ParameterOutOfRange(k, value)
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
 
@@ -88,7 +105,8 @@ class CycleMatrix4:
 
 
 def make_cycle_matrix(a1: float, a2: float, a3: float, a4: float) -> CycleMatrix4:
-    """Validated construction; rejects any parameter outside [0, 1)."""
+    """Validated construction; rejects any parameter outside [0, 1), and
+    bools."""
     return CycleMatrix4((a1, a2, a3, a4))
 
 
@@ -122,7 +140,8 @@ def spectrum(
     hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
     c2, c1, c0 = _cubic_factor(a1, a2, a3, a4)
     offsets = _cardano_offsets(c2, c1, c0)
-    z = [-c2 / 3.0 + _SEED_ROTATION * d + e for d, e in zip(offsets, _SEED_OFFSETS)]
+    size = max(math.sqrt(max(d.real * d.real + d.imag * d.imag for d in offsets)), _SEED_FLOOR)
+    z = [-c2 / 3.0 + d + k * size for d, k in zip(offsets, _SEED_SPREAD)]
     # Aberth's correction for each root of p counts the pinned root 1 among
     # the others.  Iteration stops once every root either moves by at most
     # 4 ulp or has |p| at the rounding-noise floor of the product form; a
@@ -150,18 +169,22 @@ def spectrum(
             break
 
     real, u, v = sorted(z, key=lambda r: abs(r.imag))
+    real = complex(real.real, 0.0)
     pair_im = 0.5 * (abs(u.imag) + abs(v.imag))
     if pair_im <= tol.boundary_band:
         pair = [complex(u.real, 0.0), complex(v.real, 0.0)]
+        distinct = (real, *pair)
     else:
         pair_re = 0.5 * (u.real + v.real)
         pair = [complex(pair_re, -pair_im), complex(pair_re, pair_im)]
-    roots = [complex(1.0, 0.0), complex(real.real, 0.0), *pair]
-    roots.sort(key=lambda r: (r.real, r.imag))
-    for r in roots:
+        distinct = (real, pair[1])
+    # Each distinct defect is checked once: at 1 it is exactly 0, since every
+    # product keeps a zero imaginary part, and a conjugate's equals its
+    # partner's, since complex *, - and abs are exact under conjugation.
+    for r in distinct:
         if eigen_residual(m, r) > tol.eigen_residual:
             raise SpectrumFailure(f"root {r!r} of {m.alpha} violates the residual contract")
-    return tuple(roots)
+    return tuple(sorted((complex(1.0, 0.0), real, *pair), key=lambda r: (r.real, r.imag)))
 
 
 def _cardano_offsets(c2: float, c1: float, c0: float) -> tuple[complex, complex, complex]:

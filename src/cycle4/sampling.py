@@ -8,21 +8,21 @@ changing the output.
 Spectra for large batches come from ``bulk_spectra``, which runs the same
 algorithm as ``matrix.spectrum`` on whole arrays: the root 1 is pinned
 exactly; the other three are roots of the cubic factor
-``p(lam) / (lam - 1)``, seeded from Cardano's formula and refined by
-Aberth's simultaneous iteration (Math. Comp. 27, 1973), with ``p`` and
-``p'`` evaluated in the product form
-``prod(lam - alpha_k) - prod(1 - alpha_k)``.  Each row is iterated on its
-own until it converges, so its eigenvalues depend only on its own
-parameters.  The Cardano step and the iteration are written once per
-backend, since numpy's complex power and division differ from CPython's in
-the last ulp.
+``p(lam) / (lam - 1)``, seeded at Cardano's closed-form roots moved by the
+tiny asymmetric spread of ``matrix`` and refined by Aberth's simultaneous
+iteration (Math. Comp. 27, 1973), with ``p`` and ``p'`` evaluated in the
+product form ``prod(lam - alpha_k) - prod(1 - alpha_k)``.  Most rows settle
+in two steps.  Each row is iterated on its own until it converges, so its
+eigenvalues depend only on its own parameters.  The Cardano step and the
+iteration are written once per backend, since numpy's complex power and
+division differ from CPython's in the last ulp.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matrix import _SEED_OFFSETS, _SEED_ROTATION, _cubic_factor
+from .matrix import _SEED_FLOOR, _SEED_SPREAD, _cubic_factor
 from .region import Status
 from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
 
@@ -80,11 +80,9 @@ def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.n
     hop = (1.0 - a[0]) * (1.0 - a[1]) * (1.0 - a[2]) * (1.0 - a[3])
 
     c2, c1, c0 = _cubic_factor(*a)
-    # np.multiply keeps the rotation as the first operand: a Python complex
-    # times an array runs ndarray.__rmul__, which swaps them, and numpy's
-    # vectorised complex product can round differently when swapped.
-    rotated = np.multiply(_SEED_ROTATION, _cardano_offsets(c2, c1, c0))
-    roots = -c2 / 3.0 + rotated + np.array(_SEED_OFFSETS)[:, None]
+    offsets = _cardano_offsets(c2, c1, c0)
+    size = np.sqrt((offsets.real * offsets.real + offsets.imag * offsets.imag).max(axis=0))
+    roots = -c2 / 3.0 + offsets + np.array(_SEED_SPREAD)[:, None] * np.maximum(size, _SEED_FLOOR)
     roots = _aberth(roots, a, hop, tol.max_iter)
     return _close_rows(roots, tol.boundary_band)
 

@@ -132,7 +132,7 @@ def shrink(m: CycleMatrix4, l: float) -> CycleMatrix4:
     The result equals (1-l) I + l A, so its spectrum is the image of the
     spectrum of ``m`` under lam -> (1-l) + l*lam.
     """
-    if not (isinstance(l, (int, float)) and 0.0 < l <= 1.0):
+    if isinstance(l, bool) or not (isinstance(l, (int, float)) and 0.0 < l <= 1.0):
         raise ShrinkOutOfRange(f"shrink factor {l!r} outside (0, 1]")
     return make_cycle_matrix(*((1.0 - l) + l * a for a in m.alpha))
 

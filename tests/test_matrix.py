@@ -6,10 +6,18 @@ import pytest
 
 from cycle4 import (
     ParameterOutOfRange,
+    SpectrumFailure,
+    Status,
+    Tolerance,
     eigen_residual,
     make_cycle_matrix,
+    membership,
+    realize,
+    realize_via_criterion,
     spectrum,
+    trace_left_curve,
 )
+from cycle4.sampling import bulk_spectra
 
 
 def sorted_close(actual, expected, tol):
@@ -69,10 +77,20 @@ class TestConstruction:
         assert err.value.index == 2
         assert err.value.value == 1.0
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, float("nan"), float("inf"), float("-inf")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ParameterOutOfRange):
             make_cycle_matrix(bad, 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_rejects_bools(self, bad, k):
+        alpha = [0.5] * 4
+        alpha[k - 1] = bad
+        with pytest.raises(ParameterOutOfRange) as err:
+            make_cycle_matrix(*alpha)
+        assert err.value.index == k
+        assert err.value.value is bad
 
     def test_json_round_trip(self):
         m = make_cycle_matrix(0.1, 0.2, 0.3, 0.4)
@@ -137,6 +155,55 @@ class TestSpectrum:
             total = sum(spectrum(m))
             assert abs(total.real - alpha.sum()) < 1e-8
             assert abs(total.imag) < 1e-8
+
+    @pytest.mark.parametrize("max_iter", [1, 200])
+    def test_guard_raises_iff_some_root_misses_the_bound(self, max_iter):
+        rng = np.random.default_rng(17)
+        raised = 0
+        for alpha in rng.random((300, 4)):
+            m = make_cycle_matrix(*alpha)
+            loose = Tolerance(eigen_residual=1e300, max_iter=max_iter)
+            worst = max(eigen_residual(m, r) for r in spectrum(m, loose))
+            for bound in (1e-8, 1e-16, 3e-17):
+                tight = Tolerance(eigen_residual=bound, max_iter=max_iter)
+                if worst > bound:
+                    raised += 1
+                    with pytest.raises(SpectrumFailure):
+                        spectrum(m, tight)
+                else:
+                    spectrum(m, tight)
+        assert 30 < raised < 600  # both outcomes occur
+
+
+@pytest.fixture(scope="module")
+def grid_matrices():
+    """Both routes' matrices for every interior point of the 60x60 grid."""
+    out = []
+    for i in range(60):
+        for j in range(60):
+            lam = complex(i / 60, (j + 1) / 60)
+            if membership(lam).status is Status.INSIDE_NONREAL:
+                out += [realize(lam).matrix, realize_via_criterion(lam).matrix]
+    return out
+
+
+class TestStepCount:
+    """Two Aberth steps settle the spectra of the constructions: capping the
+    iteration at two changes no bit of them."""
+
+    two = Tolerance(max_iter=2)
+
+    def test_scalar_grid(self, grid_matrices):
+        assert len(grid_matrices) > 2000
+        for m in grid_matrices:
+            assert spectrum(m, self.two) == spectrum(m), m.alpha
+
+    def test_bulk_grid(self, grid_matrices):
+        alphas = np.array([m.alpha for m in grid_matrices])
+        assert np.array_equal(bulk_spectra(alphas, self.two), bulk_spectra(alphas))
+
+    def test_left_curve_trace(self):
+        assert trace_left_curve(400, self.two) == trace_left_curve(400)
 
 
 class TestEigenResidual:

@@ -137,10 +137,14 @@ class TestShrink:
             for got, want in zip(spectrum(shrunk), mapped):
                 assert abs(got - want) < 1e-8
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, True, False, 0, float("nan")])
     def test_rejects_bad_factor(self, bad):
         with pytest.raises(ShrinkOutOfRange):
             shrink(make_cycle_matrix(0, 0, 0, 0), bad)
+
+    def test_accepts_int_factor(self):
+        m = make_cycle_matrix(0.3, 0.7, 0.1, 0.9)
+        assert shrink(m, 1) == m
 
 
 class TestRealize:

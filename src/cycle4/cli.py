@@ -39,6 +39,14 @@ def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _finite(text: str) -> float:
+    """argparse type of point coordinates: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _finite_positive(text: str) -> float:
     """argparse type of the tolerance options: a finite float above 0."""
     value = float(text)
@@ -120,11 +128,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import sampling
+    from .region import Status
 
     tol = _tolerance(args)
     alphas, eigenvalues, codes = sampling.sample_records(args.n, args.seed, tol)
-    order = sampling.status_order()
-    names = np.array([status.value for status in order], dtype=object)
+    names = np.array([status.value for status in Status], dtype=object)
 
     # Two % calls per chunk: one renders the rows' "index,alphas," prefixes,
     # the other every "prefix,re,im,status" line.  %.17g on a Python float
@@ -145,12 +153,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
             cells[:, :, 3] = names[codes[start:stop]]
             handle.write(_SAMPLE_LINE * (4 * rows) % tuple(cells.ravel()))
 
-    counts = dict(zip(names, np.bincount(codes.ravel(), minlength=len(order)).tolist()))
+    counts = dict(zip(names, np.bincount(codes.ravel(), minlength=len(names)).tolist()))
     print("verdicts: " + " ".join(f"{name}={counts[name]}" for name in sorted(counts)))
 
     # The pass/fail gate re-checks at the wide necessity band.
     wide = sampling.classify_points(eigenvalues.real, eigenvalues.imag, 1e-7)
-    n_outside = int((wide == len(order) - 1).sum())
+    n_outside = int((wide == len(names) - 1).sum())
     if n_outside:
         print(f"outside at band 1e-07: {n_outside}", file=sys.stderr)
         return EXIT_OUTSIDE
@@ -232,15 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
 
     p = sub.add_parser("check", help="classify a point against the region")
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float)
+    p.add_argument("re", type=_finite)
+    p.add_argument("im", type=_finite)
     p.add_argument("--out", default=None, help=f"optional verdict CSV ({_VERDICT_HEADER})")
     add_tol(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("realize", help="construct a matrix with the point in its spectrum")
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float)
+    p.add_argument("re", type=_finite)
+    p.add_argument("im", type=_finite)
     p.add_argument("--method", choices=("auto", "criterion"), default="auto")
     add_tol(p)
     p.set_defaults(func=cmd_realize)
@@ -277,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("psi", help="criterion diagnostics for an upper-half-plane point")
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float)
+    p.add_argument("re", type=_finite)
+    p.add_argument("im", type=_finite)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("verify", help="run the exact identity suite")

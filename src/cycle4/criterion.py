@@ -180,13 +180,13 @@ def solve_criterion(
 ) -> tuple[float, float, float, float]:
     """Hop weights t_1..t_4 realizing ``ctx.lam`` as an eigenvalue.
 
-    Requires an admissible target: 0 <= a < 1, a + b <= 1, b > 0 and
-    left_boundary_form(a, b) >= -tol.boundary_band.  The returned weights
-    satisfy the multiplicative identity with relative defect below
-    tol.eigen_residual; equivalently, lam is in the spectrum of the matrix
-    with self-loop weights 1 - t_k.  The zero returned is the one met along
-    the solver's path; other zeros may exist and realize lam with different
-    weights.
+    Requires an admissible target: 0 <= a < 1, b > 0, and both 1 - a - b
+    and left_boundary_form(a, b) >= -tol.boundary_band, as in membership.
+    The returned weights satisfy the multiplicative identity with relative
+    defect below tol.eigen_residual; equivalently, lam is in the spectrum
+    of the matrix with self-loop weights 1 - t_k.  The zero returned is the
+    one met along the solver's path; other zeros may exist and realize lam
+    with different weights.
 
     False position (``scalar.bracketed_zero``, at most 4 * tol.max_iter
     evaluations) in s = log t_4 along the path u_123 = (2*pi - u_4)/3 finds
@@ -196,8 +196,8 @@ def solve_criterion(
     a, b = ctx.lam.real, ctx.lam.imag
     if a < 0.0 or a >= 1.0:
         raise FeasibilityViolation(f"real part {a} outside [0, 1)")
-    if a + b > 1.0:
-        raise NotRealizable(f"{ctx.lam!r} violates a + b <= 1")
+    if 1.0 - a - b < -tol.boundary_band:
+        raise NotRealizable(f"{ctx.lam!r} lies beyond the right segment")
     if left_boundary_form(a, b) < -tol.boundary_band:
         raise NotRealizable(f"{ctx.lam!r} lies beyond the left boundary")
 

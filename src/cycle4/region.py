@@ -7,6 +7,9 @@ The region is the union of the real interval [-1, 1] with the nonreal set
 Its nonreal boundary has two pieces in the upper half-plane: the straight
 right segment ``lam = 1 - x + ix`` (where ``a + b = 1``) and the curved
 left branch joining i to 0 (where the quartic form below vanishes).
+
+``_rules`` writes the classification once, for ``membership`` on one point
+and ``sampling.classify_points`` on arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def modulus_threshold(a, b):
     return 4.0 * a**3 - 3.0 * a * a - 4.0 * a * b * b + b * b
 
 
-class Status(str, Enum):
+class Status(str, Enum):  # position = code in sampling.classify_points
     INSIDE_NONREAL = "InsideNonreal"
     INSIDE_REAL_INTERVAL = "InsideRealInterval"
     BOUNDARY_CR = "BoundaryCR"
@@ -74,41 +77,48 @@ class RegionVerdict:
         }
 
 
+def _rules(a, b, right, g, band):
+    """Region conditions in order of precedence, one per ``_RULE_STATUS``
+    entry: a point takes the status of the first that holds, else Outside.
+
+    b = |Im lam|, right = 1 - a - b, g = left form.  Comparisons, ``abs``
+    and ``&`` only, so floats and numpy arrays evaluate alike; every rule
+    is positive, so NaN fails all.  Near i the right segment comes first.
+    """
+    real = b < band
+    strip = (a >= 0.0) & (a < 1.0)
+    open_right = strip & (right > band)
+    return (
+        real & (abs(abs(a) - 1.0) <= band),
+        real & (abs(a) < 1.0),
+        real,
+        strip & (abs(right) <= band) & (g >= -band),
+        open_right & (abs(g) <= band),
+        open_right & (g > band),
+    )
+
+
+_RULE_STATUS = (Status.BOUNDARY_REAL_ENDPOINT, Status.INSIDE_REAL_INTERVAL, Status.OUTSIDE,
+                Status.BOUNDARY_CR, Status.BOUNDARY_CL, Status.INSIDE_NONREAL)
+
+
 def membership(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionVerdict:
     """Classify ``lam`` against the spectral region.
 
     Deterministic in ``lam`` and ``tol.boundary_band``; invariant under
     conjugation.  Real points (|Im| below the band) are judged against
     [-1, 1]; nonreal points against the three region constraints, with
-    boundary bands applied to the constraint values and the right segment
-    taking precedence over the left curve where both trigger (near i).
+    boundary bands applied to the constraint values (see ``_rules``).
     """
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise ValueError(f"non-finite point {lam!r}")
-    band = tol.boundary_band
     a = lam.real
     b = abs(lam.imag)
     right = 1.0 - a - b
     g = left_boundary_form(a, b)
-
-    if b < band:
-        if abs(abs(a) - 1.0) <= band:
-            status = Status.BOUNDARY_REAL_ENDPOINT
-        elif abs(a) < 1.0:
-            status = Status.INSIDE_REAL_INTERVAL
-        else:
-            status = Status.OUTSIDE
-        return RegionVerdict(status, a, right, g)
-
-    if a < 0.0 or a >= 1.0 or right < -band or g < -band:
-        status = Status.OUTSIDE
-    elif abs(right) <= band:
-        status = Status.BOUNDARY_CR
-    elif abs(g) <= band:
-        status = Status.BOUNDARY_CL
-    else:
-        status = Status.INSIDE_NONREAL
+    hit = _rules(a, b, right, g, tol.boundary_band)
+    status = _RULE_STATUS[hit.index(True)] if True in hit else Status.OUTSIDE
     return RegionVerdict(status, a, right, g)
 
 

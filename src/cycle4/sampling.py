@@ -16,6 +16,10 @@ in two steps.  Each row is iterated on its own until it converges, so its
 eigenvalues depend only on its own parameters.  The Cardano step and the
 iteration are written once per backend, since numpy's complex power and
 division differ from CPython's in the last ulp.
+
+Eigenvalues are classified by ``classify_points``, which evaluates the
+region rule of ``region._rules`` on whole arrays; the codes it returns are
+positions in ``region.Status``.
 """
 
 from __future__ import annotations
@@ -23,18 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from .matrix import _SEED_FLOOR, _SEED_SPREAD, _cubic_factor
-from .region import Status
+from .region import _RULE_STATUS, Status, _rules, left_boundary_form
 from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
 
-_STATUS_ORDER = (
-    Status.INSIDE_NONREAL,
-    Status.INSIDE_REAL_INTERVAL,
-    Status.BOUNDARY_CR,
-    Status.BOUNDARY_CL,
-    Status.BOUNDARY_REAL_ENDPOINT,
-    Status.OUTSIDE,
-)
-_STATUS_CODE = {status: code for code, status in enumerate(_STATUS_ORDER)}
+_RULE_CODES = [np.int8(tuple(Status).index(status)) for status in _RULE_STATUS]
+_OUTSIDE_CODE = np.int8(tuple(Status).index(Status.OUTSIDE))
 
 _OMEGA = np.exp(2j * np.pi / 3)  # primitive cube root of unity
 
@@ -150,35 +147,17 @@ def _close_rows(z: np.ndarray, band: float) -> np.ndarray:
 
 
 def classify_points(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
-    """Vectorised region verdict codes; mirrors ``region.membership``.
+    """Region verdict codes by ``region._rules``, the rule ``membership``
+    applies to one point; a code is the verdict's position in ``Status``.
 
-    Codes index ``status_order()``; the scalar and vector classifiers are
-    cross-checked in the test suite.
+    NaN and infinite points are ``Outside``.
     """
-    a = np.asarray(re, dtype=float)
+    a = np.array(re, dtype=float)  # a compact copy: ``.real`` of a complex array is strided
     b = np.abs(np.asarray(im, dtype=float))
-    right = 1.0 - a - b
-    s = b * b + a * a + a
-    g = s * s + 2.0 * a * a - b * b
-
-    codes = np.full(a.shape, _STATUS_CODE[Status.INSIDE_NONREAL], dtype=np.int8)
-    codes[np.abs(right) <= band] = _STATUS_CODE[Status.BOUNDARY_CR]
-    on_left = (np.abs(g) <= band) & (np.abs(right) > band)
-    codes[on_left] = _STATUS_CODE[Status.BOUNDARY_CL]
-    outside = (a < 0.0) | (a >= 1.0) | (right < -band) | (g < -band)
-    codes[outside] = _STATUS_CODE[Status.OUTSIDE]
-
-    real = b < band
-    real_inside = real & (np.abs(a) < 1.0)
-    real_endpoint = real & (np.abs(np.abs(a) - 1.0) <= band)
-    codes[real & ~real_inside] = _STATUS_CODE[Status.OUTSIDE]
-    codes[real_inside] = _STATUS_CODE[Status.INSIDE_REAL_INTERVAL]
-    codes[real_endpoint] = _STATUS_CODE[Status.BOUNDARY_REAL_ENDPOINT]
-    return codes
-
-
-def status_order() -> tuple[Status, ...]:
-    return _STATUS_ORDER
+    with np.errstate(invalid="ignore", over="ignore"):
+        right = 1.0 - a - b
+        g = left_boundary_form(a, b)
+        return np.select(_rules(a, b, right, g, band), _RULE_CODES, _OUTSIDE_CODE)
 
 
 def sample_records(

@@ -172,8 +172,8 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
         mu = None
         l = None
     elif verdict.status is Status.BOUNDARY_CR:
-        x = abs(lam.imag)
-        weight = 1.0 - x
+        # inside the band |Im| may pass 1 (near i): clamp onto the plain cycle
+        weight = max(1.0 - abs(lam.imag), 0.0)
         matrix = make_cycle_matrix(weight, weight, weight, weight)
         method = Method.BOUNDARY_CR
         mu = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from cycle4 import Status, make_context, membership
+from cycle4 import Status, left_boundary_form, make_context, membership
 from cycle4.criterion import Regime
 
 
@@ -24,6 +24,16 @@ def sample_inside_nonreal(rng: np.random.Generator, count: int, *,
         if verdict.status is Status.INSIDE_NONREAL and verdict.g_check >= min_form:
             out.append(lam)
     return out
+
+
+def off_left_curve(lam: complex, form: float) -> complex:
+    """``lam`` moved along Im, by Newton steps, until the left boundary form
+    reads ``form``."""
+    a, b = lam.real, lam.imag
+    for _ in range(3):
+        slope = 4.0 * b * (b * b + a * a + a) - 2.0 * b  # d/db of the form
+        b += (form - left_boundary_form(a, b)) / slope
+    return complex(a, b)
 
 
 def sample_tight(rng: np.random.Generator, count: int) -> list[complex]:

@@ -48,7 +48,7 @@ from cycle4 import (
 from cycle4.cli import main as cli_main
 from cycle4.criterion import Regime
 from cycle4.identities import complex_powers
-from cycle4.sampling import classify_points, sample_records, status_order
+from cycle4.sampling import classify_points, sample_records
 
 A = BivarPoly.variable("a")
 B = BivarPoly.variable("b")
@@ -104,7 +104,7 @@ def test_criterion_2_necessity_monte_carlo():
     n = 100_000
     alphas, eigenvalues, _ = sample_records(n, 42)
     wide = classify_points(eigenvalues.real, eigenvalues.imag, 1e-7)
-    outside_code = len(status_order()) - 1
+    outside_code = tuple(Status).index(Status.OUTSIDE)
     n_outside = int((wide == outside_code).sum())
     assert n_outside == 0
     assert eigenvalues.shape == (n, 4)

@@ -79,6 +79,15 @@ class TestRealize:
         assert payload["alpha"] == [0.0, 0.0, 0.0, 0.0]
         assert payload["residual"] < 1e-8
 
+    @pytest.mark.parametrize("method", ["auto", "criterion"])
+    def test_right_segment_just_past_band(self, capsys, method):
+        # 1 - a - b = -5e-10 is inside the 1e-9 band: both routes build a matrix
+        code, out = run(capsys, "realize", "0.5", "0.5000000005", "--method", method)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["alpha"] == pytest.approx([0.5] * 4, abs=1e-9)
+        assert payload["residual"] < 1e-8
+
     def test_criterion_method(self, capsys):
         code, out = run(capsys, "realize", "0.2", "0.3", "--method", "criterion")
         assert code == 0
@@ -162,13 +171,14 @@ class TestSample:
     def test_bytes_match_plain_rendering(self, capsys, tmp_path, n):
         # chunk edges at 256 rows: a per-row f-string rendering of the same
         # records must give the same bytes
-        from cycle4.sampling import sample_records, status_order
+        from cycle4 import Status
+        from cycle4.sampling import sample_records
 
         out_path = tmp_path / "s.csv"
         code, _ = run(capsys, "sample", str(n), "5", str(out_path))
         assert code == 0
         alphas, eigenvalues, codes = sample_records(n, 5)
-        names = [status.value for status in status_order()]
+        names = [status.value for status in Status]
         lines = ["index,alpha1,alpha2,alpha3,alpha4,re,im,status\n"]
         for i, row_alphas, row_lams, row_codes in zip(
             range(n), alphas.tolist(), eigenvalues.tolist(), codes.tolist()
@@ -310,6 +320,14 @@ class TestUsage:
             main(["check", "0.5", "0.3", option, value])
         assert err.value.code == 2
         assert "expected a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "realize", "psi"])
+    @pytest.mark.parametrize("point", [("nan", "0.3"), ("0.3", "inf"), ("-inf", "0.3")])
+    def test_non_finite_point_exits_2(self, capsys, command, point):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--", *point])
+        assert err.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "too_large"])
     def test_sample_seed_out_of_range_exits_2(self, capsys, tmp_path, seed):

@@ -1,4 +1,5 @@
 import pytest
+from conftest import off_left_curve
 from hypothesis import given, strategies as st
 
 from cycle4 import (
@@ -94,6 +95,40 @@ class TestMembership:
     def test_conjugation_invariance(self, a, b):
         lam = complex(a, b)
         assert membership(lam).status is membership(lam.conjugate()).status
+
+    @pytest.mark.parametrize(
+        "lam, expected",
+        [
+            (complex(0.3, 1e-9), Status.INSIDE_NONREAL),  # b == band is nonreal
+            (complex(0.3, 0.999e-9), Status.INSIDE_REAL_INTERVAL),
+            (complex(1.0 + 5e-10, 5e-10), Status.BOUNDARY_REAL_ENDPOINT),
+            (complex(-1.0 - 5e-10, 0.0), Status.BOUNDARY_REAL_ENDPOINT),
+            (complex(1.0 + 2e-9, 0.0), Status.OUTSIDE),
+            (complex(1.0 - 2e-9, 0.0), Status.INSIDE_REAL_INTERVAL),
+            (complex(0.5, 0.5 + 5e-10), Status.BOUNDARY_CR),
+            (complex(0.5, 0.5 - 5e-10), Status.BOUNDARY_CR),
+            (complex(0.5, 0.5 + 2e-9), Status.OUTSIDE),
+            (complex(0.0, 1.0 + 5e-10), Status.BOUNDARY_CR),
+            (complex(0.0, 1.0 - 3e-10), Status.BOUNDARY_CR),  # left form -6e-10 near i
+            (complex(1.0, 1e-9), Status.OUTSIDE),  # a == 1 is excluded
+            (complex(0.0, 0.3), Status.OUTSIDE),
+        ],
+    )
+    def test_band_edges(self, lam, expected):
+        assert membership(lam).status is expected
+        assert membership(lam.conjugate()).status is expected
+
+    @pytest.mark.parametrize(
+        "shift, expected",
+        [
+            (-5e-10, Status.BOUNDARY_CL),
+            (5e-10, Status.BOUNDARY_CL),
+            (-2e-9, Status.OUTSIDE),
+            (2e-9, Status.INSIDE_NONREAL),
+        ],
+    )
+    def test_left_curve_band_edges(self, shift, expected):
+        assert membership(off_left_curve(left_branch_root(0.37), shift)).status is expected
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

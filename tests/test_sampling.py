@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
-from conftest import oracle_roots
+from conftest import off_left_curve, oracle_roots
 
-from cycle4 import Cycle4Error, Status, Tolerance, make_cycle_matrix, membership, realize, spectrum
+from cycle4 import (
+    Cycle4Error,
+    Status,
+    Tolerance,
+    make_cycle_matrix,
+    membership,
+    realize,
+    spectrum,
+    trace_left_curve,
+)
 from cycle4.sampling import (
     bulk_spectra,
     classify_points,
     sample_parameters,
     sample_records,
-    status_order,
 )
 
 
@@ -114,6 +122,27 @@ class TestBulkSolvers:
             bulk_spectra(np.zeros((3, 5)))
 
 
+BAND = Tolerance().boundary_band
+
+
+def _band_edge_points() -> list[complex]:
+    """Points on and just inside or outside each band of the region rule."""
+    half = BAND / 2
+    below = np.nextafter(BAND, 0.0)
+    points = []
+    for a in (-1.0, -0.5, 0.0, 0.3, 0.5, 1.0 - BAND, 1.0):
+        points += [complex(a, b) for b in (0.0, half, below, BAND)]
+    for r in (1.0 - half, 1.0 + half, -1.0 + half, -1.0 - half):
+        points += [complex(r, b) for b in (0.0, half, below, BAND)]
+    for a in (0.0, 0.25, 0.5, 0.75, 1.0 - 2 * BAND):
+        points += [complex(a, 1.0 - a + d) for d in (-half, half)]
+    for p in trace_left_curve(40)[1:]:
+        points += [off_left_curve(p.point, d) for d in (-half, half)]
+    for b in (0.05, 0.3, 0.5, 0.9, 1.0, 1.0 + half):
+        points += [complex(0.0, b), complex(1.0, b)]
+    return points + [lam.conjugate() for lam in points]
+
+
 class TestClassification:
     def test_matches_scalar_membership(self):
         rng = np.random.default_rng(5)
@@ -122,10 +151,21 @@ class TestClassification:
         # include exact boundary-style points
         re[:4] = [0.5, 0.0, 0.7, 1.0]
         im[:4] = [0.5, 1.0, 0.0, 0.0]
-        codes = classify_points(re, im, 1e-9)
-        order = status_order()
-        for k in range(3000):
-            assert order[codes[k]] is membership(complex(re[k], im[k])).status
+        edges = np.array(_band_edge_points())
+        re = np.concatenate([re, edges.real])
+        im = np.concatenate([im, edges.imag])
+        codes = classify_points(re, im, BAND)
+        order = tuple(Status)
+        for k in range(re.size):
+            assert order[codes[k]] is membership(complex(re[k], im[k])).status, (re[k], im[k])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_outside(self, value):
+        re = np.array([value, 0.3, value, 0.0])
+        im = np.array([0.3, value, value, value])
+        for band in (1e-9, 1e-7):
+            codes = classify_points(re, im, band)
+            assert all(tuple(Status)[code] is Status.OUTSIDE for code in codes)
 
     def test_sample_records_shapes(self):
         alphas, eigenvalues, codes = sample_records(100, 23)
@@ -133,7 +173,7 @@ class TestClassification:
         assert eigenvalues.shape == (100, 4)
         assert codes.shape == (100, 4)
         # every matrix carries the trivial eigenvalue at the right endpoint
-        order = status_order()
+        order = tuple(Status)
         assert all(
             any(order[codes[i, j]] is Status.BOUNDARY_REAL_ENDPOINT for j in range(4))
             for i in range(100)

@@ -169,6 +169,14 @@ class TestRealize:
         assert result.matrix.alpha == (0.0, 0.0, 0.0, 0.0)
         assert result.residual < 1e-8
 
+    @pytest.mark.parametrize("lam", [1.0000000005j, 1e-10 + 1.0000000004j])
+    def test_past_i_inside_band_gets_plain_cycle(self, lam):
+        # BoundaryCR inside the band: the weight 1 - |b| is clamped at 0
+        result = realize(lam)
+        assert result.method is Method.BOUNDARY_CR
+        assert result.matrix.alpha == (0.0, 0.0, 0.0, 0.0)
+        assert result.residual < 1e-8
+
     def test_real_interior(self):
         r = realize(0.7 + 0j)
         assert r.method is Method.REAL_INTERVAL
@@ -252,6 +260,16 @@ class TestRealize:
 
 
 class TestCrossConstruction:
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
+    def test_both_routes_realize_right_segment_band(self, a):
+        # just past a + b = 1, inside the band membership applies
+        lam = complex(a, 1.0 - a + Tolerance().boundary_band / 2)
+        assert membership(lam).status is Status.BOUNDARY_CR
+        direct = realize(lam)
+        via = realize_via_criterion(lam)
+        assert direct.method is Method.BOUNDARY_CR
+        assert direct.residual < 1e-8 and via.residual < 1e-8
+
     def test_two_routes_realize_same_point(self):
         rng = np.random.default_rng(13)
         for lam in sample_inside_nonreal(rng, 30):

@@ -40,7 +40,7 @@ def _g17(value: float) -> str:
 
 
 def _finite(text: str) -> float:
-    """argparse type of point coordinates: a finite float."""
+    """argparse type of coordinates and matrix parameters: a finite float."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
@@ -254,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the matrix with the given parameters")
-    p.add_argument("a1", type=float)
-    p.add_argument("a2", type=float)
-    p.add_argument("a3", type=float)
-    p.add_argument("a4", type=float)
+    p.add_argument("a1", type=_finite)
+    p.add_argument("a2", type=_finite)
+    p.add_argument("a3", type=_finite)
+    p.add_argument("a4", type=_finite)
     add_tol(p)
     p.set_defaults(func=cmd_spectrum)
 

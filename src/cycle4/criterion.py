@@ -29,7 +29,7 @@ its zero, which turns the existence proof into a deterministic construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import (
@@ -54,22 +54,16 @@ class Regime(str, Enum):
     TIGHT = "Tight"
 
 
-@dataclass(frozen=True)
-class CriterionContext:
+class CriterionContext(namedtuple("CriterionContext", "lam z lower_arg upper_arg regime peak_arg")):
     """Per-target quantities of the angle parametrisation.
 
-    lower_arg is Arg(lam) (the angle realised by shift t = 1), upper_arg is
-    Arg(lam - 1) (the open supremum as t -> 0).  peak_arg is
-    2*pi - 3*lower_arg, defined only in the tight regime where it bounds
-    the feasible box.
+    z is lam - 1.  lower_arg is Arg(lam) (the angle realised by shift
+    t = 1), upper_arg is Arg(lam - 1) (the open supremum as t -> 0).
+    peak_arg is 2*pi - 3*lower_arg, defined only in the tight regime where
+    it bounds the feasible box, else None.
     """
 
-    lam: complex
-    z: complex
-    lower_arg: float
-    upper_arg: float
-    regime: Regime
-    peak_arg: float | None
+    __slots__ = ()
 
     @property
     def x(self) -> float:

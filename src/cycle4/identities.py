@@ -9,7 +9,7 @@ reduces to the zero polynomial or the nonzero residual is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -189,13 +189,11 @@ def complex_powers(k: int) -> list[tuple[BivarPoly, BivarPoly]]:
     return powers
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    """Outcome of one identity check: zero residuals mean the identity holds."""
+class IdentityResult(namedtuple("IdentityResult", "ident description residuals")):
+    """Outcome of one identity check: a tuple of ``BivarPoly`` residuals,
+    all zero when the identity holds."""
 
-    ident: str
-    description: str
-    residuals: tuple[BivarPoly, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterOutOfRange, SpectrumFailure
 from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
@@ -73,22 +73,26 @@ def _cubic_factor(a1, a2, a3, a4):
     return c2, c1, c0
 
 
-@dataclass(frozen=True)
-class CycleMatrix4:
-    """Validated parameter tuple of a 4-cycle stochastic matrix."""
+class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
+    """Validated parameter tuple of a 4-cycle stochastic matrix: ``alpha``
+    holds four floats in [0, 1), checked on every construction path."""
 
-    alpha: tuple[float, float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.alpha) != 4:
-            raise ParameterOutOfRange(len(self.alpha), float("nan"))
-        for k, value in enumerate(self.alpha, start=1):
+    def __new__(cls, alpha):
+        if len(alpha) != 4:
+            raise ParameterOutOfRange(len(alpha), float("nan"))
+        for k, value in enumerate(alpha, start=1):
             # the range test also rejects NaN and infinities
             if isinstance(value, bool) or not (
                 isinstance(value, (int, float)) and 0.0 <= value < 1.0
             ):
                 raise ParameterOutOfRange(k, value)
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        return super().__new__(cls, tuple(float(a) for a in alpha))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def dense(self) -> list[list[float]]:
         """Dense 4x4 entry layout."""

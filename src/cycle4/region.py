@@ -15,7 +15,7 @@ and ``sampling.classify_points`` on arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import ArgumentOutOfRange, SpectrumFailure
@@ -51,18 +51,15 @@ class Status(str, Enum):  # position = code in sampling.classify_points
     OUTSIDE = "Outside"
 
 
-@dataclass(frozen=True)
-class RegionVerdict:
+class RegionVerdict(namedtuple("RegionVerdict", "status a_check right_check g_check")):
     """Classification of a point plus the constraint values that produced it.
 
-    a_check is the real part itself, right_check is 1 - a - |b| (nonnegative
-    inside), g_check is the left boundary form at (a, |b|).
+    status is a ``Status``, a_check is the real part itself, right_check is
+    1 - a - |b| (nonnegative inside), g_check is the left boundary form at
+    (a, |b|).
     """
 
-    status: Status
-    a_check: float
-    right_check: float
-    g_check: float
+    __slots__ = ()
 
     @property
     def outside(self) -> bool:
@@ -122,15 +119,11 @@ def membership(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionVerdic
     return RegionVerdict(status, a, right, g)
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(namedtuple("TracePoint", "curve param point boundary_form")):
     """One sampled boundary point: curve tag, curve parameter, location,
     and the left boundary form at the location."""
 
-    curve: str
-    param: float
-    point: complex
-    boundary_form: float
+    __slots__ = ()
 
 
 def trace_right_segment(n: int) -> list[TracePoint]:

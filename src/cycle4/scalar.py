@@ -6,13 +6,12 @@ Both are real-valued; the spectrum kernel lives in ``matrix``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 _EPS = 2.220446049250313e-16
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(namedtuple("Tolerance", "eigen_residual boundary_band max_iter")):
     """Numerical policy shared by solvers and classifiers.
 
     eigen_residual: largest accepted defect in the multiplicative
@@ -26,24 +25,25 @@ class Tolerance:
         left curve, the criterion path) may make.
 
     Both tolerances must be finite positive numbers and ``max_iter`` a
-    positive integer; bools are rejected.
+    positive integer; bools are rejected.  Every construction path checks
+    this: the constructor, ``_make`` and ``_replace``.
     """
 
-    eigen_residual: float = 1e-8
-    boundary_band: float = 1e-9
-    max_iter: int = 200
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("eigen_residual", "boundary_band"):
-            value = getattr(self, name)
+    def __new__(cls, eigen_residual=1e-8, boundary_band=1e-9, max_iter=200):
+        for name, value in (("eigen_residual", eigen_residual), ("boundary_band", boundary_band)):
             if isinstance(value, bool) or not (
                 isinstance(value, (int, float)) and 0 < value < math.inf
             ):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-        if isinstance(self.max_iter, bool) or not (
-            isinstance(self.max_iter, int) and self.max_iter >= 1
-        ):
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        if isinstance(max_iter, bool) or not (isinstance(max_iter, int) and max_iter >= 1):
+            raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+        return super().__new__(cls, eigen_residual, boundary_band, max_iter)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 DEFAULT_TOLERANCE = Tolerance()

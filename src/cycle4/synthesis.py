@@ -11,7 +11,7 @@ matrix family supports parameter-wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import criterion
@@ -39,16 +39,13 @@ class Method(str, Enum):
     CRITERION_SOLVER = "CriterionSolver"
 
 
-@dataclass(frozen=True)
-class Realization:
-    """A realizing matrix plus the provenance of its construction."""
+class Realization(namedtuple("Realization", "matrix lam method mu shrink_l residual")):
+    """A realizing matrix plus the provenance of its construction: the
+    target, the ``Method``, the left-curve point ``mu`` and the shrink
+    factor ``shrink_l`` where the method uses them (else None), and the
+    eigen-residual of the target."""
 
-    matrix: CycleMatrix4
-    lam: complex
-    method: Method
-    mu: complex | None
-    shrink_l: float | None
-    residual: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -151,6 +148,9 @@ def _real_interval_matrix(r: float) -> CycleMatrix4:
     return make_cycle_matrix(a, a, a, a)
 
 
+_REAL_STATUSES = (Status.INSIDE_REAL_INTERVAL, Status.BOUNDARY_REAL_ENDPOINT)
+
+
 def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
     """Realizing matrix for any point of the spectral region.
 
@@ -166,7 +166,7 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
 
     work = lam if lam.imag >= 0.0 else lam.conjugate()
 
-    if verdict.status in (Status.INSIDE_REAL_INTERVAL, Status.BOUNDARY_REAL_ENDPOINT):
+    if verdict.status in _REAL_STATUSES:
         matrix = _real_interval_matrix(work.real)
         method = Method.REAL_INTERVAL
         mu = None
@@ -208,12 +208,17 @@ def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> R
     """Realizing matrix obtained from the criterion solver's path zero.
 
     An independent route to the same spectrum membership as ``realize``;
-    the matrices generally differ.
+    the matrices generally differ.  The criterion needs b > 0, and its
+    weights round onto 1 as b shrinks, so a target with 0 < |b| below the
+    band that membership counts as real gets the real-interval matrix, as
+    in ``realize``.  An exactly real target raises NonrealRequired.
     """
     lam = complex(lam)
     work = lam if lam.imag >= 0.0 else lam.conjugate()
-    ctx = criterion.make_context(work)
-    shifts = criterion.solve_criterion(ctx, tol)
-    matrix = make_cycle_matrix(*(1.0 - t for t in shifts))
+    if 0.0 < work.imag < tol.boundary_band and membership(lam, tol).status in _REAL_STATUSES:
+        matrix, method = _real_interval_matrix(work.real), Method.REAL_INTERVAL
+    else:
+        shifts = criterion.solve_criterion(criterion.make_context(work), tol)
+        matrix, method = make_cycle_matrix(*(1.0 - t for t in shifts)), Method.CRITERION_SOLVER
     residual = eigen_residual(matrix, lam)
-    return Realization(matrix, lam, Method.CRITERION_SOLVER, None, None, residual)
+    return Realization(matrix, lam, method, None, None, residual)

@@ -100,6 +100,18 @@ class TestRealize:
         code, _ = run(capsys, "realize", "0.7", "0", "--method", "criterion")
         assert code == 4
 
+    @pytest.mark.parametrize("method", ["auto", "criterion"])
+    @pytest.mark.parametrize("re", ["0.0913", "-0.5"])
+    def test_real_by_band(self, capsys, re, method):
+        # 0 < b < band: membership calls the point real, so both routes
+        # return the real-interval matrix
+        code, out = run(capsys, "realize", re, "5e-10", "--method", method)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "RealInterval"
+        assert payload["alpha"] == [0.5 + 0.5 * float(re)] * 4
+        assert payload["residual"] < 1e-8
+
     def test_criterion_method_on_left_curve(self, capsys):
         # degenerate case: the criterion maximum is zero on the curve and
         # the solver returns the maximising shifts themselves
@@ -320,6 +332,14 @@ class TestUsage:
             main(["check", "0.5", "0.3", option, value])
         assert err.value.code == 2
         assert "expected a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [("nan", "0.5", "0.5", "0.5"), ("0.5", "0.5", "inf", "0.5"),
+                                        ("0.5", "0.5", "0.5", "-inf")])
+    def test_non_finite_parameter_exits_2(self, capsys, params):
+        with pytest.raises(SystemExit) as err:
+            main(["spectrum", "--", *params])
+        assert err.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "realize", "psi"])
     @pytest.mark.parametrize("point", [("nan", "0.3"), ("0.3", "inf"), ("-inf", "0.3")])

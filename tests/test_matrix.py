@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cycle4 import (
+    CycleMatrix4,
     ParameterOutOfRange,
     SpectrumFailure,
     Status,
@@ -95,6 +96,15 @@ class TestConstruction:
     def test_json_round_trip(self):
         m = make_cycle_matrix(0.1, 0.2, 0.3, 0.4)
         assert m.to_dict() == {"alpha": [0.1, 0.2, 0.3, 0.4]}
+
+    def test_make_and_replace_validate(self):
+        with pytest.raises(ParameterOutOfRange):
+            CycleMatrix4._make([(2.0, 0, 0, 0)])
+        with pytest.raises(ParameterOutOfRange):
+            make_cycle_matrix(0.1, 0.2, 0.3, 0.4)._replace(alpha=(0.5, 1.0, 0.5, 0.5))
+        m = CycleMatrix4._make([(0, 0.25, 0.5, 0.75)])
+        assert type(m) is CycleMatrix4 and m.alpha == (0.0, 0.25, 0.5, 0.75)
+        assert all(type(a) is float for a in m.alpha)
 
 
 class TestCharPoly:

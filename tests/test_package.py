@@ -4,6 +4,7 @@ when first used."""
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -38,16 +39,28 @@ ON_DEMAND = ["cycle4.criterion", "cycle4.synthesis", "cycle4.identities", "cycle
              "cycle4.sampling", "fractions", "decimal", "numpy"]
 
 
-def loaded_after(code: str) -> set:
-    """Names from ON_DEMAND and the cycle4 package that a fresh interpreter
-    holds in sys.modules after running ``code``."""
+def modules_after(code: str) -> set:
+    """Every name a fresh interpreter holds in sys.modules after running
+    ``code``."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           check=True)
-    names = json.loads(proc.stdout.splitlines()[-1])
-    return {name for name in names if name in ON_DEMAND or name.startswith("cycle4.")}
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded_after(code: str) -> set:
+    """Names from ON_DEMAND and the cycle4 package loaded after ``code``."""
+    return {name for name in modules_after(code) if name in ON_DEMAND or name.startswith("cycle4.")}
+
+
+def added_by_command(argv: list) -> set:
+    """Modules that running the CLI command ``argv`` loads beyond a bare
+    ``python -c pass``, which holds whatever the site's start-up files
+    import."""
+    run = f"from cycle4.cli import main\nassert main({argv!r}) == 0"
+    return modules_after(run) - modules_after("pass")
 
 
 class TestExports:
@@ -92,3 +105,58 @@ class TestLazyLoading:
         loaded = loaded_after("from cycle4.cli import main\nmain(['verify'])")
         assert "cycle4.identities" in loaded
         assert loaded.isdisjoint({"cycle4.matrix", "cycle4.region"})
+
+    # dataclasses pulls in inspect, ast, dis and tokenize; numpy, which only
+    # sample loads, imports inspect itself
+    @pytest.mark.parametrize("argv", [
+        ["check", "0.3", "0.2"],
+        ["realize", "0.2", "0.3"],
+        ["realize", "0.2", "0.3", "--method=criterion"],
+        ["spectrum", "0.1", "0.2", "0.3", "0.4"],
+        ["psi", "0.2", "0.3"],
+        ["verify"],
+        ["trace", "region", "20", "{tmp}/trace.csv", "--svg", "{tmp}/trace.svg"],
+    ], ids=["check", "realize", "realize_criterion", "spectrum", "psi", "verify", "trace_region"])
+    def test_commands_skip_dataclasses_and_inspect(self, tmp_path, argv):
+        added = added_by_command([arg.format(tmp=tmp_path) for arg in argv])
+        assert added.isdisjoint({"dataclasses", "inspect"})
+
+    def test_sample_skips_dataclasses(self, tmp_path):
+        added = added_by_command(["sample", "50", "1", str(tmp_path / "sample.csv")])
+        assert "numpy" in added and "dataclasses" not in added
+
+
+# One instance of each result record, built on first use.
+RECORDS = {
+    "Tolerance": lambda: cycle4.Tolerance(),
+    "CycleMatrix4": lambda: cycle4.make_cycle_matrix(0.1, 0.2, 0.3, 0.4),
+    "RegionVerdict": lambda: cycle4.membership(0.2 + 0.3j),
+    "TracePoint": lambda: cycle4.trace_left_curve(5)[2],
+    "Realization": lambda: cycle4.realize(0.2 + 0.3j),
+    "CriterionContext": lambda: cycle4.make_context(0.2 + 0.3j),
+    "IdentityResult": lambda: cycle4.verify_identity_suite()[0],
+}
+
+
+class TestRecords:
+    """The records are named tuples: immutable, picklable, iterable, and
+    equal to the plain tuple of their fields."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_tuple_contract(self, name):
+        record = RECORDS[name]()
+        assert type(record).__name__ == name
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
+        assert record == tuple(record) == tuple(getattr(record, f) for f in record._fields)
+
+    def test_repr(self):
+        matrix = cycle4.make_cycle_matrix(0.5, 0, 0.25, 0)
+        assert repr(matrix) == "CycleMatrix4(alpha=(0.5, 0.0, 0.25, 0.0))"
+        assert repr(cycle4.Tolerance()) == (
+            "Tolerance(eigen_residual=1e-08, boundary_band=1e-09, max_iter=200)")

@@ -29,6 +29,14 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
 
+    def test_make_and_replace_validate(self):
+        with pytest.raises(ValueError):
+            Tolerance()._replace(max_iter=0)
+        with pytest.raises(ValueError):
+            Tolerance._make((0.0, 1e-9, 200))
+        tol = Tolerance._make((1e-6, 1e-7, 50))._replace(max_iter=9)
+        assert type(tol) is Tolerance and tol == Tolerance(1e-6, 1e-7, 9)
+
 
 def bisection_count(f, lo, hi, stop):
     """Evaluations plain bisection makes on [lo, hi] under the same stop rules."""

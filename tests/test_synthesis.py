@@ -270,6 +270,18 @@ class TestCrossConstruction:
         assert direct.method is Method.BOUNDARY_CR
         assert direct.residual < 1e-8 and via.residual < 1e-8
 
+    def test_both_routes_realize_real_by_band(self):
+        # 0 < |b| < band is real to membership; the criterion's weights
+        # would round onto 1 there
+        rng = np.random.default_rng(29)
+        for a in [*rng.uniform(0.0, 1.0, 100), -0.5]:
+            for lam in (complex(a, 5e-10), complex(a, -5e-10)):
+                assert membership(lam).status is Status.INSIDE_REAL_INTERVAL
+                via = realize_via_criterion(lam)
+                assert via.method is Method.REAL_INTERVAL
+                assert via == realize(lam)
+                assert via.residual < 1e-8
+
     def test_two_routes_realize_same_point(self):
         rng = np.random.default_rng(13)
         for lam in sample_inside_nonreal(rng, 30):

@@ -97,19 +97,13 @@ def make_context(lam: complex) -> CriterionContext:
     return CriterionContext(lam, z, lower, upper, regime, peak)
 
 
-def _check_angle(ctx: CriterionContext, u: float) -> float:
-    if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
-        raise ArgumentOutOfRange(
-            f"angle {u!r} outside [{ctx.lower_arg}, {ctx.upper_arg})"
-        )
-    return u
-
-
 def shift_for_angle(ctx: CriterionContext, u: float) -> float:
     """Hop weight t with Arg(z + t) = u; decreases from t(lower_arg) = 1
     toward 0 as u approaches upper_arg."""
-    _check_angle(ctx, u)
-    t = ctx.y * math.cos(u) / math.sin(u) - ctx.x
+    if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
+        raise ArgumentOutOfRange(f"angle {u!r} outside [{ctx.lower_arg}, {ctx.upper_arg})")
+    z = ctx.z
+    t = z.imag * math.cos(u) / math.sin(u) - z.real
     if t > 1.0:
         # t(lower_arg) = 1 exactly; anything above is rounding noise
         if t > 1.0 + 1e-9:
@@ -122,7 +116,8 @@ def angle_for_shift(ctx: CriterionContext, t: float) -> float:
     """Inverse of shift_for_angle on (0, 1]."""
     if not 0.0 < t <= 1.0 + 1e-12:
         raise ArgumentOutOfRange(f"shift {t!r} outside (0, 1]")
-    return math.atan2(ctx.y, ctx.x + min(t, 1.0))
+    z = ctx.z
+    return math.atan2(z.imag, z.real + (1.0 if t > 1.0 else t))
 
 
 def log_modulus_ratio(ctx: CriterionContext, u: float) -> float:
@@ -202,14 +197,16 @@ def solve_criterion(
         # equal shifts t = 1 - a.
         return (t_bar, t_bar, t_bar, t_bar)
 
+    z = ctx.z
+
     def path_sum(s: float) -> tuple[float, float, float]:
         # log-moduli from the shifts themselves; the angle form cancels once t_4 << |x|
         t4 = math.exp(s)
         if t4 == 0.0:
             raise NoConvergence(f"required shift underflows for {ctx.lam!r}")
         t123 = shift_for_angle(ctx, (_TWO_PI - angle_for_shift(ctx, t4)) / 3.0)
-        value = 3.0 * (math.log(abs(ctx.z + t123)) - math.log(t123))
-        return value + math.log(abs(ctx.z + t4)) - s, t123, t4
+        value = 3.0 * (math.log(abs(z + t123)) - math.log(t123))
+        return value + math.log(abs(z + t4)) - s, t123, t4
 
     s_neg, neg = math.log(1.0 - a), (base, t_bar, t_bar)  # the barycenter: base < 0
     if ctx.regime is Regime.TIGHT:

@@ -18,7 +18,10 @@ Cardano's closed-form roots, each moved by a tiny asymmetric spread, and
 refined by Aberth's simultaneous iteration (Math. Comp. 27, 1973) with
 ``p`` and ``p'`` evaluated in the product form above.  Away from clustered
 roots the seeds are already accurate, and two steps suffice: one to reach
-full accuracy and one to confirm it.
+full accuracy and one to confirm it.  Each step is one loop over the three
+roots on local names; coincident iterates raise SpectrumFailure, and the
+guard evaluates each defect in ``eigen_residual``'s product order, so it
+accepts exactly the roots ``eigen_residual`` would.
 ``sampling.bulk_spectra`` runs the same algorithm on whole arrays; the seed
 constants and the cubic-factor coefficients below are shared with it.  A
 dense determinant expansion exists only as a test oracle.
@@ -82,6 +85,11 @@ class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
     def __new__(cls, alpha):
         if len(alpha) != 4:
             raise ParameterOutOfRange(len(alpha), float("nan"))
+        a1, a2, a3, a4 = alpha
+        if (type(a1) is type(a2) is type(a3) is type(a4) is float
+                and 0.0 <= a1 < 1.0 and 0.0 <= a2 < 1.0 and 0.0 <= a3 < 1.0 and 0.0 <= a4 < 1.0):
+            return tuple.__new__(cls, ((a1, a2, a3, a4),))
+        # slow path: convert ints and float subclasses, or name the bad parameter
         for k, value in enumerate(alpha, start=1):
             # the range test also rejects NaN and infinities
             if isinstance(value, bool) or not (
@@ -120,13 +128,10 @@ def eigen_residual(m: CycleMatrix4, lam: complex) -> float:
     Zero exactly when ``lam`` is an eigenvalue; used everywhere as the
     membership certificate for claimed eigenvalues.
     """
+    a1, a2, a3, a4 = m.alpha
     lam = complex(lam)
-    left = 1.0 + 0.0j
-    right = 1.0
-    for a in m.alpha:
-        left *= lam - a
-        right *= 1.0 - a
-    return abs(left - right)
+    hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
+    return abs((lam - a1) * (lam - a2) * (lam - a3) * (lam - a4) - hop)
 
 
 def spectrum(
@@ -138,57 +143,74 @@ def spectrum(
     and an exact conjugate pair; roots within ``tol.boundary_band`` of the
     real axis are snapped onto it.  At most ``tol.max_iter`` Aberth steps
     are taken.  Raises SpectrumFailure if any root has an eigen-defect above
-    ``tol.eigen_residual``.
+    ``tol.eigen_residual``, or if two iterates coincide.
     """
     a1, a2, a3, a4 = m.alpha
     hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
     c2, c1, c0 = _cubic_factor(a1, a2, a3, a4)
-    offsets = _cardano_offsets(c2, c1, c0)
-    size = max(math.sqrt(max(d.real * d.real + d.imag * d.imag for d in offsets)), _SEED_FLOOR)
-    z = [-c2 / 3.0 + d + k * size for d, k in zip(offsets, _SEED_SPREAD)]
+    d0, d1, d2 = _cardano_offsets(c2, c1, c0)
+    size = max(math.sqrt(max(d0.real * d0.real + d0.imag * d0.imag,
+                             d1.real * d1.real + d1.imag * d1.imag,
+                             d2.real * d2.real + d2.imag * d2.imag)), _SEED_FLOOR)
+    centre = -c2 / 3.0
+    s0, s1, s2 = _SEED_SPREAD
+    z = [centre + d0 + s0 * size, centre + d1 + s1 * size, centre + d2 + s2 * size]
     # Aberth's correction for each root of p counts the pinned root 1 among
     # the others.  Iteration stops once every root either moves by at most
     # 4 ulp or has |p| at the rounding-noise floor of the product form; a
-    # root whose step is not finite stays where it is.
-    for _ in range(tol.max_iter):
-        z0, z1, z2 = z
-        settled = True
-        try:
+    # root whose step is not finite stays where it is, unsettled.
+    near, noise, isfinite = 4.0 * _EPS, 16.0 * _EPS, cmath.isfinite
+    try:
+        for _ in range(tol.max_iter):
+            z0, z1, z2 = z
             i01, i02, i12 = 1.0 / (z0 - z1), 1.0 / (z0 - z2), 1.0 / (z1 - z2)
-            pairs = (i01 + i02, i12 - i01, -(i02 + i12))
-            for k, (zk, others) in enumerate(zip((z0, z1, z2), pairs)):
+            settled = True
+            z = []
+            for zk, others in ((z0, i01 + i02), (z1, i12 - i01), (z2, -(i02 + i12))):
                 d0, d1, d2, d3 = zk - a1, zk - a2, zk - a3, zk - a4
                 left, right = d0 * d1, d2 * d3
                 prod = left * right
                 value = prod - hop
                 slope = (d0 + d1) * right + left * (d2 + d3)
                 step = value / (slope - value * (1.0 / (zk - 1.0) + others))
-                if cmath.isfinite(step):
-                    z[k] = zk - step
-                    moved = abs(step) <= 4.0 * _EPS * abs(zk)
-                    settled &= moved or abs(value) <= 16.0 * _EPS * (abs(prod) + hop)
-        except ZeroDivisionError:  # coincident iterates: keep the current ones
-            break
-        if settled:
-            break
+                finite = isfinite(step)
+                z.append(zk - step if finite else zk)
+                if not (finite and (abs(step) <= near * abs(zk) or abs(value) <= noise * (abs(prod) + hop))):
+                    settled = False
+            if settled:
+                break
+    except ZeroDivisionError:  # coincident iterates, the pinned root 1 among them
+        raise SpectrumFailure(f"Aberth iterates of {m.alpha} coincide") from None
 
-    real, u, v = sorted(z, key=lambda r: abs(r.imag))
-    real = complex(real.real, 0.0)
-    pair_im = 0.5 * (abs(u.imag) + abs(v.imag))
+    # The root of least |Im| (the first such, as a stable sort takes it) is
+    # the real root; the other two form the pair.
+    z0, z1, z2 = z
+    k0, k1, k2 = abs(z0.imag), abs(z1.imag), abs(z2.imag)
+    if k0 <= k1 and k0 <= k2:
+        real, u, v, ku, kv = z0.real, z1, z2, k1, k2
+    elif k1 <= k2:
+        real, u, v, ku, kv = z1.real, z0, z2, k0, k2
+    else:
+        real, u, v, ku, kv = z2.real, z0, z1, k0, k1
+    pair_im = 0.5 * (ku + kv)
     if pair_im <= tol.boundary_band:
-        pair = [complex(u.real, 0.0), complex(v.real, 0.0)]
-        distinct = (real, *pair)
+        if kv < ku:
+            u, v = v, u
+        distinct = (real, u.real, v.real)
+        roots = [(1.0, 0.0), (real, 0.0), (u.real, 0.0), (v.real, 0.0)]
     else:
         pair_re = 0.5 * (u.real + v.real)
-        pair = [complex(pair_re, -pair_im), complex(pair_re, pair_im)]
-        distinct = (real, pair[1])
-    # Each distinct defect is checked once: at 1 it is exactly 0, since every
-    # product keeps a zero imaginary part, and a conjugate's equals its
-    # partner's, since complex *, - and abs are exact under conjugation.
+        distinct = (real, complex(pair_re, pair_im))
+        roots = [(1.0, 0.0), (real, 0.0), (pair_re, -pair_im), (pair_re, pair_im)]
+    # Each distinct defect is checked once, in the product order of
+    # ``eigen_residual`` and so bit for bit equal to it (floats give a real
+    # root's): at 1 it is exactly 0, and a conjugate's equals its partner's,
+    # since complex *, - and abs are exact under conjugation.
     for r in distinct:
-        if eigen_residual(m, r) > tol.eigen_residual:
-            raise SpectrumFailure(f"root {r!r} of {m.alpha} violates the residual contract")
-    return tuple(sorted((complex(1.0, 0.0), real, *pair), key=lambda r: (r.real, r.imag)))
+        if abs((r - a1) * (r - a2) * (r - a3) * (r - a4) - hop) > tol.eigen_residual:
+            raise SpectrumFailure(f"root {complex(r)!r} of {m.alpha} violates the residual contract")
+    roots.sort()  # by (re, im), as the pairs compare
+    return (complex(*roots[0]), complex(*roots[1]), complex(*roots[2]), complex(*roots[3]))
 
 
 def _cardano_offsets(c2: float, c1: float, c0: float) -> tuple[complex, complex, complex]:

@@ -89,7 +89,8 @@ def _aberth(z: np.ndarray, a: np.ndarray, hop: np.ndarray, max_iter: int) -> np.
 
     Aberth's correction for each root of ``p`` counts the pinned root 1 among
     the others.  A row freezes once every root either moves by less than a
-    few ulps or has ``|p|`` at the rounding-noise floor of its product form.
+    few ulps or has ``|p|`` at the rounding-noise floor of its product form;
+    a root whose step is not finite stays where it is, unsettled.
     """
     idx = np.arange(z.shape[1])
     zs, al, hp = z, a, hop
@@ -113,7 +114,7 @@ def _aberth(z: np.ndarray, a: np.ndarray, hop: np.ndarray, max_iter: int) -> np.
             floor = np.abs(value) <= 16.0 * _EPS * (np.abs(prod) + hp)
             ok = np.isfinite(step)
             zs = np.where(ok, zs - step, zs)
-            done = ((moved | floor) | ~ok).all(axis=0)
+            done = ((moved | floor) & ok).all(axis=0)
             if done.any():
                 z[:, idx[done]] = zs[:, done]
                 keep = ~done

@@ -63,29 +63,32 @@ def bracketed_zero(f, x_neg, r_neg, x_pos, r_pos, stop, max_iter):
     ``max_iter`` evaluations; returns ``(x, f(x))`` with the smallest
     |value| seen, the ends included.
     """
-    best = min((x_neg, r_neg), (x_pos, r_pos), key=lambda e: abs(e[1][0]))
     v_neg, v_pos = r_neg[0], r_pos[0]
+    best, best_abs = (x_neg, r_neg), abs(v_neg)
+    if abs(v_pos) < best_abs:
+        best, best_abs = (x_pos, r_pos), abs(v_pos)
     last = 0  # +1 / -1: the last step replaced the positive / negative end
     budget = 8.0 * abs(x_pos - x_neg)
     for n in range(max_iter):
-        if abs(best[1][0]) <= stop:
+        if best_abs <= stop:
             break
         mid = 0.5 * (x_neg + x_pos)
         if mid == x_neg or mid == x_pos:
             break  # the bracket holds adjacent floats
         x = x_neg - v_neg * (x_pos - x_neg) / (v_pos - v_neg)
-        inside = min(x_neg, x_pos) < x < max(x_neg, x_pos)
+        inside = x_neg < x < x_pos or x_pos < x < x_neg
         if not inside or abs(x_pos - x_neg) > budget * 0.5 ** (n / 2):
             x = mid
         r = f(x)
-        if abs(r[0]) < abs(best[1][0]):
-            best = (x, r)
-        if r[0] > 0.0:
+        value = r[0]
+        if abs(value) < best_abs:
+            best, best_abs = (x, r), abs(value)
+        if value > 0.0:
             if last > 0:
                 v_neg *= 0.5
-            x_pos, v_pos, last = x, r[0], 1
+            x_pos, v_pos, last = x, value, 1
         else:
             if last < 0:
                 v_pos *= 0.5
-            x_neg, v_neg, last = x, r[0], -1
+            x_neg, v_neg, last = x, value, -1
     return best

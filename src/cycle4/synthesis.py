@@ -19,6 +19,7 @@ from .errors import (
     AlphaOutOfRange,
     BracketFailure,
     LowerHalfPlane,
+    NoConvergence,
     NonrealRequired,
     NotInterior,
     NotOnCurve,
@@ -157,7 +158,9 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
     Dispatches on the membership verdict: real interval, right segment,
     left curve, or interior (ray hit plus shrink).  Lower half-plane
     targets are realized through their conjugate; the matrix is real, so it
-    serves both.  Raises OutsideRegion for points outside the region.
+    serves both.  Raises OutsideRegion for points outside the region, and
+    NoConvergence, as ``solve_criterion`` does for its own defect, when the
+    construction misses the ``tol.eigen_residual`` contract.
     """
     lam = complex(lam)
     verdict = membership(lam, tol)
@@ -198,9 +201,7 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
 
     residual = eigen_residual(matrix, lam)
     if residual >= tol.eigen_residual:
-        raise OutsideRegion(
-            f"construction for {lam!r} missed the residual contract: {residual}"
-        )
+        raise NoConvergence(f"construction for {lam!r} missed the residual contract: {residual}")
     return Realization(matrix, lam, method, mu, l, residual)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from cycle4 import Status, left_boundary_form, make_context, membership
+from cycle4 import Cycle4Error, Status, left_boundary_form, make_context, membership, realize
 from cycle4.criterion import Regime
 
 
@@ -80,3 +80,25 @@ def oracle_roots(alpha) -> list:
             coeffs = [c - a * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
         coeffs[-1] -= mpmath.fprod(1 - mpmath.mpf(a) for a in alpha)
         return mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+
+
+def clustered_rows() -> list[tuple[tuple[float, ...], float]]:
+    """(alpha, b) pairs: equal and near-equal parameters, and the near-axis
+    matrices ``realize`` builds, whose spectra hold a triple cluster."""
+    one = 1.0 - 2.0**-53
+    rows = [
+        ((0.5,) * 4, 0.0),
+        ((0.0,) * 4, 0.0),
+        ((0.99999, 0.99999, 0.5, 0.5), 0.0),
+        # three parameters within 1e-8 of 1: a root pair 2.5e-9 apart
+        # sitting 6e-11 from the pinned root
+        ((0.01332988124137724, 0.9999999999959326, 0.999999997467337, 0.9999999999456344), 0.0),
+        ((one, one, one, 0.5), 0.0),
+    ]
+    for a in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+        for b in (1e-2, 1e-3, 1e-4, 1e-5, 5e-6, 2e-6):
+            try:
+                rows.append((realize(complex(a, b)).matrix.alpha, b))
+            except Cycle4Error:
+                continue
+    return rows

@@ -101,6 +101,14 @@ class TestRealize:
         assert code == 4
 
     @pytest.mark.parametrize("method", ["auto", "criterion"])
+    def test_residual_miss_is_a_construction_failure(self, capsys, method):
+        # an interior point whose construction misses a tolerance tighter
+        # than double precision is no outside-region verdict
+        code = main(["realize", "0.2", "0.3", "--tol-residual", "1e-17", "--method", method])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["auto", "criterion"])
     @pytest.mark.parametrize("re", ["0.0913", "-0.5"])
     def test_real_by_band(self, capsys, re, method):
         # 0 < b < band: membership calls the point real, so both routes

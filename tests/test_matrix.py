@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
+from conftest import clustered_rows
 
 from cycle4 import (
     CycleMatrix4,
@@ -18,6 +20,7 @@ from cycle4 import (
     spectrum,
     trace_left_curve,
 )
+from cycle4 import matrix, sampling
 from cycle4.sampling import bulk_spectra
 
 
@@ -93,6 +96,21 @@ class TestConstruction:
         assert err.value.index == k
         assert err.value.value is bad
 
+    def test_numeric_types_stored_as_exact_floats(self):
+        m = make_cycle_matrix(np.float64(0.1), 0, np.float64(0.3), 0.4)
+        assert m.alpha == (0.1, 0.0, 0.3, 0.4)
+        assert all(type(a) is float for a in m.alpha)
+        assert make_cycle_matrix(0.1, 0.2, 0.3, 0.4).alpha == (0.1, 0.2, 0.3, 0.4)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rejects_bool_among_numpy_floats(self, k):
+        alpha = [np.float64(0.5)] * 4
+        alpha[k - 1] = True
+        with pytest.raises(ParameterOutOfRange) as err:
+            make_cycle_matrix(*alpha)
+        assert err.value.index == k
+        assert err.value.value is True
+
     def test_json_round_trip(self):
         m = make_cycle_matrix(0.1, 0.2, 0.3, 0.4)
         assert m.to_dict() == {"alpha": [0.1, 0.2, 0.3, 0.4]}
@@ -166,6 +184,25 @@ class TestSpectrum:
             assert abs(total.real - alpha.sum()) < 1e-8
             assert abs(total.imag) < 1e-8
 
+    def test_coincident_iterates_raise(self, monkeypatch):
+        # All three seeds forced onto the centroid: the roots would stay
+        # unrefined there, and their defect (about 1e-12) passes the guard.
+        monkeypatch.setattr(matrix, "_cardano_offsets", lambda c2, c1, c0: (0j, 0j, 0j))
+        monkeypatch.setattr(matrix, "_SEED_FLOOR", 0.0)
+        with pytest.raises(SpectrumFailure, match="coincide"):
+            spectrum(make_cycle_matrix(0.999, 0.999, 0.999, 0.999))
+
+    def test_non_finite_step_leaves_bulk_row_unsettled(self, monkeypatch):
+        # The same coincident seeds in the bulk kernel: every step of the
+        # row is non-finite, so the row runs to the cap instead of freezing.
+        monkeypatch.setattr(sampling, "_cardano_offsets", lambda c2, c1, c0: np.zeros((3, c2.size), complex))
+        monkeypatch.setattr(sampling, "_SEED_FLOOR", 0.0)
+        steps = []  # the kernel tests its steps with one np.isfinite call each
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: steps.append(x.shape) or isfinite(x))
+        bulk_spectra(np.full((1, 4), 0.999), Tolerance(max_iter=7))
+        assert len(steps) == 7
+
     @pytest.mark.parametrize("max_iter", [1, 200])
     def test_guard_raises_iff_some_root_misses_the_bound(self, max_iter):
         rng = np.random.default_rng(17)
@@ -186,15 +223,20 @@ class TestSpectrum:
 
 
 @pytest.fixture(scope="module")
-def grid_matrices():
-    """Both routes' matrices for every interior point of the 60x60 grid."""
+def grid_realizations():
+    """Both routes' realizations of every interior point of the 60x60 grid."""
     out = []
     for i in range(60):
         for j in range(60):
             lam = complex(i / 60, (j + 1) / 60)
             if membership(lam).status is Status.INSIDE_NONREAL:
-                out += [realize(lam).matrix, realize_via_criterion(lam).matrix]
+                out += [realize(lam), realize_via_criterion(lam)]
     return out
+
+
+@pytest.fixture(scope="module")
+def grid_matrices(grid_realizations):
+    return [found.matrix for found in grid_realizations]
 
 
 class TestStepCount:
@@ -227,3 +269,35 @@ class TestEigenResidual:
     def test_off_spectrum_value(self):
         m = make_cycle_matrix(0.5, 0.5, 0.5, 0.5)
         assert eigen_residual(m, 0.9) == pytest.approx(abs(0.4**4 - 0.5**4), abs=1e-10)
+
+
+def _digest(floats) -> str:
+    """sha256 over ``float.hex`` of each float, in order."""
+    h = hashlib.sha256()
+    for x in floats:
+        h.update(x.hex().encode() + b",")
+    return h.hexdigest()
+
+
+def _root_parts(rows):
+    for alpha in rows:
+        for r in spectrum(make_cycle_matrix(*alpha)):
+            yield r.real
+            yield r.imag
+
+
+class TestBitPin:
+    """Outputs pinned bit for bit.  A deliberate numeric change must update
+    the digest it moves and say so in CHANGES.md."""
+
+    def test_spectrum_random_rows(self):
+        rows = np.random.default_rng(2026).random((2000, 4))
+        assert _digest(_root_parts(rows)) == "8207bf6e2eed5af39481e0741f31597aeec76864b416cae842f95bdc58baae4a"
+
+    def test_spectrum_clustered_rows(self):
+        rows = [alpha for alpha, _ in clustered_rows()]
+        assert _digest(_root_parts(rows)) == "2f5ac586735ec98e76b135a92d84f10e05824499e6e99373c20a984df9ca4c97"
+
+    def test_both_routes_over_grid(self, grid_realizations):
+        floats = [x for found in grid_realizations for x in (*found.matrix.alpha, found.residual)]
+        assert _digest(floats) == "8007a1390ae1f8f66e204b4d56142eee5c850c611114eb7f766af5c82f75d8c0"

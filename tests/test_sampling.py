@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from conftest import off_left_curve, oracle_roots
+from conftest import clustered_rows, off_left_curve, oracle_roots
 
 from cycle4 import (
-    Cycle4Error,
     Status,
     Tolerance,
     make_cycle_matrix,
     membership,
-    realize,
     spectrum,
     trace_left_curve,
 )
@@ -48,28 +46,6 @@ class TestParameterSampling:
             sample_parameters(3, seed)
 
 
-def _clustered_rows() -> list[tuple[tuple[float, ...], float]]:
-    """(alpha, b) pairs: equal and near-equal parameters, and the near-axis
-    matrices ``realize`` builds, whose spectra hold a triple cluster."""
-    one = 1.0 - 2.0**-53
-    rows = [
-        ((0.5,) * 4, 0.0),
-        ((0.0,) * 4, 0.0),
-        ((0.99999, 0.99999, 0.5, 0.5), 0.0),
-        # three parameters within 1e-8 of 1: a root pair 2.5e-9 apart
-        # sitting 6e-11 from the pinned root
-        ((0.01332988124137724, 0.9999999999959326, 0.999999997467337, 0.9999999999456344), 0.0),
-        ((one, one, one, 0.5), 0.0),
-    ]
-    for a in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
-        for b in (1e-2, 1e-3, 1e-4, 1e-5, 5e-6, 2e-6):
-            try:
-                rows.append((realize(complex(a, b)).matrix.alpha, b))
-            except Cycle4Error:
-                continue
-    return rows
-
-
 def _assert_match_oracle(rows, spectra) -> None:
     """Every root within max(b/100, 1e-13) of a 60-digit root, both ways."""
     assert len(rows) > 30
@@ -93,11 +69,11 @@ class TestBulkSolvers:
                 assert min(abs(r - s) for s in scalar) < 1e-14
 
     def test_clustered_spectra_match_oracle(self):
-        rows = _clustered_rows()
+        rows = clustered_rows()
         _assert_match_oracle(rows, bulk_spectra(np.array([alpha for alpha, _ in rows])))
 
     def test_clustered_scalar_spectra_match_oracle(self):
-        rows = _clustered_rows()
+        rows = clustered_rows()
         _assert_match_oracle(rows, [spectrum(make_cycle_matrix(*alpha)) for alpha, _ in rows])
 
     def test_rows_are_conjugation_closed(self):

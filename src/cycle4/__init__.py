@@ -1,8 +1,8 @@
 """Spectral region of 4-cycle row-stochastic matrices.
 
 Decides membership of complex numbers in the region, constructs realizing
-matrices for admissible points, and verifies the underlying algebraic
-identities in exact arithmetic.
+matrices for admissible points, and proves the underlying algebraic
+identities on the region's own forms in exact arithmetic.
 
 Submodules load on first use: ``import cycle4`` loads none of them, and
 ``cycle4.realize`` (or ``from cycle4 import realize``) imports only
@@ -19,8 +19,7 @@ _EXPORTS = {
     "FeasibilityViolation InfeasiblePoint LowerHalfPlane NoConvergence NonrealRequired "
     "NotInterior NotOnCurve NotRealizable OutsideRegion ParameterOutOfRange "
     "ShrinkOutOfRange SpectrumFailure",
-    "identities": "BivarPoly IdentityResult left_boundary_poly modulus_threshold_poly "
-    "verify_identity_suite",
+    "identities": "IdentityResult verify_identity_suite",
     "matrix": "CycleMatrix4 eigen_residual make_cycle_matrix spectrum",
     "region": "RegionVerdict Status left_boundary_form left_branch_root membership "
     "modulus_threshold trace_left_curve trace_right_segment",

@@ -27,10 +27,13 @@ def left_boundary_form(a, b):
     """Implicit form of the curved left boundary: (b^2+a^2+a)^2 + 2a^2 - b^2.
 
     Nonnegative exactly on the admissible side; even in b.  Accepts floats
-    or numpy arrays.
+    or numpy arrays, and ints or rationals, on which it is exact.  Its int
+    constants convert exactly in float products, so float results match
+    float constants bit for bit.  ``identities`` proves its algebra on this
+    very function.
     """
     s = b * b + a * a + a
-    return s * s + 2.0 * a * a - b * b
+    return s * s + 2 * a * a - b * b
 
 
 def modulus_threshold(a, b):
@@ -39,7 +42,7 @@ def modulus_threshold(a, b):
     Linked to the left boundary by the factorisation
     |lam|^6 - modulus_threshold(a, b) = ((a-1)^2 + b^2) * left_boundary_form(a, b).
     """
-    return 4.0 * a**3 - 3.0 * a * a - 4.0 * a * b * b + b * b
+    return 4 * a**3 - 3 * a * a - 4 * a * b * b + b * b
 
 
 class Status(str, Enum):  # position = code in sampling.classify_points

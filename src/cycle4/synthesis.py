@@ -210,13 +210,13 @@ def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> R
 
     An independent route to the same spectrum membership as ``realize``;
     the matrices generally differ.  The criterion needs b > 0, and its
-    weights round onto 1 as b shrinks, so a target with 0 < |b| below the
-    band that membership counts as real gets the real-interval matrix, as
-    in ``realize``.  An exactly real target raises NonrealRequired.
+    weights round onto 1 as b shrinks, so a target with |b| below the band
+    that membership counts as real gets the real-interval matrix, as in
+    ``realize``.
     """
     lam = complex(lam)
     work = lam if lam.imag >= 0.0 else lam.conjugate()
-    if 0.0 < work.imag < tol.boundary_band and membership(lam, tol).status in _REAL_STATUSES:
+    if work.imag < tol.boundary_band and membership(lam, tol).status in _REAL_STATUSES:
         matrix, method = _real_interval_matrix(work.real), Method.REAL_INTERVAL
     else:
         shifts = criterion.solve_criterion(criterion.make_context(work), tol)

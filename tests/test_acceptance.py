@@ -25,20 +25,17 @@ import pytest
 
 from conftest import sample_feasible_angles, sample_inside_nonreal, sample_tight
 from cycle4 import (
-    BivarPoly,
     Status,
     criterion_max,
     criterion_sum,
     eigen_residual,
     left_boundary_form,
-    left_boundary_poly,
     left_branch_root,
     log_modulus_ratio,
     make_context,
     make_cycle_matrix,
     membership,
     modulus_threshold,
-    modulus_threshold_poly,
     realize,
     solve_criterion,
     spectrum,
@@ -47,11 +44,8 @@ from cycle4 import (
 )
 from cycle4.cli import main as cli_main
 from cycle4.criterion import Regime
-from cycle4.identities import complex_powers
+from cycle4.identities import GRID, grid_witness
 from cycle4.sampling import classify_points, sample_records
-
-A = BivarPoly.variable("a")
-B = BivarPoly.variable("b")
 
 
 def test_criterion_1_exact_identities():
@@ -60,39 +54,43 @@ def test_criterion_1_exact_identities():
     assert all(r.ok for r in results), [r.status for r in results]
     assert len(results) == 8
 
-    # one targeted mutation per identity; every one must surface
-    g = left_boundary_poly()
-    n = modulus_threshold_poly()
-    s = B
-    modulus6 = (A**2 + B**2) ** 3
-    re3, im3 = complex_powers(3)[3]
-    re4, im4 = complex_powers(4)[4]
-    imag_part = im4 * (re3 - 1) - (re4 - 1) * im3
+    # one targeted mutation per identity; every one must surface as a
+    # nonzero value on the grid
+    g, n = left_boundary_form, modulus_threshold
+
+    def modulus6(a, b):
+        return (a**2 + b**2) ** 3
+
+    def imag_part(a, b):
+        re3, im3 = a**3 - 3 * a * b**2, 3 * a**2 * b - b**3
+        re4, im4 = a**4 - 6 * a**2 * b**2 + b**4, 4 * a**3 * b - 4 * a * b**3
+        return im4 * (re3 - 1) - (re4 - 1) * im3
+
     mutated = {
-        "I1": g
-        - (s**2 + s * (2 * A**2 + 2 * A + 1) + (A**2 + A) ** 2 + 2 * A**2).substitute(
-            "b", B**2
-        ),
-        "I2": (2 * A**2 + 2 * A - 1) ** 2
-        - 4 * ((A**2 + A) ** 2 + 2 * A**2)
-        + (2 * A + 1) * (6 * A + 1),
-        "I3": (1 - 2 * A - 8 * A**2) ** 2
-        - (2 * A + 1) * (1 - 6 * A)
-        - 33 * A**3
-        - 64 * A**4,
-        "I4": (1 - 6 * A + 16 * A**3) ** 2
-        - (1 - 4 * A) ** 2 * (2 * A + 1) * (1 - 6 * A)
-        - 255 * A**6,
-        "I5": modulus6 - n - ((A - 1) ** 2 + B**2) * (g + 1),
-        "I6": imag_part - B * (modulus6 - (n + A)),
-        "I7": (3 * A**2 * B - B**3) * (3 * B**2 - A**2)
-        + B * (B**2 - 3 * A**2) * (A**2 - 3 * B**2),
-        "I8": 3 * B * (A**2 + B**2) - 3 * B**3 - B * (3 * A**2 - B**2),
+        "I1": lambda a, b: g(a, b)
+        - (b**4 + b**2 * (2 * a**2 + 2 * a + 1) + (a**2 + a) ** 2 + 2 * a**2),
+        "I2": lambda a, b: (2 * a**2 + 2 * a - 1) ** 2
+        - 4 * ((a**2 + a) ** 2 + 2 * a**2)
+        + (2 * a + 1) * (6 * a + 1),
+        "I3": lambda a, b: (1 - 2 * a - 8 * a**2) ** 2
+        - (2 * a + 1) * (1 - 6 * a)
+        - 33 * a**3
+        - 64 * a**4,
+        "I4": lambda a, b: (1 - 6 * a + 16 * a**3) ** 2
+        - (1 - 4 * a) ** 2 * (2 * a + 1) * (1 - 6 * a)
+        - 255 * a**6,
+        "I5": lambda a, b: modulus6(a, b) - n(a, b) - ((a - 1) ** 2 + b**2) * (g(a, b) + 1),
+        "I6": lambda a, b: imag_part(a, b) - b * (modulus6(a, b) - (n(a, b) + a)),
+        "I7": lambda a, b: (3 * a**2 * b - b**3) * (3 * b**2 - a**2)
+        + b * (b**2 - 3 * a**2) * (a**2 - 3 * b**2),
+        "I8": lambda a, b: 3 * b * (a**2 + b**2) - 3 * b**3 - b * (3 * a**2 - b**2),
     }
     for ident, residual in mutated.items():
-        assert not residual.is_zero(), f"mutation of {ident} went undetected"
-    # the canonical mutation leaves exactly the cofactor behind
-    assert mutated["I5"] == -(((A - 1) ** 2) + B**2)
+        assert grid_witness((residual,)) is not None, f"mutation of {ident} went undetected"
+    # the canonical mutation leaves exactly the cofactor behind: equality on
+    # the 13 x 13 grid of two polynomials of degree <= 6 in each variable
+    # is polynomial equality
+    assert all(mutated["I5"](a, b) == -((a - 1) ** 2 + b**2) for a, b in GRID)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

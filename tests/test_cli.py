@@ -70,6 +70,13 @@ class TestRealize:
         code, _ = run(capsys, "realize", "0", "0.05")
         assert code == 3
 
+    @pytest.mark.parametrize("method", ["auto", "criterion"])
+    @pytest.mark.parametrize("re", ["2", "-1.5"])
+    def test_real_outside_interval(self, capsys, re, method):
+        code, out = run(capsys, "realize", "--method", method, "--", re, "0")
+        assert code == 3
+        assert json.loads(out)["status"] == "Outside"
+
     @pytest.mark.parametrize("re", ["-1.0000000005", "1.0000000005"])
     def test_real_endpoint_just_past_band(self, capsys, re):
         code, out = run(capsys, "realize", "--", re, "0")
@@ -95,11 +102,6 @@ class TestRealize:
         assert payload["method"] == "CriterionSolver"
         assert payload["residual"] < 1e-8
 
-    def test_construction_failure_exit_code(self, capsys):
-        # the criterion route needs a nonreal target
-        code, _ = run(capsys, "realize", "0.7", "0", "--method", "criterion")
-        assert code == 4
-
     @pytest.mark.parametrize("method", ["auto", "criterion"])
     def test_residual_miss_is_a_construction_failure(self, capsys, method):
         # an interior point whose construction misses a tolerance tighter
@@ -109,11 +111,15 @@ class TestRealize:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("method", ["auto", "criterion"])
-    @pytest.mark.parametrize("re", ["0.0913", "-0.5"])
-    def test_real_by_band(self, capsys, re, method):
-        # 0 < b < band: membership calls the point real, so both routes
-        # return the real-interval matrix
-        code, out = run(capsys, "realize", re, "5e-10", "--method", method)
+    @pytest.mark.parametrize("re, im", [
+        pytest.param("0.0913", "5e-10", id="0.0913"),
+        pytest.param("-0.5", "5e-10", id="-0.5"),
+        pytest.param("0.7", "0", id="0.7-exactly-real"),
+    ])
+    def test_real_by_band(self, capsys, re, im, method):
+        # b < band: membership calls the point real, so both routes return
+        # the real-interval matrix
+        code, out = run(capsys, "realize", re, im, "--method", method)
         assert code == 0
         payload = json.loads(out)
         assert payload["method"] == "RealInterval"
@@ -312,6 +318,20 @@ class TestPsi:
         code, _ = run(capsys, "psi", "0.5", "0")
         assert code == 4
 
+# stdout of `cycle4 verify` when every identity holds, recorded before the
+# grid proof replaced the polynomial engine
+VERIFY_OUTPUT = """\
+I1  left boundary form as a quadratic in s = b^2                            ZeroPolynomial
+I2  discriminant of the quadratic in s                                      ZeroPolynomial
+I3  smaller quadratic root exceeds 3a^2 (squared comparison)                ZeroPolynomial
+I4  smaller quadratic root exceeds the threshold zero (squared comparison)  ZeroPolynomial
+I5  |lam|^6 - threshold factors through the left boundary form              ZeroPolynomial
+I6  imaginary part of (lam^4 - 1)(conj(lam)^3 - 1)                          ZeroPolynomial
+I7  triple-angle tangent, cross-multiplied                                  ZeroPolynomial
+I8  triple-angle sine and cosine expansions                                 ZeroPolynomial
+identities: 8/8 zero
+"""
+
 
 class TestVerify:
     def test_all_identities(self, capsys):
@@ -319,6 +339,26 @@ class TestVerify:
         assert code == 0
         assert out.count("ZeroPolynomial") == 8
         assert "identities: 8/8 zero" in out
+
+    def test_output_bytes(self, capsys):
+        code, out = run(capsys, "verify")
+        assert code == 0
+        assert out == VERIFY_OUTPUT
+
+    def test_mutated_region_constant_fails(self, capsys, monkeypatch):
+        # verify proves the region's own form: a wrong coefficient in it
+        # (3a^2 for 2a^2) must fail, with the grid point that shows it
+        def mutated(a, b):
+            s = b * b + a * a + a
+            return s * s + 3 * a * a - b * b
+
+        monkeypatch.setattr(region, "left_boundary_form", mutated)
+        code, out = run(capsys, "verify")
+        assert code == 4
+        failed = [line for line in out.splitlines() if "Failed(" in line]
+        assert [line.split()[0] for line in failed] == ["I1", "I5"]
+        assert failed[0].endswith("Failed(a=-6, b=-6, value=36)")
+        assert "identities: 6/8 zero" in out
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -5,79 +6,31 @@ import numpy as np
 import pytest
 
 from cycle4 import (
-    BivarPoly,
     left_boundary_form,
-    left_boundary_poly,
     modulus_threshold,
-    modulus_threshold_poly,
+    region,
     verify_identity_suite,
 )
-from cycle4.identities import complex_powers
+from cycle4.identities import GRID, IDENTITIES, grid_witness
 
-A = BivarPoly.variable("a")
-B = BivarPoly.variable("b")
+RESIDUALS = [(f"{ident}.{k}", residual) for ident, _, residuals in IDENTITIES
+             for k, residual in enumerate(residuals)]
+
+# rational lines (a0 + k da, b0 + k db) for the finite-difference guard
+LINES = [
+    (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
+    (Fraction(-3, 7), Fraction(2, 5), Fraction(3, 11), Fraction(-5, 13)),
+    (Fraction(5, 3), Fraction(-7, 2), Fraction(-2, 9), Fraction(1, 4)),
+]
 
 
-class TestBivarPoly:
-    def test_difference_of_squares(self):
-        assert (A + B) * (A - B) == A**2 - B**2
-
-    def test_substitute_square(self):
-        s = B
-        assert (s**2).substitute("b", B**2) == B**4
-
-    def test_substitute_mixed(self):
-        p = A * B + B**2
-        assert p.substitute("b", A + 1) == A * (A + 1) + (A + 1) ** 2
-
-    def test_zero_normalisation(self):
-        assert (A - A).is_zero()
-        assert BivarPoly({(1, 0): 0}).is_zero()
-        assert A + (-1) * A == BivarPoly()
-
-    def test_pow_basics(self):
-        assert A**0 == BivarPoly.constant(1)
-        assert (A + B) ** 2 == A**2 + 2 * A * B + B**2
-        with pytest.raises(ValueError):
-            A ** (-1)
-
-    def test_integer_mixing(self):
-        assert 2 * A + 1 == A + A + BivarPoly.constant(1)
-        assert (1 - A) == BivarPoly.constant(1) - A
-
-    def test_eval_left_form_at_half(self):
-        value = left_boundary_poly().evaluate(Fraction(1, 2), Fraction(1, 2))
-        assert value == Fraction(5, 4)
-
-    def test_eval_is_exact(self):
-        p = left_boundary_poly()
-        a, b = Fraction(3, 7), Fraction(5, 11)
-        s = b * b + a * a + a
-        assert p.evaluate(a, b) == s * s + 2 * a * a - b * b
-
-    def test_big_coefficients(self):
-        huge = (A + B) ** 40  # binomial coefficients overflow 64 bits
-        assert huge.coeffs[(20, 20)] == 137846528820
-
-    def test_complex_powers_square(self):
-        re2, im2 = complex_powers(2)[2]
-        assert re2 == A**2 - B**2
-        assert im2 == 2 * A * B
-
-    def test_matches_sympy_expansion(self):
-        sympy = pytest.importorskip("sympy")
-        a, b = sympy.symbols("a b")
-        mine = left_boundary_poly() * modulus_threshold_poly() - (A - 3 * B) ** 5
-        theirs = sympy.expand(
-            ((b**2 + a**2 + a) ** 2 + 2 * a**2 - b**2)
-            * (4 * a**3 - 3 * a**2 - 4 * a * b**2 + b**2)
-            - (a - 3 * b) ** 5
-        )
-        theirs_poly = sympy.Poly(theirs, a, b)
-        assert mine.degree() == theirs_poly.total_degree()
-        assert sum(1 for _ in theirs_poly.terms()) == len(mine.coeffs)
-        for (i, j), c in mine.coeffs.items():
-            assert theirs_poly.coeff_monomial(a**i * b**j) == c
+def finite_difference(residual, order, line):
+    """``order``-th forward difference of ``residual`` along ``line`` at
+    k = 0; zero exactly when the restriction has degree below ``order``."""
+    a0, b0, da, db = line
+    return sum((-1) ** (order - k) * math.comb(order, k) * residual(a0 + k * da, b0 + k * db)
+               for k in range(order + 1))
 
 
 class TestIdentitySuite:
@@ -89,65 +42,105 @@ class TestIdentitySuite:
         assert [r.ident for r in results] == [f"I{k}" for k in range(1, 9)]
         for r in results:
             assert r.ok, f"{r.ident}: {r.status}"
+            assert r.witness is None
             assert r.status == "ZeroPolynomial"
 
+    def test_grid_is_13_by_13(self):
+        assert len(GRID) == 169
+        assert {a for a, _ in GRID} == {b for _, b in GRID} == set(range(-6, 7))
+
     def test_degrees_bounded(self):
-        for r in verify_identity_suite():
-            for residual in r.residuals:
-                assert residual.degree() <= 12
+        # the 13th difference vanishing bounds the degree by 12, the premise
+        # that makes the 13 x 13 grid a proof; the true degree is at most 7
+        for name, residual in RESIDUALS:
+            for line in LINES:
+                assert finite_difference(residual, 13, line) == 0, (name, line)
+                assert finite_difference(residual, 8, line) == 0, (name, line)
+
+    def test_degree_guard_rejects_non_polynomials(self):
+        def kinked(a, b):
+            return abs(a) - a
+
+        # these two vanish on the whole grid, so only the guard tells them
+        # from a proved identity
+        def rounding(a, b):
+            return a - round(a)
+
+        def degree_13(a, b):
+            return math.prod(a - k for k in range(-6, 7))
+
+        assert grid_witness((kinked,)) == (-6, -6, 12)
+        assert grid_witness((rounding, degree_13)) is None
+        line = (Fraction(-1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11))
+        for residual in (kinked, rounding, degree_13):
+            assert finite_difference(residual, 13, line) != 0
+
+    def test_residuals_expand_to_zero_in_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        a, b = sympy.symbols("a b")
+        for name, residual in RESIDUALS:
+            assert sympy.expand(residual(a, b)) == 0, name
 
     def test_mutation_in_factorization_detected(self):
         # replacing the left form by form + 1 must leave exactly the
-        # cofactor -((a-1)^2 + b^2) behind
-        modulus6 = (A**2 + B**2) ** 3
-        mutated = modulus6 - modulus_threshold_poly() - ((A - 1) ** 2 + B**2) * (
-            left_boundary_poly() + 1
-        )
-        assert not mutated.is_zero()
-        assert mutated == -(((A - 1) ** 2) + B**2)
+        # cofactor -((a-1)^2 + b^2) behind; equality on the grid is
+        # polynomial equality, both sides having degree <= 6 in each variable
+        def mutated(a, b):
+            g = left_boundary_form(a, b) + 1
+            return (a**2 + b**2) ** 3 - modulus_threshold(a, b) - ((a - 1) ** 2 + b**2) * g
 
-    def test_mutations_detected_everywhere(self):
+        assert grid_witness((mutated,)) is not None
+        assert all(mutated(a, b) == -((a - 1) ** 2 + b**2) for a, b in GRID)
+
+    def test_mutations_detected_everywhere(self, monkeypatch):
         # bump one coefficient of each building block; no identity that
         # uses it may stay zero
-        base = left_boundary_poly()
-        tweaked = base + A * B
-        modulus6 = (A**2 + B**2) ** 3
-        residual = modulus6 - modulus_threshold_poly() - ((A - 1) ** 2 + B**2) * tweaked
-        assert not residual.is_zero()
+        form, threshold = region.left_boundary_form, region.modulus_threshold
+        monkeypatch.setattr(region, "left_boundary_form", lambda a, b: form(a, b) + a * b)
+        failed = {r.ident for r in verify_identity_suite() if not r.ok}
+        assert failed == {"I1", "I5"}
+        monkeypatch.setattr(region, "left_boundary_form", form)
+        monkeypatch.setattr(region, "modulus_threshold", lambda a, b: threshold(a, b) + a * b)
+        failed = {r.ident for r in verify_identity_suite() if not r.ok}
+        assert failed == {"I5", "I6"}
 
     def test_discriminant_hand_expansion(self):
         # (2a^2+2a-1)^2 = 4a^4+8a^3-4a+1; 4((a^2+a)^2+2a^2) = 4a^4+8a^3+12a^2;
-        # difference -12a^2-4a+1 = -(2a+1)(6a-1)
-        linear = 2 * A**2 + 2 * A - 1
-        assert linear**2 == 4 * A**4 + 8 * A**3 - 4 * A + 1
-        diff = linear**2 - 4 * ((A**2 + A) ** 2 + 2 * A**2)
-        assert diff == -((2 * A + 1) * (6 * A - 1))
+        # difference -12a^2-4a+1 = -(2a+1)(6a-1); degree 4 in a, checked on
+        # 13 integers
+        for a in range(-6, 7):
+            linear = 2 * a**2 + 2 * a - 1
+            assert linear**2 == 4 * a**4 + 8 * a**3 - 4 * a + 1
+            diff = linear**2 - 4 * ((a**2 + a) ** 2 + 2 * a**2)
+            assert diff == -((2 * a + 1) * (6 * a - 1))
 
 
 class TestCrossValidation:
+    def test_form_is_exact_on_rationals(self):
+        assert left_boundary_form(Fraction(1, 2), Fraction(1, 2)) == Fraction(5, 4)
+        a, b = Fraction(3, 7), Fraction(5, 11)
+        s = b * b + a * a + a
+        assert left_boundary_form(a, b) == s * s + 2 * a * a - b * b
+
     def test_exact_forms_match_floating_forms(self):
         rng = np.random.default_rng(2024)
-        g = left_boundary_poly()
-        n = modulus_threshold_poly()
         for _ in range(100):
             a = Fraction(int(rng.integers(-200, 200)), 100)
             b = Fraction(int(rng.integers(-200, 200)), 100)
-            assert float(g.evaluate(a, b)) == pytest.approx(
+            assert float(left_boundary_form(a, b)) == pytest.approx(
                 left_boundary_form(float(a), float(b)), rel=1e-12, abs=1e-12
             )
-            assert float(n.evaluate(a, b)) == pytest.approx(
+            assert float(modulus_threshold(a, b)) == pytest.approx(
                 modulus_threshold(float(a), float(b)), rel=1e-12, abs=1e-12
             )
 
     def test_identity_sides_agree_at_random_rationals(self):
         rng = np.random.default_rng(7)
-        g = left_boundary_poly()
-        n = modulus_threshold_poly()
         for _ in range(100):
             a = Fraction(int(rng.integers(-300, 300)), 150)
             b = Fraction(int(rng.integers(-300, 300)), 150)
-            lhs = (a * a + b * b) ** 3 - n.evaluate(a, b)
-            rhs = ((a - 1) ** 2 + b * b) * g.evaluate(a, b)
+            lhs = (a * a + b * b) ** 3 - modulus_threshold(a, b)
+            rhs = ((a - 1) ** 2 + b * b) * left_boundary_form(a, b)
             assert lhs == rhs
 
     def test_root_order_sign_checks(self):

@@ -24,8 +24,7 @@ EXPORTS = {
                "FeasibilityViolation", "InfeasiblePoint", "LowerHalfPlane", "NoConvergence",
                "NonrealRequired", "NotInterior", "NotOnCurve", "NotRealizable", "OutsideRegion",
                "ParameterOutOfRange", "ShrinkOutOfRange", "SpectrumFailure"],
-    "identities": ["BivarPoly", "IdentityResult", "left_boundary_poly", "modulus_threshold_poly",
-                   "verify_identity_suite"],
+    "identities": ["IdentityResult", "verify_identity_suite"],
     "matrix": ["CycleMatrix4", "eigen_residual", "make_cycle_matrix", "spectrum"],
     "region": ["RegionVerdict", "Status", "left_boundary_form", "left_branch_root", "membership",
                "modulus_threshold", "trace_left_curve", "trace_right_segment"],
@@ -102,9 +101,12 @@ class TestLazyLoading:
         assert loaded.isdisjoint(ON_DEMAND)
 
     def test_verify_loads_identities_only(self):
+        # verify proves region's own forms, so it loads region (and through
+        # it matrix), but no other heavy module
         loaded = loaded_after("from cycle4.cli import main\nmain(['verify'])")
-        assert "cycle4.identities" in loaded
-        assert loaded.isdisjoint({"cycle4.matrix", "cycle4.region"})
+        assert {"cycle4.identities", "cycle4.region"} <= loaded
+        assert loaded.isdisjoint({"fractions", "decimal", "numpy", "cycle4.sampling",
+                                  "cycle4.criterion", "cycle4.synthesis", "cycle4.figure"})
 
     # dataclasses pulls in inspect, ast, dis and tokenize; numpy, which only
     # sample loads, imports inspect itself

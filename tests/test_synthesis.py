@@ -276,11 +276,11 @@ class TestCrossConstruction:
         assert direct.residual < 1e-8 and via.residual < 1e-8
 
     def test_both_routes_realize_real_by_band(self):
-        # 0 < |b| < band is real to membership; the criterion's weights
-        # would round onto 1 there
+        # |b| < band is real to membership; the criterion's weights would
+        # round onto 1 there, and b = 0 has no criterion at all
         rng = np.random.default_rng(29)
         for a in [*rng.uniform(0.0, 1.0, 100), -0.5]:
-            for lam in (complex(a, 5e-10), complex(a, -5e-10)):
+            for lam in (complex(a, 5e-10), complex(a, -5e-10), complex(a, 0.0)):
                 assert membership(lam).status is Status.INSIDE_REAL_INTERVAL
                 via = realize_via_criterion(lam)
                 assert via.method is Method.REAL_INTERVAL

@@ -115,13 +115,20 @@ class TestIdentitySuite:
             assert diff == -((2 * a + 1) * (6 * a - 1))
 
 
-class TestCrossValidation:
-    def test_form_is_exact_on_rationals(self):
+class TestBivarPoly:
+    """The region's left boundary form, a bivariate polynomial in (a, b),
+    evaluates exactly on fractions."""
+
+    def test_eval_left_form_at_half(self):
         assert left_boundary_form(Fraction(1, 2), Fraction(1, 2)) == Fraction(5, 4)
+
+    def test_eval_is_exact(self):
         a, b = Fraction(3, 7), Fraction(5, 11)
         s = b * b + a * a + a
         assert left_boundary_form(a, b) == s * s + 2 * a * a - b * b
 
+
+class TestCrossValidation:
     def test_exact_forms_match_floating_forms(self):
         rng = np.random.default_rng(2024)
         for _ in range(100):

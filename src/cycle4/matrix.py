@@ -13,67 +13,113 @@ Its characteristic polynomial has the multiplicative form
     p(lam) = prod(lam - alpha_k) - prod(1 - alpha_k),
 
 so 1 is always a root.  ``spectrum`` pins that root exactly; the other
-three are roots of the cubic factor ``p(lam) / (lam - 1)``, seeded at
-Cardano's closed-form roots, each moved by a tiny asymmetric spread, and
-refined by Aberth's simultaneous iteration (Math. Comp. 27, 1973) with
-``p`` and ``p'`` evaluated in the product form above.  Away from clustered
-roots the seeds are already accurate, and two steps suffice: one to reach
-full accuracy and one to confirm it.  Each step is one loop over the three
-roots on local names; coincident iterates raise SpectrumFailure, and the
-guard evaluates each defect in ``eigen_residual``'s product order, so it
-accepts exactly the roots ``eigen_residual`` would.
-``sampling.bulk_spectra`` runs the same algorithm on whole arrays; the seed
-constants and the cubic-factor coefficients below are shared with it.  A
-dense determinant expansion exists only as a test oracle.
+three are roots of the cubic factor ``p(lam) / (lam - 1)``, seeded by
+``_seeds`` and refined by ``_step``, Aberth's simultaneous iteration (Math.
+Comp. 27, 1973) with ``p`` and ``p'`` evaluated in the product form above.
+Away from clustered roots two steps suffice: one to reach full accuracy
+and one to confirm it.  The kernel works on (re, im) float pairs with only
+``+ - * /``, ``abs``, comparisons and the caller's ``sqrt``, all correctly
+rounded under IEEE 754, so ``sampling.bulk_spectra`` runs the same code on
+numpy arrays and gets the same bits.  A dense determinant expansion exists
+only as a test oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 
 from .errors import ParameterOutOfRange, SpectrumFailure
 from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
 
-# Cardano's roots are accurate to a few ulp unless the roots cluster, so the
-# seeds stay on them: root k starts at ``d_k + _SEED_SPREAD[k] * s`` from the
-# centroid, where d_k is Cardano's offset and s = max(max|d_k|, _SEED_FLOOR).
-# The polynomial is real, so a conjugation-symmetric set of iterates stays
-# symmetric and real iterates stay real: a triple cluster whose Cardano
-# roots come out real would collapse onto one point, and a real pair that
-# Cardano returns as a complex pair would never split.  Moving each seed
-# along 1 + i by a different multiple breaks both symmetries.
-# - At 1e-6 * s one step brings a seed to full accuracy and a second
-#   confirms it.  At 1e-5 * s the interior-grid matrices need three steps.
-# - Near a triple cluster Cardano's roots are off by about eps^(1/3), and the
-#   iteration shrinks the seeds' asymmetry as it closes in; once that falls
-#   below the rounding of the real parts, a real pair in the cluster never
-#   separates and the iterates wander until the cap.  The floor keeps every
-#   seed at least 1e-8 off.  On parameters 1 - u^16, u uniform, some rows
-#   reach the 200-step cap with a floor of 1e-8; with a floor of 1e-3, or
-#   a spread of 1e-7 * s, they take up to 113 steps.
-# s is formed from + - * / and sqrt only, so both backends round it alike.
-_SEED_SPREAD = (1e-6 + 1e-6j, 2e-6 + 2e-6j, -3e-6 - 3e-6j)
-_SEED_FLOOR = 1e-2
-
-_OMEGA = cmath.exp(2j * math.pi / 3)  # primitive cube root of unity
+# Each seed moves by ``_SEED_SPREAD[k] * s`` along 1 + i, where s, at least
+# ``_SEED_FLOOR``, measures the spread of the roots.  p is real, so a
+# conjugation-symmetric set of iterates stays symmetric and real iterates
+# stay real: a triple cluster seeded real would collapse onto one point,
+# and a real pair seeded as a complex pair would never split.  Different
+# multiples break both symmetries.  At 1e-6 * s one step brings a seed to
+# full accuracy and a second confirms it; at 1e-5 * s most interior-grid
+# matrices need three steps.  Near a triple cluster the iteration shrinks
+# the seeds' asymmetry as it closes in; once that falls below the rounding
+# of the real parts, a real pair never separates and the iterates wander.
+# The floor keeps every seed at least 1e-8 off: on parameters 1 - u^16, u
+# uniform, a floor of 1e-8 leaves rows unsettled after 50 steps, 1e-2 none.
+_SEED_SPREAD, _SEED_FLOOR = (1e-6, 2e-6, -3e-6), 1e-2
+_NEWTON_STEPS = 6  # for the real seed; with 5, a few grid matrices need a third Aberth step
+# An iterate has settled when its step is at most 4 ulp of it, or when |p|
+# is at the rounding-noise floor of the product form, 16 eps (|prod| + hop)
+# = 32 eps hop to first order; both tests compare squares.
+_NEAR2, _NOISE2 = (4.0 * _EPS) ** 2, (32.0 * _EPS) ** 2
 
 
-def _cubic_factor(a1, a2, a3, a4):
-    """Coefficients (c2, c1, c0) of ``p(lam) / (lam - 1) = lam^3 + c2 lam^2
-    + c1 lam + c0``, by synthetic division of the expanded quartic.
+def _seeds(a1, a2, a3, a4, hop, low, sqrt):
+    """Starting iterates ``x0, y0, x1, y1, x2, y2`` for the three roots of
+    ``p(lam) / (lam - 1)``, from ``hop = prod(1 - alpha_k)``, the least
+    parameter ``low`` and the backend's ``sqrt``."""
+    # Left of ``low``, p is convex and decreasing with one root; at
+    # low - hop^(1/4) every factor is at least hop^(1/4), so p >= 0 there
+    # and Newton's steps rise monotonically toward the root.
+    r = low - sqrt(sqrt(hop))
+    for _ in range(_NEWTON_STEPS):
+        u1, u2, u3, u4 = r - a1, r - a2, r - a3, r - a4
+        left, right = u1 * u2, u3 * u4
+        r = r - (left * right - hop) / ((u1 + u2) * right + left * (u3 + u4))
+    # The other two solve p(lam) / ((lam - 1) (lam - r)) = lam^2 - 2c lam + b0
+    # (synthetic division of the expanded quartic): c +- sqrt(disc).
+    c2 = 1.0 - (a1 + a2 + a3 + a4)
+    c = -0.5 * (c2 + r)
+    disc = c * c - (c2 + (a1 * (a2 + a3 + a4) + a2 * (a3 + a4) + a3 * a4) - 2.0 * r * c)
+    size = abs(disc)
+    gap_re, gap_im = sqrt(0.5 * (size + disc)), sqrt(0.5 * (size - disc))
+    s = sqrt((r - c) * (r - c) + size + _SEED_FLOOR * _SEED_FLOOR)
+    s0, s1, s2 = _SEED_SPREAD[0] * s, _SEED_SPREAD[1] * s, _SEED_SPREAD[2] * s
+    return r + s0, s0, c - gap_re + s1, s1 - gap_im, c + gap_re + s2, gap_im + s2
 
-    They only seed the iteration, which never evaluates them.  Accepts
-    floats or numpy arrays.
-    """
-    e1 = a1 + a2 + a3 + a4
-    e2 = a1 * (a2 + a3 + a4) + a2 * (a3 + a4) + a3 * a4
-    e3 = a1 * a2 * (a3 + a4) + (a1 + a2) * a3 * a4
-    c2 = 1.0 - e1
-    c1 = c2 + e2
-    c0 = c1 - e3
-    return c2, c1, c0
+
+def _step(x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop):
+    """One Aberth step for the iterates ``xk + i yk``: the steps to subtract,
+    whether each is finite, and whether all three iterates have settled.
+    Coincident iterates (1 among them) raise ZeroDivisionError on floats."""
+    dx, dy = x0 - x1, y0 - y1  # 1 / (z0 - z1) = conj(d) / |d|^2, and so on
+    n = dx * dx + dy * dy
+    r01, i01 = dx / n, -dy / n
+    dx, dy = x0 - x2, y0 - y2
+    n = dx * dx + dy * dy
+    r02, i02 = dx / n, -dy / n
+    dx, dy = x1 - x2, y1 - y2
+    n = dx * dx + dy * dy
+    r12, i12 = dx / n, -dy / n
+    noise = _NOISE2 * (hop * hop)
+    sx0, sy0, ok0, done0 = _correction(x0, y0, r01 + r02, i01 + i02, a1, a2, a3, a4, hop, noise)
+    sx1, sy1, ok1, done1 = _correction(x1, y1, r12 - r01, i12 - i01, a1, a2, a3, a4, hop, noise)
+    sx2, sy2, ok2, done2 = _correction(x2, y2, -(r02 + r12), -(i02 + i12), a1, a2, a3, a4, hop, noise)
+    return sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done0 & done1 & done2
+
+
+def _correction(x, y, ox, oy, a1, a2, a3, a4, hop, noise):
+    """Aberth's step ``p / (p' - p * others)`` at ``z = x + i y``, where
+    ``ox + i oy`` sums ``1 / (z - z_j)`` over the other iterates; the pinned
+    root 1 joins them here.  All four factors ``z - alpha_k`` share the
+    imaginary part y, so with ``u_k = x - alpha_k`` the first two multiply
+    to ``(u1 u2 - y^2) + i y (u1 + u2)``, and likewise the last two."""
+    u1, u2, u3, u4 = x - a1, x - a2, x - a3, x - a4
+    yy = y * y
+    s12, s34 = u1 + u2, u3 + u4
+    left, right = u1 * u2 - yy, u3 * u4 - yy
+    both = s12 * s34
+    cross = left * s34 + s12 * right
+    value_re, value_im = left * right - yy * both - hop, y * cross
+    w = x - 1.0
+    n = w * w + yy
+    ox, oy = ox + w / n, oy - y / n
+    den_re = cross - (yy + yy) * (s12 + s34) - (value_re * ox - value_im * oy)
+    den_im = (y + y) * (left + right + both) - (value_re * oy + value_im * ox)
+    n = den_re * den_re + den_im * den_im
+    sx, sy = (value_re * den_re + value_im * den_im) / n, (value_im * den_re - value_re * den_im) / n
+    moved = sx * sx + sy * sy
+    finite = moved < math.inf
+    return sx, sy, finite, finite & (
+        (moved <= _NEAR2 * (x * x + yy)) | (value_re * value_re + value_im * value_im <= noise))
 
 
 class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
@@ -147,59 +193,38 @@ def spectrum(
     """
     a1, a2, a3, a4 = m.alpha
     hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
-    c2, c1, c0 = _cubic_factor(a1, a2, a3, a4)
-    d0, d1, d2 = _cardano_offsets(c2, c1, c0)
-    size = max(math.sqrt(max(d0.real * d0.real + d0.imag * d0.imag,
-                             d1.real * d1.real + d1.imag * d1.imag,
-                             d2.real * d2.real + d2.imag * d2.imag)), _SEED_FLOOR)
-    centre = -c2 / 3.0
-    s0, s1, s2 = _SEED_SPREAD
-    z = [centre + d0 + s0 * size, centre + d1 + s1 * size, centre + d2 + s2 * size]
-    # Aberth's correction for each root of p counts the pinned root 1 among
-    # the others.  Iteration stops once every root either moves by at most
-    # 4 ulp or has |p| at the rounding-noise floor of the product form; a
-    # root whose step is not finite stays where it is, unsettled.
-    near, noise, isfinite = 4.0 * _EPS, 16.0 * _EPS, cmath.isfinite
     try:
+        x0, y0, x1, y1, x2, y2 = _seeds(a1, a2, a3, a4, hop, min(a1, a2, a3, a4), math.sqrt)
         for _ in range(tol.max_iter):
-            z0, z1, z2 = z
-            i01, i02, i12 = 1.0 / (z0 - z1), 1.0 / (z0 - z2), 1.0 / (z1 - z2)
-            settled = True
-            z = []
-            for zk, others in ((z0, i01 + i02), (z1, i12 - i01), (z2, -(i02 + i12))):
-                d0, d1, d2, d3 = zk - a1, zk - a2, zk - a3, zk - a4
-                left, right = d0 * d1, d2 * d3
-                prod = left * right
-                value = prod - hop
-                slope = (d0 + d1) * right + left * (d2 + d3)
-                step = value / (slope - value * (1.0 / (zk - 1.0) + others))
-                finite = isfinite(step)
-                z.append(zk - step if finite else zk)
-                if not (finite and (abs(step) <= near * abs(zk) or abs(value) <= noise * (abs(prod) + hop))):
-                    settled = False
-            if settled:
+            sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = _step(
+                x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)
+            # a root whose step is not finite stays where it is, unsettled
+            if ok0:
+                x0, y0 = x0 - sx0, y0 - sy0
+            if ok1:
+                x1, y1 = x1 - sx1, y1 - sy1
+            if ok2:
+                x2, y2 = x2 - sx2, y2 - sy2
+            if done:
                 break
     except ZeroDivisionError:  # coincident iterates, the pinned root 1 among them
         raise SpectrumFailure(f"Aberth iterates of {m.alpha} coincide") from None
 
     # The root of least |Im| (the first such, as a stable sort takes it) is
     # the real root; the other two form the pair.
-    z0, z1, z2 = z
-    k0, k1, k2 = abs(z0.imag), abs(z1.imag), abs(z2.imag)
+    k0, k1, k2 = abs(y0), abs(y1), abs(y2)
     if k0 <= k1 and k0 <= k2:
-        real, u, v, ku, kv = z0.real, z1, z2, k1, k2
+        real, u, v, ku, kv = x0, x1, x2, k1, k2
     elif k1 <= k2:
-        real, u, v, ku, kv = z1.real, z0, z2, k0, k2
+        real, u, v, ku, kv = x1, x0, x2, k0, k2
     else:
-        real, u, v, ku, kv = z2.real, z0, z1, k0, k1
+        real, u, v, ku, kv = x2, x0, x1, k0, k1
     pair_im = 0.5 * (ku + kv)
     if pair_im <= tol.boundary_band:
-        if kv < ku:
-            u, v = v, u
-        distinct = (real, u.real, v.real)
-        roots = [(1.0, 0.0), (real, 0.0), (u.real, 0.0), (v.real, 0.0)]
+        distinct = (real, u, v)
+        roots = [(1.0, 0.0), (real, 0.0), (u, 0.0), (v, 0.0)]
     else:
-        pair_re = 0.5 * (u.real + v.real)
+        pair_re = 0.5 * (u + v)
         distinct = (real, complex(pair_re, pair_im))
         roots = [(1.0, 0.0), (real, 0.0), (pair_re, -pair_im), (pair_re, pair_im)]
     # Each distinct defect is checked once, in the product order of
@@ -212,14 +237,3 @@ def spectrum(
     roots.sort()  # by (re, im), as the pairs compare
     return (complex(*roots[0]), complex(*roots[1]), complex(*roots[2]), complex(*roots[3]))
 
-
-def _cardano_offsets(c2: float, c1: float, c0: float) -> tuple[complex, complex, complex]:
-    """Closed-form roots of ``lam^3 + c2 lam^2 + c1 lam + c0``, as offsets
-    from their centroid ``-c2 / 3``."""
-    p = c1 - c2 * c2 / 3.0
-    q = c0 + c2 * (2.0 * c2 * c2 - 9.0 * c1) / 27.0
-    # the larger of Cardano's two cubes, so that u carries no cancellation
-    cube = -0.5 * q - math.copysign(1.0, q) * cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
-    u = cube ** (1.0 / 3.0)
-    v = -p / 3.0 / u if u != 0.0 else 0j
-    return (u + v, _OMEGA * u + _OMEGA.conjugate() * v, _OMEGA.conjugate() * u + _OMEGA * v)

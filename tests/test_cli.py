@@ -219,6 +219,20 @@ class TestSample:
             ones[int(parts[0])] += parts[5:7] == ["1", "0"]
         assert ones == [1] * n
 
+    def test_eigenvalues_equal_spectrum_command(self, capsys, tmp_path):
+        # both commands run one spectrum kernel, so each sampled row's
+        # re,im columns are the eigenvalues `spectrum` prints, bit for bit
+        out_path = tmp_path / "s.csv"
+        assert run(capsys, "sample", "200", "7", str(out_path))[0] == 0
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        for i in range(50):
+            block = rows[4 * i:4 * i + 4]
+            assert {row[0] for row in block} == {str(i)}
+            code, out = run(capsys, "spectrum", *block[0][1:5])
+            assert code == 0
+            printed = [[re.hex(), im.hex()] for re, im in json.loads(out)["eigenvalues"]]
+            assert [[float(row[5]).hex(), float(row[6]).hex()] for row in block] == printed
+
     def test_io_error_exit_5(self, capsys):
         code = main(["sample", "5", "1", "/nonexistent-dir/x.csv"])
         capsys.readouterr()

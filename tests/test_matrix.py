@@ -20,7 +20,7 @@ from cycle4 import (
     spectrum,
     trace_left_curve,
 )
-from cycle4 import matrix, sampling
+from cycle4 import matrix
 from cycle4.sampling import bulk_spectra
 
 
@@ -148,6 +148,12 @@ class TestCharPoly:
             assert exact_char_poly(m.dense()) == product
 
 
+def _coincident_seeds(point):
+    """A seed function that puts all three iterates on the real ``point``,
+    on either backend."""
+    return lambda a1, a2, a3, a4, hop, low, sqrt: (point + 0.0 * low, 0.0 * low) * 3
+
+
 class TestSpectrum:
     def test_equal_half_parameters(self):
         roots = spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))
@@ -185,23 +191,22 @@ class TestSpectrum:
             assert abs(total.imag) < 1e-8
 
     def test_coincident_iterates_raise(self, monkeypatch):
-        # All three seeds forced onto the centroid: the roots would stay
+        # All three seeds forced onto one point: the roots would stay
         # unrefined there, and their defect (about 1e-12) passes the guard.
-        monkeypatch.setattr(matrix, "_cardano_offsets", lambda c2, c1, c0: (0j, 0j, 0j))
-        monkeypatch.setattr(matrix, "_SEED_FLOOR", 0.0)
+        monkeypatch.setattr(matrix, "_seeds", _coincident_seeds(0.999))
         with pytest.raises(SpectrumFailure, match="coincide"):
             spectrum(make_cycle_matrix(0.999, 0.999, 0.999, 0.999))
 
     def test_non_finite_step_leaves_bulk_row_unsettled(self, monkeypatch):
-        # The same coincident seeds in the bulk kernel: every step of the
-        # row is non-finite, so the row runs to the cap instead of freezing.
-        monkeypatch.setattr(sampling, "_cardano_offsets", lambda c2, c1, c0: np.zeros((3, c2.size), complex))
-        monkeypatch.setattr(sampling, "_SEED_FLOOR", 0.0)
-        steps = []  # the kernel tests its steps with one np.isfinite call each
-        isfinite = np.isfinite
-        monkeypatch.setattr(np, "isfinite", lambda x: steps.append(x.shape) or isfinite(x))
-        bulk_spectra(np.full((1, 4), 0.999), Tolerance(max_iter=7))
-        assert len(steps) == 7
+        # Coincident seeds in the bulk kernel, on the root 0 of the matrix,
+        # where |p| = 0 meets the noise test: every step of the row is
+        # non-finite, so the row runs to the cap instead of freezing.
+        monkeypatch.setattr(matrix, "_seeds", _coincident_seeds(0.0))
+        steps = []
+        step = matrix._step
+        monkeypatch.setattr(matrix, "_step", lambda *z: steps.append(z[0].shape) or step(*z))
+        bulk_spectra(np.full((1, 4), 0.5), Tolerance(max_iter=7))
+        assert steps == [(1,)] * 7
 
     @pytest.mark.parametrize("max_iter", [1, 200])
     def test_guard_raises_iff_some_root_misses_the_bound(self, max_iter):
@@ -292,11 +297,11 @@ class TestBitPin:
 
     def test_spectrum_random_rows(self):
         rows = np.random.default_rng(2026).random((2000, 4))
-        assert _digest(_root_parts(rows)) == "8207bf6e2eed5af39481e0741f31597aeec76864b416cae842f95bdc58baae4a"
+        assert _digest(_root_parts(rows)) == "ac5ed805490cf18bda7fec66a30737f52d1655ee9c1cc2da017f837f5b9790c1"
 
     def test_spectrum_clustered_rows(self):
         rows = [alpha for alpha, _ in clustered_rows()]
-        assert _digest(_root_parts(rows)) == "2f5ac586735ec98e76b135a92d84f10e05824499e6e99373c20a984df9ca4c97"
+        assert _digest(_root_parts(rows)) == "7240be1d9dd60e1cdfabcfd600b0cd72736aa021f102608b681b5ebab1e6483f"
 
     def test_both_routes_over_grid(self, grid_realizations):
         floats = [x for found in grid_realizations for x in (*found.matrix.alpha, found.residual)]

@@ -59,14 +59,10 @@ def _assert_match_oracle(rows, spectra) -> None:
 
 
 class TestBulkSolvers:
-    def test_roots_match_scalar_as_multisets(self):
-        rng = np.random.default_rng(7)
-        alphas = rng.random((2000, 4))
-        bulk = bulk_spectra(alphas)
-        for i in range(0, 2000, 7):
-            scalar = spectrum(make_cycle_matrix(*alphas[i]))
-            for r in bulk[i]:
-                assert min(abs(r - s) for s in scalar) < 1e-14
+    def test_roots_equal_scalar_bit_for_bit(self):
+        rows = np.vstack([sample_parameters(100000, 42), [alpha for alpha, _ in clustered_rows()]])
+        scalar = np.array([spectrum(make_cycle_matrix(*alpha)) for alpha in rows])
+        assert np.array_equal(bulk_spectra(rows).view(np.uint64), scalar.view(np.uint64))
 
     def test_clustered_spectra_match_oracle(self):
         rows = clustered_rows()

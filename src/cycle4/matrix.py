@@ -61,7 +61,8 @@ def _seeds(a1, a2, a3, a4, hop, low, sqrt):
     # and Newton's steps rise monotonically toward the root.
     r = low - sqrt(sqrt(hop))
     for _ in range(_NEWTON_STEPS):
-        u1, u2, u3, u4 = r - a1, r - a2, r - a3, r - a4
+        u1, u2 = r - a1, r - a2
+        u3, u4 = r - a3, r - a4
         left, right = u1 * u2, u3 * u4
         r = r - (left * right - hop) / ((u1 + u2) * right + left * (u3 + u4))
     # The other two solve p(lam) / ((lam - 1) (lam - r)) = lam^2 - 2c lam + b0
@@ -102,7 +103,8 @@ def _correction(x, y, ox, oy, a1, a2, a3, a4, hop, noise):
     root 1 joins them here.  All four factors ``z - alpha_k`` share the
     imaginary part y, so with ``u_k = x - alpha_k`` the first two multiply
     to ``(u1 u2 - y^2) + i y (u1 + u2)``, and likewise the last two."""
-    u1, u2, u3, u4 = x - a1, x - a2, x - a3, x - a4
+    u1, u2 = x - a1, x - a2
+    u3, u4 = x - a3, x - a4
     yy = y * y
     s12, s34 = u1 + u2, u3 + u4
     left, right = u1 * u2 - yy, u3 * u4 - yy

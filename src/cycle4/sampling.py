@@ -86,10 +86,8 @@ def _close_rows(x: np.ndarray, y: np.ndarray, band: float) -> np.ndarray:
     snap = pair_im <= band
     out = np.zeros((x.shape[1], 4), dtype=complex)
     out[:, 0], out[:, 1] = 1.0, real
-    out[:, 2].real = np.where(snap, u, 0.5 * (u + v))
-    out[:, 3].real = np.where(snap, v, 0.5 * (u + v))
-    out[:, 2].imag = np.where(snap, 0.0, -pair_im)
-    out[:, 3].imag = np.where(snap, 0.0, pair_im)
+    out[:, 2:].real = np.where(snap, (u, v), 0.5 * (u + v)).T
+    out[:, 2:].imag = np.where(snap, 0.0, (-pair_im, pair_im)).T
     return np.sort(out, axis=1)
 
 

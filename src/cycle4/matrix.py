@@ -160,9 +160,6 @@ class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
             [1.0 - a4, 0.0, 0.0, a4],
         ]
 
-    def to_dict(self) -> dict:
-        return {"alpha": list(self.alpha)}
-
 
 def make_cycle_matrix(a1: float, a2: float, a3: float, a4: float) -> CycleMatrix4:
     """Validated construction; rejects any parameter outside [0, 1), and

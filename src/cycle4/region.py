@@ -147,20 +147,16 @@ def left_branch_root(anchor_alpha: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
     matrix with self-loop weight ``anchor_alpha``.
 
     lam^4 - alpha lam^3 + alpha - 1 is the characteristic polynomial of the
-    anchor matrix (alpha, 0, 0, 0); of its spectrum this picks the root of
-    maximal imaginary part and fails loudly if the pick is ambiguous.
+    anchor matrix (alpha, 0, 0, 0).  Its spectrum holds at most one root
+    with Im above the band (the rest are real or conjugates); this returns
+    the root of greatest Im and raises SpectrumFailure if it is not above.
     """
     if not 0.0 <= anchor_alpha < 1.0:
         raise ArgumentOutOfRange(f"left anchor weight {anchor_alpha!r} outside [0, 1)")
-    roots = spectrum(CycleMatrix4((anchor_alpha, 0.0, 0.0, 0.0)), tol)
-    candidates = [r for r in roots if r.imag > tol.boundary_band]
-    if not candidates:
+    root = max(spectrum(CycleMatrix4((anchor_alpha, 0.0, 0.0, 0.0)), tol), key=lambda r: r.imag)
+    if root.imag <= tol.boundary_band:
         raise SpectrumFailure(f"no upper-half-plane root at alpha={anchor_alpha}")
-    candidates.sort(key=lambda r: r.imag)
-    best = candidates[-1]
-    if len(candidates) > 1 and best.imag - candidates[-2].imag <= tol.boundary_band:
-        raise SpectrumFailure(f"ambiguous upper root at alpha={anchor_alpha}")
-    return best
+    return root
 
 
 def trace_left_curve(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> list[TracePoint]:

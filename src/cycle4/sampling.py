@@ -45,11 +45,14 @@ def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.n
     """(n, 4) eigenvalues for each parameter row, sorted by (re, im).
 
     Row i is ``matrix.spectrum(row i, tol)`` bit for bit, without its
-    residual guard; a row freezes once its own iterates settle.
+    residual guard; a row freezes once its own iterates settle.  Raises
+    ValueError unless the parameters form an (n, 4) array in [0, 1).
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 2 or alphas.shape[1] != 4:
         raise ValueError(f"expected (n, 4) parameters, got {alphas.shape}")
+    if not ((alphas >= 0.0) & (alphas < 1.0)).all():  # NaN fails both
+        raise ValueError("parameters outside [0, 1)")
     a = np.ascontiguousarray(alphas.T)
     hop = (1.0 - a[0]) * (1.0 - a[1]) * (1.0 - a[2]) * (1.0 - a[3])
     z = np.empty((6, hop.size))

@@ -1,12 +1,12 @@
 """Constructive realization of region points as eigenvalues.
 
-Real targets use the equal-parameter matrix (1-x)I + xP with P the cyclic
-permutation.  Right-segment targets 1 - x + ix use the same matrix.  Left
-curve targets use the anchor matrix with weights (alpha, 0, 0, 0).  Strict
-interior targets are obtained by following the ray from 1 through the
-target until it meets the left curve, realizing the hit point, and pulling
-the spectrum back with the affine shrink lam -> (1-l) + l*lam, which the
-matrix family supports parameter-wise.
+Both routes run one pipeline: membership picks the construction, a lower
+half-plane target takes its conjugate's matrix, and one eigen-defect check
+certifies the result.  Boundary matrices are the anchor A = (alpha, 0, 0, 0)
+shrunk to (1-l) I + l A, spectrum (1-l) + l*spec(A): the plain cycle for
+the real interval and right segment, the curve's own anchor for the left
+curve.  Interior targets get the ray's hit on the left curve shrunk back in
+``realize`` and the criterion solver's path zero in ``realize_via_criterion``.
 """
 
 from __future__ import annotations
@@ -135,91 +135,78 @@ def shrink(m: CycleMatrix4, l: float) -> CycleMatrix4:
     return make_cycle_matrix(*((1.0 - l) + l * a for a in m.alpha))
 
 
-def _real_interval_matrix(r: float) -> CycleMatrix4:
-    # 1 is in every spectrum of the family; for targets at the right
-    # endpoint the formula weight 1 - x would hit the excluded value 1, so
-    # the plain cyclic permutation serves instead.  Endpoint targets inside
-    # the boundary band but just past +-1 are clamped onto the endpoint, where
-    # the plain cycle (spectrum {1, -1, i, -i}) realizes both.
-    r = min(max(r, -1.0), 1.0)
-    if abs(r - 1.0) < 1e-12:
-        return make_cycle_matrix(0.0, 0.0, 0.0, 0.0)
-    x = 0.5 * (1.0 - r)
-    a = 1.0 - x
-    return make_cycle_matrix(a, a, a, a)
+def _shrunk_anchor(alpha: float, l: float) -> CycleMatrix4:
+    # shrink(anchor (alpha, 0, 0, 0), l) in one construction: (1-l) + l*0.0
+    # is 1-l bit for bit
+    w = 1.0 - l
+    return CycleMatrix4((w + l * alpha, w, w, w))
 
 
-_REAL_STATUSES = (Status.INSIDE_REAL_INTERVAL, Status.BOUNDARY_REAL_ENDPOINT)
+def _ray_and_shrink(lam: complex, tol: Tolerance):
+    mu, s = ray_to_left_boundary(lam, tol)
+    alpha, l = alpha_for_left_point(mu), 1.0 / s
+    try:
+        return _shrunk_anchor(alpha, l), Method.INTERIOR_SHRINK, mu, l
+    except ParameterOutOfRange as err:
+        # a shrunk weight (1 - l) + l*alpha rounds onto the excluded 1
+        raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
 
 
-def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
-    """Realizing matrix for any point of the spectral region.
+def _criterion_path_zero(lam: complex, tol: Tolerance):
+    shifts = criterion.solve_criterion(criterion.make_context(lam), tol)
+    return make_cycle_matrix(*(1.0 - t for t in shifts)), Method.CRITERION_SOLVER, None, None
 
-    Dispatches on the membership verdict: real interval, right segment,
-    left curve, or interior (ray hit plus shrink).  Lower half-plane
-    targets are realized through their conjugate; the matrix is real, so it
-    serves both.  Raises OutsideRegion for points outside the region, and
-    NoConvergence, as ``solve_criterion`` does for its own defect, when the
-    construction misses the ``tol.eigen_residual`` contract.
-    """
+
+def _realize(lam: complex, tol: Tolerance, interior) -> Realization:
+    """The pipeline of both routes; ``interior`` maps a strictly interior
+    upper-half-plane target to (matrix, method, mu, l)."""
     lam = complex(lam)
-    verdict = membership(lam, tol)
-    if verdict.status is Status.OUTSIDE:
+    status = membership(lam, tol).status
+    if status is Status.OUTSIDE:
         raise OutsideRegion(f"{lam!r} is outside the spectral region")
-
-    work = lam if lam.imag >= 0.0 else lam.conjugate()
-
-    if verdict.status in _REAL_STATUSES:
-        matrix = _real_interval_matrix(work.real)
-        method = Method.REAL_INTERVAL
-        mu = None
-        l = None
-    elif verdict.status is Status.BOUNDARY_CR:
-        # inside the band |Im| may pass 1 (near i): clamp onto the plain cycle
-        weight = max(1.0 - abs(lam.imag), 0.0)
-        matrix = make_cycle_matrix(weight, weight, weight, weight)
-        method = Method.BOUNDARY_CR
-        mu = None
-        l = None
-    elif verdict.status is Status.BOUNDARY_CL:
-        alpha = alpha_for_left_point(work)
-        matrix = make_cycle_matrix(alpha, 0.0, 0.0, 0.0)
-        method = Method.BOUNDARY_CL
-        mu = work
-        l = None
+    work = lam if lam.imag >= 0.0 else lam.conjugate()  # the matrix is real
+    mu = l = None
+    if status is Status.INSIDE_NONREAL:
+        matrix, method, mu, l = interior(work, tol)
+    elif status is Status.BOUNDARY_CL:
+        mu, method = work, Method.BOUNDARY_CL
+        matrix = _shrunk_anchor(alpha_for_left_point(work), 1.0)
+    elif status is Status.BOUNDARY_CR:
+        # inside the band Im may pass 1 (near i): clamp onto the plain cycle
+        matrix, method = _shrunk_anchor(0.0, min(work.imag, 1.0)), Method.BOUNDARY_CR
     else:
-        mu, s_star = ray_to_left_boundary(work, tol)
-        alpha = alpha_for_left_point(mu)
-        base = make_cycle_matrix(alpha, 0.0, 0.0, 0.0)
-        l = 1.0 / s_star
-        try:
-            matrix = shrink(base, l)
-        except ParameterOutOfRange as err:
-            # a shrunk weight (1 - l) + l*alpha rounds onto the excluded 1
-            raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
-        method = Method.INTERIOR_SHRINK
-
+        # the plain cycle shrunk by x has 1 - 2x = r in its spectrum; at r = 1
+        # its weight 1 - x hits the excluded 1, so the plain cycle itself
+        # serves, as it does for targets in the band past +-1
+        r = min(max(work.real, -1.0), 1.0)
+        x = 1.0 if abs(r - 1.0) < 1e-12 else 0.5 * (1.0 - r)
+        matrix, method = _shrunk_anchor(0.0, x), Method.REAL_INTERVAL
     residual = eigen_residual(matrix, lam)
-    if residual >= tol.eigen_residual:
+    if residual > tol.eigen_residual:
         raise NoConvergence(f"construction for {lam!r} missed the residual contract: {residual}")
     return Realization(matrix, lam, method, mu, l, residual)
 
 
-def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
-    """Realizing matrix obtained from the criterion solver's path zero.
+def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
+    """Realizing matrix for any point of the spectral region; interior
+    points get the ray hit on the left curve shrunk back onto them.
 
-    An independent route to the same spectrum membership as ``realize``;
-    the matrices generally differ.  The criterion needs b > 0, and its
-    weights round onto 1 as b shrinks, so a target with |b| below the band
-    that membership counts as real gets the real-interval matrix, as in
-    ``realize``.
+    Raises OutsideRegion for points outside the region, NoConvergence when
+    the matrix misses the ``tol.eigen_residual`` certificate,
+    AlphaOutOfRange when a weight rounds onto 1 near the real axis,
+    NotOnCurve or BracketFailure when the left-curve point is not found,
+    and ValueError for a non-finite target.
     """
-    lam = complex(lam)
-    work = lam if lam.imag >= 0.0 else lam.conjugate()
-    if work.imag < tol.boundary_band and membership(lam, tol).status in _REAL_STATUSES:
-        matrix, method = _real_interval_matrix(work.real), Method.REAL_INTERVAL
-    else:
-        shifts = criterion.solve_criterion(criterion.make_context(work), tol)
-        matrix, method = make_cycle_matrix(*(1.0 - t for t in shifts)), Method.CRITERION_SOLVER
-    residual = eigen_residual(matrix, lam)
-    return Realization(matrix, lam, method, None, None, residual)
+    return _realize(lam, tol, _ray_and_shrink)
+
+
+def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
+    """``realize`` with the criterion solver's path zero for interior points.
+
+    Both solvers land on the same anchor and shrink factor, so an interior
+    matrix is ``realize``'s rotated by one place, up to rounding; boundary
+    and real targets get ``realize``'s own matrix.  Raises as ``realize``
+    does, but NoConvergence where the interior solver fails (see
+    ``criterion.solve_criterion``).
+    """
+    return _realize(lam, tol, _criterion_path_zero)

@@ -126,6 +126,26 @@ class TestRealize:
         assert payload["alpha"] == [0.5 + 0.5 * float(re)] * 4
         assert payload["residual"] < 1e-8
 
+    @pytest.mark.parametrize("re, im, method", [
+        pytest.param("0.0006249995111072517", "0.9993738266520683", "BoundaryCL", id="past-left-curve"),
+        pytest.param("1e-12", "0.9999999995", "BoundaryCR", id="near-i"),
+    ])
+    def test_criterion_method_in_band_past_the_boundary(self, capsys, re, im, method):
+        # just past the left curve (form -5e-10) and near i (form -1e-9),
+        # inside the band: the criterion route builds the boundary matrix
+        # as the auto route does
+        code, out = run(capsys, "realize", re, im, "--method=criterion")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == method
+        assert payload["residual"] < 1e-8
+
+    @pytest.mark.parametrize("method", ["auto", "criterion"])
+    def test_real_by_band_defect_is_a_construction_failure(self, capsys, method):
+        code = main(["realize", "0.3", "9e-8", "--tol-band", "1e-7", "--method", method])
+        assert code == 4
+        assert "missed the residual contract" in capsys.readouterr().err
+
     def test_criterion_method_on_left_curve(self, capsys):
         # degenerate case: the criterion maximum is zero on the curve and
         # the solver returns the maximising shifts themselves

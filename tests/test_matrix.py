@@ -111,10 +111,6 @@ class TestConstruction:
         assert err.value.index == k
         assert err.value.value is True
 
-    def test_json_round_trip(self):
-        m = make_cycle_matrix(0.1, 0.2, 0.3, 0.4)
-        assert m.to_dict() == {"alpha": [0.1, 0.2, 0.3, 0.4]}
-
     def test_make_and_replace_validate(self):
         with pytest.raises(ParameterOutOfRange):
             CycleMatrix4._make([(2.0, 0, 0, 0)])

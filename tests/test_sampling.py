@@ -93,6 +93,13 @@ class TestBulkSolvers:
         with pytest.raises(ValueError):
             bulk_spectra(np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -0.1, float("nan"), float("inf")])
+    def test_rejects_parameters_outside_unit_interval(self, bad):
+        rows = np.full((3, 4), 0.5)
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match="outside"):
+            bulk_spectra(rows)
+
 
 BAND = Tolerance().boundary_band
 

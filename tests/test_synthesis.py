@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import sample_inside_nonreal
+from conftest import off_left_curve, sample_inside_nonreal
 from cycle4 import (
     AlphaOutOfRange,
     BracketFailure,
@@ -297,6 +297,35 @@ class TestCrossConstruction:
             assert via.method is Method.CRITERION_SOLVER
             assert min(abs(r - lam) for r in spectrum(direct.matrix)) < 1e-5
             assert min(abs(r - lam) for r in spectrum(via.matrix)) < 1e-5
+            # both solvers land on the same anchor and shrink factor: the
+            # criterion weights (w, w, w, w4) are realize's (w4, w, w, w)
+            rotated = direct.matrix.alpha[1:] + direct.matrix.alpha[:1]
+            assert max(abs(u - v) for u, v in zip(via.matrix.alpha, rotated)) < 1e-8
+
+    def test_criterion_route_realizes_band_beyond_left_curve(self):
+        # the left form is negative here but inside the band: membership says
+        # BoundaryCL, and both routes build the left-curve anchor
+        points = trace_left_curve(400)[1:]
+        for g in (-1e-11, -5e-10, -9e-10):
+            for p in points:
+                lam = off_left_curve(p.point, g)
+                via = realize_via_criterion(lam)
+                assert via.method is Method.BOUNDARY_CL
+                assert via.residual <= 1e-8
+                assert via == realize(lam)
+
+    def test_criterion_route_rejects_outside(self):
+        with pytest.raises(OutsideRegion):
+            realize_via_criterion(0.05 + 0.1j)
+
+    @pytest.mark.parametrize("route", [realize, realize_via_criterion])
+    @pytest.mark.parametrize("lam", [0.3 + 9e-8j, 0.5 + 0.5000000005j])
+    def test_defect_equal_to_tolerance_accepted(self, route, lam):
+        # ``Tolerance.eigen_residual`` is the largest accepted defect
+        defect = route(lam, Tolerance(eigen_residual=1.0, boundary_band=1e-7)).residual
+        assert defect > 0.0
+        found = route(lam, Tolerance(eigen_residual=defect, boundary_band=1e-7))
+        assert found.residual == defect
 
     def test_interior_points_have_positive_real_part(self):
         # on the imaginary axis the left form is negative below i, so no

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import Cycle4Error, OutsideRegion
-from .scalar import Tolerance
+from .scalar import DEFAULT_TOLERANCE, Tolerance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,29 +39,28 @@ def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _number(text: str, low: float, kind: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # fails the range test below
+    if not low < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a {kind} number, got {text!r}")
+    return value
+
+
 def _finite(text: str) -> float:
     """argparse type of coordinates and matrix parameters: a finite float."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+    return _number(text, -math.inf, "finite")
 
 
 def _finite_positive(text: str) -> float:
     """argparse type of the tolerance options: a finite float above 0."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
+    return _number(text, 0.0, "finite positive")
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
-    kwargs = {}
-    if getattr(args, "tol_residual", None) is not None:
-        kwargs["eigen_residual"] = args.tol_residual
-    if getattr(args, "tol_band", None) is not None:
-        kwargs["boundary_band"] = args.tol_band
-    return Tolerance(**kwargs)
+    return Tolerance(args.tol_residual, args.tol_band)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -238,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_tol(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol-residual", type=_finite_positive, help="eigen-residual tolerance (default 1e-8)")
         p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
+        p.set_defaults(tol_residual=DEFAULT_TOLERANCE.eigen_residual, tol_band=DEFAULT_TOLERANCE.boundary_band)
 
     p = sub.add_parser("check", help="classify a point against the region")
     p.add_argument("re", type=_finite)

@@ -32,6 +32,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
+from . import scalar
 from .errors import (
     ArgumentOutOfRange,
     FeasibilityViolation,
@@ -177,10 +178,10 @@ def solve_criterion(
     one met along the solver's path; other zeros may exist and realize lam
     with different weights.
 
-    False position (``scalar.bracketed_zero``, at most 4 * tol.max_iter
-    evaluations) in s = log t_4 along the path u_123 = (2*pi - u_4)/3 finds
-    the zero: the sum is monotone in s there, as its u_4-slope
-    F'(u_4) - F'(u_123) is positive by convexity (u_4 >= pi/2 >= u_123).
+    False position (``bracketed_zero``, capped at ``_SEARCH_EVALUATIONS``)
+    in s = log t_4 along the path u_123 = (2*pi - u_4)/3 finds the zero:
+    the sum is monotone in s there, as its u_4-slope F'(u_4) - F'(u_123)
+    is positive by convexity (u_4 >= pi/2 >= u_123).
     """
     a, b = ctx.lam.real, ctx.lam.imag
     if a < 0.0 or a >= 1.0:
@@ -231,7 +232,7 @@ def solve_criterion(
         s_pos = s_neg - step
 
     _, (_, t123, t4) = bracketed_zero(
-        path_sum, s_neg, neg, s_pos, pos, 0.01 * tol.eigen_residual, 4 * tol.max_iter
+        path_sum, s_neg, neg, s_pos, pos, 0.01 * tol.eigen_residual, scalar._SEARCH_EVALUATIONS
     )
 
     if 1.0 - t4 >= 1.0:

@@ -10,12 +10,19 @@ class Cycle4Error(Exception):
 
 
 class ParameterOutOfRange(Cycle4Error):
-    """A cycle-matrix parameter lies outside [0, 1)."""
+    """A cycle-matrix parameter lies outside [0, 1); ``index`` is None when
+    ``value``, the whole argument, does not hold four parameters."""
 
-    def __init__(self, index: int, value: float):
+    def __init__(self, index, value):
         self.index = index
         self.value = value
-        super().__init__(f"parameter {index} = {value!r} is outside [0, 1)")
+        if index is not None:
+            message = f"parameter {index} = {value!r} is outside [0, 1)"
+        elif hasattr(value, "__len__"):
+            message = f"expected 4 parameters, got {len(value)}"
+        else:
+            message = f"expected a sequence of 4 parameters, got {value!r}"
+        super().__init__(message)
 
 
 class SpectrumFailure(Cycle4Error):
@@ -64,10 +71,6 @@ class NotInterior(Cycle4Error):
 
 class BracketFailure(Cycle4Error):
     """A sign-change bracket could not be established."""
-
-
-class ShrinkOutOfRange(Cycle4Error):
-    """Shrink factor outside (0, 1]."""
 
 
 class OutsideRegion(Cycle4Error):

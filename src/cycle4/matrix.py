@@ -46,6 +46,9 @@ from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
 # uniform, a floor of 1e-8 leaves rows unsettled after 50 steps, 1e-2 none.
 _SEED_SPREAD, _SEED_FLOOR = (1e-6, 2e-6, -3e-6), 1e-2
 _NEWTON_STEPS = 6  # for the real seed; with 5, a few grid matrices need a third Aberth step
+# Aberth step cap of ``spectrum`` and ``sampling.bulk_spectra``: constructions
+# settle in 2 steps, random rows in at most 3, targets near the real axis in 14.
+_ABERTH_STEPS = 200
 # An iterate has settled when its step is at most 4 ulp of it, or when |p|
 # is at the rounding-noise floor of the product form, 16 eps (|prod| + hop)
 # = 32 eps hop to first order; both tests compare squares.
@@ -131,20 +134,21 @@ class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
     __slots__ = ()
 
     def __new__(cls, alpha):
-        if len(alpha) != 4:
-            raise ParameterOutOfRange(len(alpha), float("nan"))
-        a1, a2, a3, a4 = alpha
+        try:
+            a1, a2, a3, a4 = alpha
+        except (TypeError, ValueError):  # not iterable, or not four values
+            raise ParameterOutOfRange(None, alpha) from None
         if (type(a1) is type(a2) is type(a3) is type(a4) is float
                 and 0.0 <= a1 < 1.0 and 0.0 <= a2 < 1.0 and 0.0 <= a3 < 1.0 and 0.0 <= a4 < 1.0):
             return tuple.__new__(cls, ((a1, a2, a3, a4),))
         # slow path: convert ints and float subclasses, or name the bad parameter
-        for k, value in enumerate(alpha, start=1):
+        for k, value in enumerate((a1, a2, a3, a4), start=1):
             # the range test also rejects NaN and infinities
             if isinstance(value, bool) or not (
                 isinstance(value, (int, float)) and 0.0 <= value < 1.0
             ):
                 raise ParameterOutOfRange(k, value)
-        return super().__new__(cls, tuple(float(a) for a in alpha))
+        return super().__new__(cls, (float(a1), float(a2), float(a3), float(a4)))
 
     @classmethod
     def _make(cls, iterable):
@@ -186,7 +190,7 @@ def spectrum(
 
     The set holds the exact root 1 and either three reals or a real root
     and an exact conjugate pair; roots within ``tol.boundary_band`` of the
-    real axis are snapped onto it.  At most ``tol.max_iter`` Aberth steps
+    real axis are snapped onto it.  At most ``_ABERTH_STEPS`` Aberth steps
     are taken.  Raises SpectrumFailure if any root has an eigen-defect above
     ``tol.eigen_residual``, or if two iterates coincide.
     """
@@ -194,7 +198,7 @@ def spectrum(
     hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
     try:
         x0, y0, x1, y1, x2, y2 = _seeds(a1, a2, a3, a4, hop, min(a1, a2, a3, a4), math.sqrt)
-        for _ in range(tol.max_iter):
+        for _ in range(_ABERTH_STEPS):
             sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = _step(
                 x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)
             # a root whose step is not finite stays where it is, unsettled

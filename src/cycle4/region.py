@@ -132,8 +132,8 @@ class TracePoint(namedtuple("TracePoint", "curve param point boundary_form")):
 def trace_right_segment(n: int) -> list[TracePoint]:
     """n points of the right boundary segment lam = 1 - x + ix, x in [0, 1],
     endpoints included."""
-    if n < 2:
-        raise ArgumentOutOfRange(f"need at least 2 points, got {n}")
+    if not (hasattr(n, "__index__") and n >= 2):  # an int, numpy's included
+        raise ArgumentOutOfRange(f"need an integer count of at least 2 points, got {n!r}")
     points = []
     for j in range(n):
         x = j / (n - 1)
@@ -166,8 +166,8 @@ def trace_left_curve(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> list[TracePo
     Every returned point satisfies |left_boundary_form| < 1e-9 and has real
     part in [0, 1/6] up to the band; violations raise SpectrumFailure.
     """
-    if n < 2:
-        raise ArgumentOutOfRange(f"need at least 2 points, got {n}")
+    if not (hasattr(n, "__index__") and n >= 2):
+        raise ArgumentOutOfRange(f"need an integer count of at least 2 points, got {n!r}")
     top = 1.0 - 1.0 / n
     points = []
     for j in range(n):

@@ -60,7 +60,7 @@ def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.n
     with np.errstate(all="ignore"):
         # the live rows: iterates x0, y0, x1, y1, x2, y2, the parameters, hop
         live = np.vstack((*matrix._seeds(*a, hop, a.min(axis=0), np.sqrt), *a, hop))
-        for _ in range(tol.max_iter):
+        for _ in range(matrix._ABERTH_STEPS):
             *steps, ok0, ok1, ok2, done = matrix._step(*live)
             # a root whose step is not finite stays where it is, unsettled
             for coord, step, ok in zip(live, steps, (ok0, ok0, ok1, ok1, ok2, ok2)):

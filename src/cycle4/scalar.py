@@ -9,9 +9,13 @@ import math
 from collections import namedtuple
 
 _EPS = 2.220446049250313e-16
+# Evaluations a bracketed search (the ray to the left curve, the criterion
+# path) may make; on the interior grid a realize makes at most 20 form and a
+# criterion solve 12 path evaluations in all (``TestSearchCost``).
+_SEARCH_EVALUATIONS = 800
 
 
-class Tolerance(namedtuple("Tolerance", "eigen_residual boundary_band max_iter")):
+class Tolerance(namedtuple("Tolerance", "eigen_residual boundary_band")):
     """Numerical policy shared by solvers and classifiers.
 
     eigen_residual: largest accepted defect in the multiplicative
@@ -20,26 +24,21 @@ class Tolerance(namedtuple("Tolerance", "eigen_residual boundary_band max_iter")
         eigenvalue.
     boundary_band: half-width of the band within which a constraint value
         counts as "on the boundary" (also the real-axis snapping band).
-    max_iter: iteration cap: Aberth steps in the spectrum kernel, and a
-        quarter of the evaluations each bracketed search (the ray to the
-        left curve, the criterion path) may make.
 
-    Both tolerances must be finite positive numbers and ``max_iter`` a
-    positive integer; bools are rejected.  Every construction path checks
-    this: the constructor, ``_make`` and ``_replace``.
+    Both must be finite positive numbers; bools are rejected.  Every
+    construction path checks this: the constructor, ``_make`` and
+    ``_replace``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, eigen_residual=1e-8, boundary_band=1e-9, max_iter=200):
+    def __new__(cls, eigen_residual=1e-8, boundary_band=1e-9):
         for name, value in (("eigen_residual", eigen_residual), ("boundary_band", boundary_band)):
             if isinstance(value, bool) or not (
                 isinstance(value, (int, float)) and 0 < value < math.inf
             ):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-        if isinstance(max_iter, bool) or not (isinstance(max_iter, int) and max_iter >= 1):
-            raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
-        return super().__new__(cls, eigen_residual, boundary_band, max_iter)
+        return super().__new__(cls, eigen_residual, boundary_band)
 
     @classmethod
     def _make(cls, iterable):

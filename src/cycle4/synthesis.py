@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from . import criterion
+from . import criterion, scalar
 from .errors import (
     AlphaOutOfRange,
     BracketFailure,
@@ -25,7 +25,6 @@ from .errors import (
     NotOnCurve,
     OutsideRegion,
     ParameterOutOfRange,
-    ShrinkOutOfRange,
 )
 from .matrix import CycleMatrix4, eigen_residual, make_cycle_matrix
 from .region import Status, left_boundary_form, membership
@@ -85,14 +84,12 @@ def alpha_for_left_point(mu: complex) -> float:
     return alpha
 
 
-def ray_to_left_boundary(
-    lam: complex, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[complex, float]:
+def ray_to_left_boundary(lam: complex) -> tuple[complex, float]:
     """Hit point of the ray from 1 through ``lam`` on the left curve.
 
     Returns (mu, s) with mu = 1 + s * (lam - 1), s >= 1, and
     |left_boundary_form(mu)| < 1e-12, found by false position
-    (``scalar.bracketed_zero``, at most 4 * tol.max_iter evaluations).  The
+    (``scalar.bracketed_zero``, capped at ``_SEARCH_EVALUATIONS``).  The
     bracket is [1, s0] where s0 is the ray parameter of the imaginary-axis
     crossing: the form is positive at the strictly interior start and
     negative on the axis segment (0, i), so a sign change is guaranteed.
@@ -118,32 +115,21 @@ def ray_to_left_boundary(
         if hi[0] >= 0.0:
             raise BracketFailure(f"no sign change toward the axis for {lam!r}")
 
-    s, (form, mu) = bracketed_zero(form_at, s_hi, hi, 1.0, (g, lam), 1e-12, 4 * tol.max_iter)
+    s, (form, mu) = bracketed_zero(form_at, s_hi, hi, 1.0, (g, lam), 1e-12, scalar._SEARCH_EVALUATIONS)
     if abs(form) >= 1e-12:
         raise BracketFailure(f"search stalled at {mu!r} for {lam!r}")
     return mu, s
 
 
-def shrink(m: CycleMatrix4, l: float) -> CycleMatrix4:
-    """Parameter-wise affine shrink toward the identity.
-
-    The result equals (1-l) I + l A, so its spectrum is the image of the
-    spectrum of ``m`` under lam -> (1-l) + l*lam.
-    """
-    if isinstance(l, bool) or not (isinstance(l, (int, float)) and 0.0 < l <= 1.0):
-        raise ShrinkOutOfRange(f"shrink factor {l!r} outside (0, 1]")
-    return make_cycle_matrix(*((1.0 - l) + l * a for a in m.alpha))
-
-
 def _shrunk_anchor(alpha: float, l: float) -> CycleMatrix4:
-    # shrink(anchor (alpha, 0, 0, 0), l) in one construction: (1-l) + l*0.0
-    # is 1-l bit for bit
+    # (1-l) I + l A for the anchor A = (alpha, 0, 0, 0), parameter-wise:
+    # (1-l) + l*0.0 is 1-l bit for bit
     w = 1.0 - l
     return CycleMatrix4((w + l * alpha, w, w, w))
 
 
 def _ray_and_shrink(lam: complex, tol: Tolerance):
-    mu, s = ray_to_left_boundary(lam, tol)
+    mu, s = ray_to_left_boundary(lam)
     alpha, l = alpha_for_left_point(mu), 1.0 / s
     try:
         return _shrunk_anchor(alpha, l), Method.INTERIOR_SHRINK, mu, l

@@ -407,7 +407,7 @@ class TestUsage:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("option, value", [("--tol-band", "inf"), ("--tol-residual", "nan"),
-                                               ("--tol-band", "0")])
+                                               ("--tol-band", "0"), ("--tol-band", "x")])
     def test_bad_tolerance_exits_2(self, capsys, option, value):
         # an infinite band would call 0.5+0.3i BoundaryRealEndpoint
         with pytest.raises(SystemExit) as err:
@@ -416,7 +416,7 @@ class TestUsage:
         assert "expected a finite positive number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("params", [("nan", "0.5", "0.5", "0.5"), ("0.5", "0.5", "inf", "0.5"),
-                                        ("0.5", "0.5", "0.5", "-inf")])
+                                        ("0.5", "0.5", "0.5", "-inf"), ("0.5", "abc", "0.5", "0.5")])
     def test_non_finite_parameter_exits_2(self, capsys, params):
         with pytest.raises(SystemExit) as err:
             main(["spectrum", "--", *params])
@@ -424,7 +424,7 @@ class TestUsage:
         assert "expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "realize", "psi"])
-    @pytest.mark.parametrize("point", [("nan", "0.3"), ("0.3", "inf"), ("-inf", "0.3")])
+    @pytest.mark.parametrize("point", [("nan", "0.3"), ("0.3", "inf"), ("-inf", "0.3"), ("abc", "0.3")])
     def test_non_finite_point_exits_2(self, capsys, command, point):
         with pytest.raises(SystemExit) as err:
             main([command, "--", *point])

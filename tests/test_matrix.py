@@ -111,6 +111,18 @@ class TestConstruction:
         assert err.value.index == k
         assert err.value.value is True
 
+    @pytest.mark.parametrize("alpha, message", [
+        (None, "expected a sequence of 4 parameters, got None"),
+        (0.5, "expected a sequence of 4 parameters, got 0.5"),
+        ((0.1, 0.2, 0.3), "expected 4 parameters, got 3"),
+        ([0.1] * 5, "expected 4 parameters, got 5"),
+    ], ids=["none", "scalar", "three", "five"])
+    def test_rejects_wrong_count(self, alpha, message):
+        with pytest.raises(ParameterOutOfRange) as err:
+            CycleMatrix4(alpha)
+        assert str(err.value) == message
+        assert err.value.index is None and err.value.value is alpha
+
     def test_make_and_replace_validate(self):
         with pytest.raises(ParameterOutOfRange):
             CycleMatrix4._make([(2.0, 0, 0, 0)])
@@ -201,19 +213,21 @@ class TestSpectrum:
         steps = []
         step = matrix._step
         monkeypatch.setattr(matrix, "_step", lambda *z: steps.append(z[0].shape) or step(*z))
-        bulk_spectra(np.full((1, 4), 0.5), Tolerance(max_iter=7))
+        monkeypatch.setattr(matrix, "_ABERTH_STEPS", 7)
+        bulk_spectra(np.full((1, 4), 0.5))
         assert steps == [(1,)] * 7
 
-    @pytest.mark.parametrize("max_iter", [1, 200])
-    def test_guard_raises_iff_some_root_misses_the_bound(self, max_iter):
+    @pytest.mark.parametrize("steps", [1, 200])
+    def test_guard_raises_iff_some_root_misses_the_bound(self, monkeypatch, steps):
+        monkeypatch.setattr(matrix, "_ABERTH_STEPS", steps)
         rng = np.random.default_rng(17)
         raised = 0
         for alpha in rng.random((300, 4)):
             m = make_cycle_matrix(*alpha)
-            loose = Tolerance(eigen_residual=1e300, max_iter=max_iter)
+            loose = Tolerance(eigen_residual=1e300)
             worst = max(eigen_residual(m, r) for r in spectrum(m, loose))
             for bound in (1e-8, 1e-16, 3e-17):
-                tight = Tolerance(eigen_residual=bound, max_iter=max_iter)
+                tight = Tolerance(eigen_residual=bound)
                 if worst > bound:
                     raised += 1
                     with pytest.raises(SpectrumFailure):
@@ -244,19 +258,23 @@ class TestStepCount:
     """Two Aberth steps settle the spectra of the constructions: capping the
     iteration at two changes no bit of them."""
 
-    two = Tolerance(max_iter=2)
-
-    def test_scalar_grid(self, grid_matrices):
+    def test_scalar_grid(self, monkeypatch, grid_matrices):
         assert len(grid_matrices) > 2000
-        for m in grid_matrices:
-            assert spectrum(m, self.two) == spectrum(m), m.alpha
+        uncapped = [spectrum(m) for m in grid_matrices]
+        monkeypatch.setattr(matrix, "_ABERTH_STEPS", 2)
+        for m, roots in zip(grid_matrices, uncapped):
+            assert spectrum(m) == roots, m.alpha
 
-    def test_bulk_grid(self, grid_matrices):
+    def test_bulk_grid(self, monkeypatch, grid_matrices):
         alphas = np.array([m.alpha for m in grid_matrices])
-        assert np.array_equal(bulk_spectra(alphas, self.two), bulk_spectra(alphas))
+        uncapped = bulk_spectra(alphas)
+        monkeypatch.setattr(matrix, "_ABERTH_STEPS", 2)
+        assert np.array_equal(bulk_spectra(alphas), uncapped)
 
-    def test_left_curve_trace(self):
-        assert trace_left_curve(400, self.two) == trace_left_curve(400)
+    def test_left_curve_trace(self, monkeypatch):
+        uncapped = trace_left_curve(400)
+        monkeypatch.setattr(matrix, "_ABERTH_STEPS", 2)
+        assert trace_left_curve(400) == uncapped
 
 
 class TestEigenResidual:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from conftest import off_left_curve
 from hypothesis import given, strategies as st
@@ -153,8 +154,9 @@ class TestTraceRightSegment:
                 assert status is Status.BOUNDARY_CR
 
     def test_needs_two(self):
-        with pytest.raises(ArgumentOutOfRange):
-            trace_right_segment(1)
+        for n in (1, 3.0, 2.5, None, "5"):
+            with pytest.raises(ArgumentOutOfRange):
+                trace_right_segment(n)
 
 
 class TestTraceLeftCurve:
@@ -186,5 +188,7 @@ class TestTraceLeftCurve:
         assert params[-1] == pytest.approx(0.99)
 
     def test_needs_two(self):
-        with pytest.raises(ArgumentOutOfRange):
-            trace_left_curve(1)
+        for n in (1, 2.5, 3.0, None, "5"):
+            with pytest.raises(ArgumentOutOfRange):
+                trace_left_curve(n)
+        assert trace_left_curve(np.int64(5)) == trace_left_curve(5)

@@ -10,6 +10,7 @@ from cycle4 import (
     spectrum,
     trace_left_curve,
 )
+from cycle4 import matrix
 from cycle4.sampling import (
     bulk_spectra,
     classify_points,
@@ -77,10 +78,11 @@ class TestBulkSolvers:
         closed = np.sort(eigenvalues, axis=1) == np.sort(eigenvalues.conj(), axis=1)
         assert closed.all()
 
-    @pytest.mark.parametrize("max_iter", [1, 200])
-    def test_rows_hold_exact_one(self, max_iter):
+    @pytest.mark.parametrize("steps", [1, 200])
+    def test_rows_hold_exact_one(self, monkeypatch, steps):
         # rows the iteration cap stops early keep the structure too
-        eigenvalues = bulk_spectra(sample_parameters(2000, 9), Tolerance(max_iter=max_iter))
+        monkeypatch.setattr(matrix, "_ABERTH_STEPS", steps)
+        eigenvalues = bulk_spectra(sample_parameters(2000, 9))
         assert ((eigenvalues == 1.0).sum(axis=1) >= 1).all()
         assert (np.sort(eigenvalues, axis=1) == np.sort(eigenvalues.conj(), axis=1)).all()
 

@@ -11,7 +11,7 @@ class TestTolerance:
         tol = Tolerance()
         assert tol.eigen_residual == 1e-8
         assert tol.boundary_band == 1e-9
-        assert tol.max_iter == 200
+        assert Tolerance._fields == ("eigen_residual", "boundary_band")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -19,10 +19,10 @@ class TestTolerance:
             {"eigen_residual": 0.0},
             {"boundary_band": -1e-9},
             {"eigen_residual": float("nan")},
-            {"max_iter": 0},
+            {"boundary_band": "1e-9"},
             {"boundary_band": float("inf")},
             {"eigen_residual": True},
-            {"max_iter": True},
+            {"boundary_band": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -31,11 +31,11 @@ class TestTolerance:
 
     def test_make_and_replace_validate(self):
         with pytest.raises(ValueError):
-            Tolerance()._replace(max_iter=0)
+            Tolerance()._replace(boundary_band=0)
         with pytest.raises(ValueError):
-            Tolerance._make((0.0, 1e-9, 200))
-        tol = Tolerance._make((1e-6, 1e-7, 50))._replace(max_iter=9)
-        assert type(tol) is Tolerance and tol == Tolerance(1e-6, 1e-7, 9)
+            Tolerance._make((0.0, 1e-9))
+        tol = Tolerance._make((1e-6, 1e-7))._replace(boundary_band=1e-5)
+        assert type(tol) is Tolerance and tol == Tolerance(1e-6, 1e-5)
 
 
 def bisection_count(f, lo, hi, stop):

@@ -11,7 +11,6 @@ from cycle4 import (
     NotInterior,
     NotOnCurve,
     OutsideRegion,
-    ShrinkOutOfRange,
     Status,
     Tolerance,
     alpha_for_left_point,
@@ -24,13 +23,12 @@ from cycle4 import (
     ray_to_left_boundary,
     realize,
     realize_via_criterion,
-    shrink,
     solve_criterion,
     spectrum,
     trace_left_curve,
     trace_right_segment,
 )
-from cycle4 import criterion, synthesis
+from cycle4 import criterion, scalar, synthesis
 
 
 def interior_grid() -> list[complex]:
@@ -116,35 +114,32 @@ class TestRayToLeftBoundary:
 
 
 class TestShrink:
+    """``_shrunk_anchor(alpha, l)`` is (1-l) I + l A for the anchor
+    A = (alpha, 0, 0, 0), the one shrink every construction uses."""
+
     def test_identity_factor(self):
-        m = make_cycle_matrix(0.3, 0.7, 0.1, 0.9)
-        assert shrink(m, 1.0) == m
+        assert synthesis._shrunk_anchor(0.37, 1.0) == make_cycle_matrix(0.37, 0, 0, 0)
 
     def test_permutation_to_half(self):
-        m = shrink(make_cycle_matrix(0, 0, 0, 0), 0.5)
+        m = synthesis._shrunk_anchor(0.0, 0.5)
         assert m.alpha == (0.5, 0.5, 0.5, 0.5)
         assert min(abs(r - (0.5 + 0.5j)) for r in spectrum(m)) < 1e-10
 
     def test_spectrum_maps_affinely(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            m = make_cycle_matrix(*rng.random(4))
+            alpha = rng.random()
             l = rng.uniform(0.05, 1.0)
-            shrunk = shrink(m, l)
+            shrunk = synthesis._shrunk_anchor(alpha, l)
             mapped = sorted(
-                ((1.0 - l) + l * r for r in spectrum(m)), key=lambda z: (z.real, z.imag)
+                ((1.0 - l) + l * r for r in spectrum(make_cycle_matrix(alpha, 0, 0, 0))),
+                key=lambda z: (z.real, z.imag),
             )
             for got, want in zip(spectrum(shrunk), mapped):
                 assert abs(got - want) < 1e-8
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, True, False, 0, float("nan")])
-    def test_rejects_bad_factor(self, bad):
-        with pytest.raises(ShrinkOutOfRange):
-            shrink(make_cycle_matrix(0, 0, 0, 0), bad)
-
     def test_accepts_int_factor(self):
-        m = make_cycle_matrix(0.3, 0.7, 0.1, 0.9)
-        assert shrink(m, 1) == m
+        assert synthesis._shrunk_anchor(0.37, 1) == make_cycle_matrix(0.37, 0, 0, 0)
 
 
 class TestRealize:
@@ -358,14 +353,16 @@ class TestSearchCost:
 
     def test_ray_obeys_iteration_cap(self, monkeypatch):
         calls, entered = calls_past_setup(monkeypatch, synthesis, "left_boundary_form")
+        monkeypatch.setattr(scalar, "_SEARCH_EVALUATIONS", 4)
         with pytest.raises(BracketFailure):
-            ray_to_left_boundary(0.2 + 0.3j, Tolerance(max_iter=1))
+            ray_to_left_boundary(0.2 + 0.3j)
         assert len(calls) - entered[0] <= 4
 
     def test_criterion_path_obeys_iteration_cap(self, monkeypatch):
         calls, entered = calls_past_setup(monkeypatch, criterion, "angle_for_shift")
+        monkeypatch.setattr(scalar, "_SEARCH_EVALUATIONS", 4)
         try:
-            result = realize_via_criterion(0.9 + 0.05j, Tolerance(max_iter=1))
+            result = realize_via_criterion(0.9 + 0.05j)
         except Cycle4Error as err:
             assert type(err) is NoConvergence
         else:

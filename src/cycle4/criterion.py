@@ -20,10 +20,11 @@ feasible set: unbounded when 3*lower + upper <= 2*pi, and otherwise
 attained at the angle vector (peak, lower, lower, lower) with
 peak = 2*pi - 3*lower.
 
-The solver follows the one-parameter family u_123 = (2*pi - u_4)/3 from the
-barycenter (pi/2,...,pi/2) toward the supremum.  Convexity of F makes the
-sum monotone along this family, so false position in s = log t_4 finds
-its zero, which turns the existence proof into a deterministic construction.
+This module evaluates the criterion; it solves nothing.  The realizing
+weights come from ``synthesis``: the shrunk left-curve anchor has hop
+weights (l, l, l, l tau), whose angles lie on the family
+u_123 = (2*pi - u_4)/3 and zero the sum, as ``realize_via_criterion``
+returns them.  ``psi`` reports the angle box and the supremum.
 """
 
 from __future__ import annotations
@@ -32,21 +33,15 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from . import scalar
 from .errors import (
     ArgumentOutOfRange,
     FeasibilityViolation,
     InfeasiblePoint,
     LowerHalfPlane,
-    NoConvergence,
     NonrealRequired,
-    NotRealizable,
 )
-from .region import left_boundary_form
-from .scalar import DEFAULT_TOLERANCE, Tolerance, bracketed_zero
 
 _TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
 _ANGLE_SLACK = 1e-12  # float slack below the lower angle bound
 
 
@@ -103,22 +98,18 @@ def shift_for_angle(ctx: CriterionContext, u: float) -> float:
     toward 0 as u approaches upper_arg."""
     if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
         raise ArgumentOutOfRange(f"angle {u!r} outside [{ctx.lower_arg}, {ctx.upper_arg})")
+    sin_u = math.sin(u)
+    if sin_u == 0.0:
+        # a subnormal lower_arg lets the slack admit u = 0, where cot u is infinite
+        raise ArgumentOutOfRange(f"angle {u!r} has no finite cotangent")
     z = ctx.z
-    t = z.imag * math.cos(u) / math.sin(u) - z.real
+    t = z.imag * math.cos(u) / sin_u - z.real
     if t > 1.0:
         # t(lower_arg) = 1 exactly; anything above is rounding noise
         if t > 1.0 + 1e-9:
             raise ArgumentOutOfRange(f"angle {u!r} maps to shift {t!r} > 1")
         t = 1.0
     return t
-
-
-def angle_for_shift(ctx: CriterionContext, t: float) -> float:
-    """Inverse of shift_for_angle on (0, 1]."""
-    if not 0.0 < t <= 1.0 + 1e-12:
-        raise ArgumentOutOfRange(f"shift {t!r} outside (0, 1]")
-    z = ctx.z
-    return math.atan2(z.imag, z.real + (1.0 if t > 1.0 else t))
 
 
 def log_modulus_ratio(ctx: CriterionContext, u: float) -> float:
@@ -163,93 +154,3 @@ def criterion_max(ctx: CriterionContext) -> float:
     return 3.0 * log_modulus_ratio(ctx, ctx.lower_arg) + log_modulus_ratio(
         ctx, ctx.peak_arg
     )
-
-
-def solve_criterion(
-    ctx: CriterionContext, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[float, float, float, float]:
-    """Hop weights t_1..t_4 realizing ``ctx.lam`` as an eigenvalue.
-
-    Requires an admissible target: 0 <= a < 1, b > 0, and both 1 - a - b
-    and left_boundary_form(a, b) >= -tol.boundary_band, as in membership.
-    The returned weights satisfy the multiplicative identity with relative
-    defect below tol.eigen_residual; equivalently, lam is in the spectrum
-    of the matrix with self-loop weights 1 - t_k.  The zero returned is the
-    one met along the solver's path; other zeros may exist and realize lam
-    with different weights.
-
-    False position (``bracketed_zero``, capped at ``_SEARCH_EVALUATIONS``)
-    in s = log t_4 along the path u_123 = (2*pi - u_4)/3 finds the zero:
-    the sum is monotone in s there, as its u_4-slope F'(u_4) - F'(u_123)
-    is positive by convexity (u_4 >= pi/2 >= u_123).
-    """
-    a, b = ctx.lam.real, ctx.lam.imag
-    if a < 0.0 or a >= 1.0:
-        raise FeasibilityViolation(f"real part {a} outside [0, 1)")
-    if 1.0 - a - b < -tol.boundary_band:
-        raise NotRealizable(f"{ctx.lam!r} lies beyond the right segment")
-    if left_boundary_form(a, b) < -tol.boundary_band:
-        raise NotRealizable(f"{ctx.lam!r} lies beyond the left boundary")
-
-    t_bar = shift_for_angle(ctx, _HALF_PI)
-    base = 4.0 * log_modulus_ratio(ctx, _HALF_PI)
-    if base >= -1e-15:
-        # On the right segment a + b = 1 the barycenter itself is the zero:
-        # equal shifts t = 1 - a.
-        return (t_bar, t_bar, t_bar, t_bar)
-
-    z = ctx.z
-
-    def path_sum(s: float) -> tuple[float, float, float]:
-        # log-moduli from the shifts themselves; the angle form cancels once t_4 << |x|
-        t4 = math.exp(s)
-        if t4 == 0.0:
-            raise NoConvergence(f"required shift underflows for {ctx.lam!r}")
-        t123 = shift_for_angle(ctx, (_TWO_PI - angle_for_shift(ctx, t4)) / 3.0)
-        value = 3.0 * (math.log(abs(z + t123)) - math.log(t123))
-        return value + math.log(abs(z + t4)) - s, t123, t4
-
-    s_neg, neg = math.log(1.0 - a), (base, t_bar, t_bar)  # the barycenter: base < 0
-    if ctx.regime is Regime.TIGHT:
-        u_end = ctx.peak_arg
-        s_pos = math.log(shift_for_angle(ctx, u_end))
-        pos = path_sum(s_pos)
-        if pos[0] <= 0.0:
-            if pos[0] > -1e-12:
-                # Target sits on the left curve: the supremum itself is the zero.
-                t123 = shift_for_angle(ctx, (_TWO_PI - u_end) / 3.0)
-                return (t123, t123, t123, shift_for_angle(ctx, u_end))
-            raise NotRealizable(f"criterion maximum {pos[0]} < 0; {ctx.lam!r} is not realizable")
-    else:
-        # The sum grows without bound as t_4 -> 0: step s down by 1, 2, 4, ...
-        # until it turns positive, moving the negative end along.
-        step = 1.0
-        pos = path_sum(s_neg - step)
-        while pos[0] <= 0.0:
-            s_neg, neg = s_neg - step, pos
-            step *= 2.0
-            pos = path_sum(s_neg - step)
-        s_pos = s_neg - step
-
-    _, (_, t123, t4) = bracketed_zero(
-        path_sum, s_neg, neg, s_pos, pos, 0.01 * tol.eigen_residual, scalar._SEARCH_EVALUATIONS
-    )
-
-    if 1.0 - t4 >= 1.0:
-        # the shift exists but its matrix weight 1 - t rounds onto the
-        # excluded value 1: the target hugs the real axis too closely
-        raise NoConvergence(
-            f"realizing weight for {ctx.lam!r} collapses onto 1 in floating point"
-        )
-
-    shifts = (t123, t123, t123, t4)
-    left = 1.0 + 0.0j
-    right = 1.0
-    for t in shifts:
-        left *= ctx.z + t
-        right *= t
-    if abs(left / right - 1.0) > tol.eigen_residual:
-        raise NoConvergence(
-            f"path zero at {ctx.lam!r} left relative defect {abs(left / right - 1.0)}"
-        )
-    return shifts

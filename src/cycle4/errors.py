@@ -14,15 +14,17 @@ class ParameterOutOfRange(Cycle4Error):
     ``value``, the whole argument, does not hold four parameters."""
 
     def __init__(self, index, value):
+        # both arguments go to ``args``, which pickling replays
+        super().__init__(index, value)
         self.index = index
         self.value = value
-        if index is not None:
-            message = f"parameter {index} = {value!r} is outside [0, 1)"
-        elif hasattr(value, "__len__"):
-            message = f"expected 4 parameters, got {len(value)}"
-        else:
-            message = f"expected a sequence of 4 parameters, got {value!r}"
-        super().__init__(message)
+
+    def __str__(self):
+        if self.index is not None:
+            return f"parameter {self.index} = {self.value!r} is outside [0, 1)"
+        if hasattr(self.value, "__len__"):
+            return f"expected 4 parameters, got {len(self.value)}"
+        return f"expected a sequence of 4 parameters, got {self.value!r}"
 
 
 class SpectrumFailure(Cycle4Error):
@@ -49,10 +51,6 @@ class InfeasiblePoint(Cycle4Error):
     """Angle tuple violates the box or sum constraint of the feasible set."""
 
 
-class NotRealizable(Cycle4Error):
-    """The criterion cannot reach zero: the point is outside the region."""
-
-
 class NoConvergence(Cycle4Error):
     """Iterative search exhausted its iteration budget."""
 
@@ -63,14 +61,6 @@ class NotOnCurve(Cycle4Error):
 
 class AlphaOutOfRange(Cycle4Error):
     """Recovered matrix parameter falls outside [0, 1)."""
-
-
-class NotInterior(Cycle4Error):
-    """Point is not strictly interior to the nonreal region."""
-
-
-class BracketFailure(Cycle4Error):
-    """A sign-change bracket could not be established."""
 
 
 class OutsideRegion(Cycle4Error):

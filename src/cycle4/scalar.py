@@ -9,9 +9,9 @@ import math
 from collections import namedtuple
 
 _EPS = 2.220446049250313e-16
-# Evaluations a bracketed search (the ray to the left curve, the criterion
-# path) may make; on the interior grid a realize makes at most 20 form and a
-# criterion solve 12 path evaluations in all (``TestSearchCost``).
+# Evaluations the one bracketed search, the interior solve for c = cot(arg mu)
+# in ``synthesis``, may make; on the interior grid it makes at most 12 form
+# evaluations in all (``TestSearchCost``).
 _SEARCH_EVALUATIONS = 800
 
 

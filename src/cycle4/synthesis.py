@@ -5,8 +5,9 @@ half-plane target takes its conjugate's matrix, and one eigen-defect check
 certifies the result.  Boundary matrices are the anchor A = (alpha, 0, 0, 0)
 shrunk to (1-l) I + l A, spectrum (1-l) + l*spec(A): the plain cycle for
 the real interval and right segment, the curve's own anchor for the left
-curve.  Interior targets get the ray's hit on the left curve shrunk back in
-``realize`` and the criterion solver's path zero in ``realize_via_criterion``.
+curve.  Interior targets get the ray's hit on the left curve shrunk back,
+found by one solver in c = cot(arg mu) with only + - * /; ``realize`` puts
+the anchor first and ``realize_via_criterion`` last, as the criterion does.
 """
 
 from __future__ import annotations
@@ -14,19 +15,17 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from . import criterion, scalar
+from . import scalar
 from .errors import (
     AlphaOutOfRange,
-    BracketFailure,
     LowerHalfPlane,
     NoConvergence,
     NonrealRequired,
-    NotInterior,
     NotOnCurve,
     OutsideRegion,
     ParameterOutOfRange,
 )
-from .matrix import CycleMatrix4, eigen_residual, make_cycle_matrix
+from .matrix import CycleMatrix4, eigen_residual
 from .region import Status, left_boundary_form, membership
 from .scalar import DEFAULT_TOLERANCE, Tolerance, bracketed_zero
 
@@ -60,23 +59,32 @@ class Realization(namedtuple("Realization", "matrix lam method mu shrink_l resid
         return data
 
 
+def _anchor_hop(mu: complex) -> complex:
+    # hop weight tau = 1 - alpha of the anchor (alpha, 0, 0, 0) with mu in
+    # its spectrum, mu^3 (1 - mu) / (mu^3 - 1), in products only: a cube
+    # that overflows turns into inf/nan instead of raising
+    cube = mu * mu * mu
+    return cube * (1.0 - mu) / (cube - 1.0)
+
+
 def alpha_for_left_point(mu: complex) -> float:
     """Anchor weight alpha with mu in the spectrum of the left boundary
     matrix (alpha, 0, 0, 0).
 
-    Inverts the characteristic equation: alpha = (mu^4 - 1) / (mu^3 - 1),
-    which is real exactly when mu sits on the left curve.  Raises NotOnCurve
-    when the imaginary part betrays an off-curve input.
+    Inverts the characteristic equation: alpha = 1 - tau with the anchor hop
+    tau = mu^3 (1 - mu) / (mu^3 - 1), which is real exactly when mu sits on
+    the left curve.  Raises NotOnCurve when the imaginary part betrays an
+    off-curve input, and AlphaOutOfRange when alpha leaves [0, 1).
     """
     mu = complex(mu)
     if mu.imag == 0.0:
         raise NonrealRequired(f"{mu!r} is real")
     if mu.imag < 0.0:
         raise LowerHalfPlane(f"{mu!r} lies in the lower half-plane")
-    ratio = (mu**4 - 1.0) / (mu**3 - 1.0)
-    if abs(ratio.imag) >= 1e-8:
-        raise NotOnCurve(f"{mu!r} is off the left curve: Im(alpha) = {ratio.imag}")
-    alpha = ratio.real
+    tau = _anchor_hop(mu)
+    if abs(tau.imag) >= 1e-8:
+        raise NotOnCurve(f"{mu!r} is off the left curve: Im(alpha) = {-tau.imag}")
+    alpha = 1.0 - tau.real
     if -1e-9 <= alpha < 0.0:
         alpha = 0.0
     if not 0.0 <= alpha < 1.0:
@@ -84,41 +92,37 @@ def alpha_for_left_point(mu: complex) -> float:
     return alpha
 
 
-def ray_to_left_boundary(lam: complex) -> tuple[complex, float]:
-    """Hit point of the ray from 1 through ``lam`` on the left curve.
+def _left_hit(lam: complex) -> tuple[complex, float, float]:
+    """The ray from 1 through a strictly interior ``lam`` meets the left
+    curve at mu with lam = (1 - l) + l mu; returns (mu, l, tau), tau the
+    anchor hop of mu.
 
-    Returns (mu, s) with mu = 1 + s * (lam - 1), s >= 1, and
-    |left_boundary_form(mu)| < 1e-12, found by false position
-    (``scalar.bracketed_zero``, capped at ``_SEARCH_EVALUATIONS``).  The
-    bracket is [1, s0] where s0 is the ray parameter of the imaginary-axis
-    crossing: the form is positive at the strictly interior start and
-    negative on the axis segment (0, i), so a sign change is guaranteed.
+    With z = lam - 1 = x + iy, put z + l = y (c + i): then c = cot(arg mu),
+    l = y c - x is a sum of positive terms and mu = y (c + i) / l cancels
+    nothing.  False
+    position (``scalar.bracketed_zero``, capped at ``_SEARCH_EVALUATIONS``)
+    solves the relative form F(c) = left_boundary_form(mu) / |mu|^2 = 0 on
+    [0, min(a/b, 0.6)], a sign-change bracket without a search.  In polar
+    form mu = r e^(i theta), left_boundary_form = r^2 ((r + cos theta)^2 +
+    3 cos^2 theta - 1), so:
+      - F(0) = r^2 - 1 < 0, as mu = iy/(1 - a) and a + b < 1;
+      - F > 0 wherever theta <= pi/3, since then cos theta >= 1/2; that
+        covers every c >= 1/sqrt(3), c = 0.6 among them;
+      - at c = a/b, l = 1 and mu = lam, where F > 0 as lam is interior.
     """
-    lam = complex(lam)
-    a, b = lam.real, lam.imag
-    g = left_boundary_form(a, b)
-    if not (b > 0.0 and 0.0 < a < 1.0 and a + b < 1.0 and g > 0.0):
-        raise NotInterior(f"{lam!r} is not strictly interior")
+    x, y = lam.real - 1.0, lam.imag
 
-    direction = lam - 1.0
+    def form_at(c: float) -> tuple[float, float, float, float]:
+        l = y * c - x
+        mr, mi = y * c / l, y / l
+        return left_boundary_form(mr, mi) / (mr * mr + mi * mi), l, mr, mi
 
-    def form_at(s: float) -> tuple[float, complex]:
-        mu = 1.0 + s * direction
-        return left_boundary_form(mu.real, mu.imag), mu
-
-    s_hi = 1.0 / (1.0 - a)  # real part of the ray hits 0 here
-    hi = form_at(s_hi)
-    if hi[0] >= 0.0:
-        # Rounding at razor-thin gaps; one nudge past the axis, then give up.
-        s_hi *= 1.0 + 1e-6
-        hi = form_at(s_hi)
-        if hi[0] >= 0.0:
-            raise BracketFailure(f"no sign change toward the axis for {lam!r}")
-
-    s, (form, mu) = bracketed_zero(form_at, s_hi, hi, 1.0, (g, lam), 1e-12, scalar._SEARCH_EVALUATIONS)
-    if abs(form) >= 1e-12:
-        raise BracketFailure(f"search stalled at {mu!r} for {lam!r}")
-    return mu, s
+    hi = min(lam.real / y, 0.6)
+    _, (_, l, mr, mi) = bracketed_zero(
+        form_at, 0.0, form_at(0.0), hi, form_at(hi), 1e-12, scalar._SEARCH_EVALUATIONS
+    )
+    mu = complex(mr, mi)
+    return mu, l, _anchor_hop(mu).real
 
 
 def _shrunk_anchor(alpha: float, l: float) -> CycleMatrix4:
@@ -128,24 +132,9 @@ def _shrunk_anchor(alpha: float, l: float) -> CycleMatrix4:
     return CycleMatrix4((w + l * alpha, w, w, w))
 
 
-def _ray_and_shrink(lam: complex, tol: Tolerance):
-    mu, s = ray_to_left_boundary(lam)
-    alpha, l = alpha_for_left_point(mu), 1.0 / s
-    try:
-        return _shrunk_anchor(alpha, l), Method.INTERIOR_SHRINK, mu, l
-    except ParameterOutOfRange as err:
-        # a shrunk weight (1 - l) + l*alpha rounds onto the excluded 1
-        raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
-
-
-def _criterion_path_zero(lam: complex, tol: Tolerance):
-    shifts = criterion.solve_criterion(criterion.make_context(lam), tol)
-    return make_cycle_matrix(*(1.0 - t for t in shifts)), Method.CRITERION_SOLVER, None, None
-
-
-def _realize(lam: complex, tol: Tolerance, interior) -> Realization:
-    """The pipeline of both routes; ``interior`` maps a strictly interior
-    upper-half-plane target to (matrix, method, mu, l)."""
+def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
+    """The pipeline of both routes; ``interior`` names the route's
+    construction for strictly interior targets."""
     lam = complex(lam)
     status = membership(lam, tol).status
     if status is Status.OUTSIDE:
@@ -153,7 +142,18 @@ def _realize(lam: complex, tol: Tolerance, interior) -> Realization:
     work = lam if lam.imag >= 0.0 else lam.conjugate()  # the matrix is real
     mu = l = None
     if status is Status.INSIDE_NONREAL:
-        matrix, method, mu, l = interior(work, tol)
+        # (1-l) I + l A with the anchor hop tau: weights 1 - l*tau and 1 - l;
+        # the criterion route puts the anchor last, mu and l unreported
+        mu, l, tau = _left_hit(work)
+        w, method = 1.0 - l, interior
+        alpha = (1.0 - l * tau, w, w, w)
+        if method is Method.CRITERION_SOLVER:
+            alpha, mu, l = alpha[1:] + alpha[:1], None, None
+        try:
+            matrix = CycleMatrix4(alpha)
+        except ParameterOutOfRange as err:
+            # near the real axis a shrunk weight rounds onto the excluded 1
+            raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
     elif status is Status.BOUNDARY_CL:
         mu, method = work, Method.BOUNDARY_CL
         matrix = _shrunk_anchor(alpha_for_left_point(work), 1.0)
@@ -180,19 +180,20 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
     Raises OutsideRegion for points outside the region, NoConvergence when
     the matrix misses the ``tol.eigen_residual`` certificate,
     AlphaOutOfRange when a weight rounds onto 1 near the real axis,
-    NotOnCurve or BracketFailure when the left-curve point is not found,
-    and ValueError for a non-finite target.
+    NotOnCurve when a left-curve target inside a wide boundary band sits
+    too far off the curve, and ValueError for a non-finite target.
     """
-    return _realize(lam, tol, _ray_and_shrink)
+    return _realize(lam, tol, Method.INTERIOR_SHRINK)
 
 
 def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
-    """``realize`` with the criterion solver's path zero for interior points.
+    """``realize`` with the criterion's weights for interior points.
 
-    Both solvers land on the same anchor and shrink factor, so an interior
-    matrix is ``realize``'s rotated by one place, up to rounding; boundary
-    and real targets get ``realize``'s own matrix.  Raises as ``realize``
-    does, but NoConvergence where the interior solver fails (see
-    ``criterion.solve_criterion``).
+    The shrunk anchor (1 - l tau, 1 - l, 1 - l, 1 - l) solves the paper's
+    criterion: the angles arg(z + t_k) of its hop weights t_k sum to 2 pi and
+    zero the sum of log-modulus ratios.  This route returns that matrix
+    rotated by one place, (1 - l, 1 - l, 1 - l, 1 - l tau), the weights on
+    the criterion's path u_123 = (2 pi - u_4)/3; boundary and real targets
+    get ``realize``'s own matrix.  Raises as ``realize`` does.
     """
-    return _realize(lam, tol, _criterion_path_zero)
+    return _realize(lam, tol, Method.CRITERION_SOLVER)

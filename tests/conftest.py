@@ -26,6 +26,12 @@ def sample_inside_nonreal(rng: np.random.Generator, count: int, *,
     return out
 
 
+def interior_grid() -> list[complex]:
+    """The strictly interior points of the 60x60 grid of acceptance criterion 3."""
+    grid = (complex(i / 60, (j + 1) / 60) for i in range(60) for j in range(60))
+    return [lam for lam in grid if membership(lam).status is Status.INSIDE_NONREAL]
+
+
 def off_left_curve(lam: complex, form: float) -> complex:
     """``lam`` moved along Im, by Newton steps, until the left boundary form
     reads ``form``."""

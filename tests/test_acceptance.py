@@ -37,7 +37,7 @@ from cycle4 import (
     membership,
     modulus_threshold,
     realize,
-    solve_criterion,
+    realize_via_criterion,
     spectrum,
     trace_left_curve,
     verify_identity_suite,
@@ -135,9 +135,8 @@ def test_criterion_3_converse_on_grid():
             checked += 1
             direct = realize(lam)
             worst_direct = max(worst_direct, direct.residual)
-            shifts = solve_criterion(make_context(lam))
-            matrix = make_cycle_matrix(*(1.0 - t for t in shifts))
-            worst_path = max(worst_path, eigen_residual(matrix, lam))
+            via = realize_via_criterion(lam)
+            worst_path = max(worst_path, eigen_residual(via.matrix, lam))
     assert checked > 1000
     assert worst_direct < 1e-8
     assert worst_path < 1e-8

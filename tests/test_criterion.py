@@ -4,31 +4,38 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import oracle_roots, sample_feasible_angles, sample_inside_nonreal, sample_tight
+from conftest import (
+    interior_grid,
+    oracle_roots,
+    sample_feasible_angles,
+    sample_inside_nonreal,
+    sample_tight,
+)
 from cycle4 import (
+    AlphaOutOfRange,
     ArgumentOutOfRange,
     Cycle4Error,
     FeasibilityViolation,
     InfeasiblePoint,
     LowerHalfPlane,
-    NoConvergence,
+    Method,
     NonrealRequired,
-    NotRealizable,
+    OutsideRegion,
     Status,
-    angle_for_shift,
     criterion_max,
     criterion_sum,
+    eigen_residual,
     left_boundary_form,
     log_modulus_ratio,
     make_context,
-    make_cycle_matrix,
     membership,
     modulus_threshold,
+    realize,
     realize_via_criterion,
     shift_for_angle,
-    solve_criterion,
     spectrum,
 )
+from cycle4 import synthesis
 from cycle4.criterion import Regime
 
 TWO_PI = 2.0 * math.pi
@@ -98,6 +105,7 @@ class TestShiftAngleMaps:
         assert previous < 1e-3
 
     def test_angle_for_shift_inverse(self):
+        # the angle of shift t is arg(z + t); shift_for_angle inverts it
         ctx = make_context(0.2 + 0.3j)
         # (a - 1) + 1 recombines to a only up to one ulp
         assert angle_for_shift(ctx, 1.0) == pytest.approx(ctx.lower_arg, abs=1e-14)
@@ -109,6 +117,8 @@ class TestShiftAngleMaps:
         angles = [angle_for_shift(ctx, t) for t in (1.0, 0.5, 0.1, 0.01, 1e-6)]
         assert all(x < y for x, y in zip(angles, angles[1:]))
         assert angles[-1] < ctx.upper_arg
+        shifts = [shift_for_angle(ctx, u) for u in angles]
+        assert all(x > y for x, y in zip(shifts, shifts[1:]))
 
     def test_domain_errors(self):
         ctx = make_context(0.2 + 0.3j)
@@ -116,10 +126,16 @@ class TestShiftAngleMaps:
             shift_for_angle(ctx, ctx.upper_arg)
         with pytest.raises(ArgumentOutOfRange):
             shift_for_angle(ctx, ctx.lower_arg - 1e-6)
-        with pytest.raises(ArgumentOutOfRange):
-            angle_for_shift(ctx, 0.0)
-        with pytest.raises(ArgumentOutOfRange):
-            angle_for_shift(ctx, 1.1)
+
+    def test_zero_sine_raises_argument_out_of_range(self):
+        # a subnormal lower_arg lets the slack admit u = 0, where the
+        # cotangent divided by zero
+        ctx = make_context(4.5e-15 + 5e-324j)
+        assert 0.0 < ctx.lower_arg < 1e-300
+        for function in (shift_for_angle, log_modulus_ratio):
+            with pytest.raises(Cycle4Error) as err:
+                function(ctx, 0.0)
+            assert type(err.value) is ArgumentOutOfRange
 
 
 class TestLogModulusRatio:
@@ -252,42 +268,63 @@ class TestBounds:
 
 
 class TestSolveCriterion:
+    """The criterion route: ``realize_via_criterion`` on the targets the
+    criterion decides."""
+
     def test_interior_point(self):
         lam = 0.2 + 0.3j
-        shifts = solve_criterion(make_context(lam))
-        assert all(0.0 < t <= 1.0 for t in shifts)
-        matrix = make_cycle_matrix(*(1.0 - t for t in shifts))
-        assert min(abs(r - lam) for r in spectrum(matrix)) < 1e-6
-        from cycle4 import eigen_residual
-
-        assert eigen_residual(matrix, lam) < 1e-8
+        result = realize_via_criterion(lam)
+        assert result.method is Method.CRITERION_SOLVER
+        assert all(0.0 < 1.0 - a <= 1.0 for a in result.matrix.alpha)
+        assert min(abs(r - lam) for r in spectrum(result.matrix)) < 1e-6
+        assert eigen_residual(result.matrix, lam) < 1e-8
 
     def test_right_segment_barycenter(self):
-        shifts = solve_criterion(make_context(0.5 + 0.5j))
-        assert shifts == (0.5, 0.5, 0.5, 0.5)
+        # on a + b = 1 the barycenter is the zero: equal shifts t = 1 - a
+        assert realize_via_criterion(0.5 + 0.5j).matrix.alpha == (0.5, 0.5, 0.5, 0.5)
 
     def test_not_realizable_beyond_left_curve(self):
-        with pytest.raises(NotRealizable):
-            solve_criterion(make_context(0.05 + 0.1j))
+        assert criterion_max(make_context(0.05 + 0.1j)) < 0.0
+        with pytest.raises(OutsideRegion):
+            realize_via_criterion(0.05 + 0.1j)
 
     def test_not_realizable_beyond_right_segment(self):
-        with pytest.raises(NotRealizable):
-            solve_criterion(make_context(0.7 + 0.5j))
+        with pytest.raises(OutsideRegion):
+            realize_via_criterion(0.7 + 0.5j)
 
     def test_feasibility_violation_negative_a(self):
-        with pytest.raises(FeasibilityViolation):
-            solve_criterion(make_context(-0.1 + 0.5j))
+        # four angles of at least arg(lam) > pi/2 cannot sum to 2*pi
+        assert 4.0 * make_context(-0.1 + 0.5j).lower_arg > TWO_PI
+        with pytest.raises(OutsideRegion):
+            realize_via_criterion(-0.1 + 0.5j)
 
     def test_round_trip_constraints(self):
-        # mapped back to angles, the solution sits on the hyperplane and
-        # zeroes the criterion sum
+        # mapped back to angles, the weights sit on the hyperplane and
+        # zero the criterion sum
         rng = np.random.default_rng(44)
         for lam in sample_inside_nonreal(rng, 20):
             ctx = make_context(lam)
-            shifts = solve_criterion(ctx)
-            angles = [angle_for_shift(ctx, t) for t in shifts]
+            angles = [angle_for_shift(ctx, 1.0 - a) for a in realize_via_criterion(lam).matrix.alpha]
             assert abs(sum(angles) - TWO_PI) < 1e-9
             assert abs(sum(log_modulus_ratio(ctx, u) for u in angles)) < 1e-9
+
+    def test_grid_weights_solve_the_criterion(self):
+        # the paper's criterion on every interior grid matrix: the angles
+        # arg(z + t_k) of the hop weights sum to 2*pi and zero the sum of
+        # log-modulus ratios
+        worst_sum = worst_criterion = 0.0
+        for lam in interior_grid():
+            ctx = make_context(lam)
+            angles = [angle_for_shift(ctx, 1.0 - a) for a in realize_via_criterion(lam).matrix.alpha]
+            worst_sum = max(worst_sum, abs(math.fsum(angles) - TWO_PI))
+            worst_criterion = max(worst_criterion, abs(criterion_sum(ctx, angles)))
+        assert worst_sum <= 1e-9
+        assert worst_criterion <= 1e-8
+
+
+def angle_for_shift(ctx, t: float) -> float:
+    """Arg(z + t), the angle whose shift is t."""
+    return math.atan2(ctx.y, ctx.x + t)
 
 
 def relative_defect(ctx, shifts) -> float:
@@ -321,13 +358,16 @@ class TestCriterionPath:
     @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
     def test_near_axis(self, a, b):
         lam = complex(a, b)
-        ctx = make_context(lam)
-        assert relative_defect(ctx, solve_criterion(ctx)) <= 1e-8
+        # the solver's own weights; storing them as alpha = 1 - t rounds
+        _, l, tau = synthesis._left_hit(lam)
+        assert relative_defect(make_context(lam), (l, l, l, l * tau)) <= 1e-8
         result = realize_via_criterion(lam)
         assert result.residual <= 1e-8
         assert oracle_gap(result.matrix.alpha, lam) <= b / 100
 
-    def test_collapse_onto_axis_raises_no_convergence(self):
-        with pytest.raises(Cycle4Error) as err:
-            realize_via_criterion(0.55 + 1e-8j)
-        assert type(err.value) is NoConvergence
+    def test_collapse_onto_axis_raises_alpha_out_of_range(self):
+        # the criterion route raises what realize raises
+        for route in (realize, realize_via_criterion):
+            with pytest.raises(Cycle4Error) as err:
+                route(0.55 + 1e-8j)
+            assert type(err.value) is AlphaOutOfRange

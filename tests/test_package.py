@@ -19,18 +19,17 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # Each exported name under the module that defines it; the modules are
 # exported too.
 EXPORTS = {
-    "criterion": ["CriterionContext", "Regime", "angle_for_shift", "criterion_max", "criterion_sum",
-                  "log_modulus_ratio", "make_context", "shift_for_angle", "solve_criterion"],
-    "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "BracketFailure", "Cycle4Error",
-               "FeasibilityViolation", "InfeasiblePoint", "LowerHalfPlane", "NoConvergence",
-               "NonrealRequired", "NotInterior", "NotOnCurve", "NotRealizable", "OutsideRegion",
-               "ParameterOutOfRange", "SpectrumFailure"],
+    "criterion": ["CriterionContext", "Regime", "criterion_max", "criterion_sum",
+                  "log_modulus_ratio", "make_context", "shift_for_angle"],
+    "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "Cycle4Error", "FeasibilityViolation",
+               "InfeasiblePoint", "LowerHalfPlane", "NoConvergence", "NonrealRequired",
+               "NotOnCurve", "OutsideRegion", "ParameterOutOfRange", "SpectrumFailure"],
     "identities": ["IdentityResult", "verify_identity_suite"],
     "matrix": ["CycleMatrix4", "eigen_residual", "make_cycle_matrix", "spectrum"],
     "region": ["RegionVerdict", "Status", "left_boundary_form", "left_branch_root", "membership",
                "modulus_threshold", "trace_left_curve", "trace_right_segment"],
     "scalar": ["DEFAULT_TOLERANCE", "Tolerance"],
-    "synthesis": ["Method", "Realization", "alpha_for_left_point", "ray_to_left_boundary", "realize",
+    "synthesis": ["Method", "Realization", "alpha_for_left_point", "realize",
                   "realize_via_criterion"],
 }
 
@@ -176,6 +175,19 @@ class TestRecords:
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record
         assert record == tuple(record) == tuple(getattr(record, f) for f in record._fields)
+
+    def test_errors_pickle(self):
+        errors = importlib.import_module("cycle4.errors")
+        classes = [value for value in vars(errors).values()
+                   if isinstance(value, type) and issubclass(value, errors.Cycle4Error)]
+        assert len(classes) == len(EXPORTS["errors"])
+        for cls in classes:
+            err = cls(1, 2.0) if cls is errors.ParameterOutOfRange else cls("message")
+            copy = pickle.loads(pickle.dumps(err))
+            assert type(copy) is cls
+            assert copy.args == err.args and str(copy) == str(err)
+        copy = pickle.loads(pickle.dumps(errors.ParameterOutOfRange(1, 2.0)))
+        assert (copy.index, copy.value) == (1, 2.0)
 
     def test_repr(self):
         matrix = cycle4.make_cycle_matrix(0.5, 0, 0.25, 0)

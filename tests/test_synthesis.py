@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import off_left_curve, sample_inside_nonreal
+from conftest import interior_grid, off_left_curve, sample_inside_nonreal
 from cycle4 import (
     AlphaOutOfRange,
-    BracketFailure,
     Cycle4Error,
     Method,
     NoConvergence,
-    NotInterior,
     NotOnCurve,
     OutsideRegion,
     Status,
@@ -17,24 +15,15 @@ from cycle4 import (
     eigen_residual,
     left_boundary_form,
     left_branch_root,
-    make_context,
     make_cycle_matrix,
     membership,
-    ray_to_left_boundary,
     realize,
     realize_via_criterion,
-    solve_criterion,
     spectrum,
     trace_left_curve,
     trace_right_segment,
 )
-from cycle4 import criterion, scalar, synthesis
-
-
-def interior_grid() -> list[complex]:
-    """The strictly interior points of the 60x60 grid of acceptance criterion 3."""
-    grid = (complex(i / 60, (j + 1) / 60) for i in range(60) for j in range(60))
-    return [lam for lam in grid if membership(lam).status is Status.INSIDE_NONREAL]
+from cycle4 import scalar, synthesis
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -83,34 +72,57 @@ class TestLeftAnchorWeight:
                 continue
             assert alpha_for_left_point(p.point) == pytest.approx(p.param, abs=1e-8)
 
+    def test_huge_point_raises_alpha_out_of_range(self):
+        # mu**4 raised OverflowError here; the product form overflows to nan
+        with pytest.raises(Cycle4Error) as err:
+            alpha_for_left_point(-5.4e118 + 1e-12j)
+        assert type(err.value) is AlphaOutOfRange
+
+
+def relative_form(mu: complex) -> float:
+    return left_boundary_form(mu.real, mu.imag) / abs(mu) ** 2
+
 
 class TestRayToLeftBoundary:
-    def test_right_segment_point_not_interior(self):
-        with pytest.raises(NotInterior):
-            ray_to_left_boundary(0.5 + 0.5j)  # a + b = 1: on the segment
+    """``synthesis._left_hit``: the ray from 1 through an interior target
+    meets the left curve at mu, with lam = (1 - l) + l mu."""
 
-    def test_outside_not_interior(self):
-        with pytest.raises(NotInterior):
-            ray_to_left_boundary(0.05 + 0.1j)  # beyond the left curve
+    def interior_solves(self, monkeypatch) -> list:
+        calls = []
+        solve = synthesis._left_hit
+        monkeypatch.setattr(synthesis, "_left_hit", lambda lam: calls.append(lam) or solve(lam))
+        return calls
+
+    def test_right_segment_point_not_interior(self, monkeypatch):
+        calls = self.interior_solves(monkeypatch)
+        assert realize(0.5 + 0.5j).method is Method.BOUNDARY_CR  # a + b = 1: on the segment
+        assert calls == []
+
+    def test_outside_not_interior(self, monkeypatch):
+        calls = self.interior_solves(monkeypatch)
+        with pytest.raises(OutsideRegion):
+            realize_via_criterion(0.05 + 0.1j)  # beyond the left curve
+        assert calls == []
 
     def test_interior_example(self):
-        mu, s = ray_to_left_boundary(0.2 + 0.3j)
-        assert 1.0 < s < 1.0 / 0.8
-        assert abs(left_boundary_form(mu.real, mu.imag)) < 1e-12
+        mu, l, tau = synthesis._left_hit(0.2 + 0.3j)
+        assert 0.8 < l < 1.0
+        assert abs(relative_form(mu)) < 1e-12
         assert 0.0 < mu.real <= 1.0 / 6.0 + 1e-9
         assert mu.imag > 0.0
+        assert tau == pytest.approx(1.0 - alpha_for_left_point(mu), abs=1e-15)
 
     def test_near_one_example(self):
-        mu, s = ray_to_left_boundary(0.9 + 0.05j)
-        assert 1.0 < s < 10.0
-        assert abs(left_boundary_form(mu.real, mu.imag)) < 1e-12
+        mu, l, _ = synthesis._left_hit(0.9 + 0.05j)
+        assert 0.1 < l < 1.0
+        assert abs(relative_form(mu)) < 1e-12
 
     def test_hit_point_is_on_ray(self):
         rng = np.random.default_rng(6)
         for lam in sample_inside_nonreal(rng, 40):
-            mu, s = ray_to_left_boundary(lam)
-            assert abs(mu - (1.0 + s * (lam - 1.0))) < 1e-12
-            assert s >= 1.0
+            mu, l, tau = synthesis._left_hit(lam)
+            assert abs(mu - (1.0 + (lam - 1.0) / l)) < 1e-12
+            assert 0.0 < l <= 1.0 and 0.0 < tau <= 1.0
 
 
 class TestShrink:
@@ -292,10 +304,9 @@ class TestCrossConstruction:
             assert via.method is Method.CRITERION_SOLVER
             assert min(abs(r - lam) for r in spectrum(direct.matrix)) < 1e-5
             assert min(abs(r - lam) for r in spectrum(via.matrix)) < 1e-5
-            # both solvers land on the same anchor and shrink factor: the
-            # criterion weights (w, w, w, w4) are realize's (w4, w, w, w)
-            rotated = direct.matrix.alpha[1:] + direct.matrix.alpha[:1]
-            assert max(abs(u - v) for u, v in zip(via.matrix.alpha, rotated)) < 1e-8
+            # one solver serves both routes: the criterion weights
+            # (w, w, w, w4) are realize's (w4, w, w, w) bit for bit
+            assert via.matrix.alpha == direct.matrix.alpha[1:] + direct.matrix.alpha[:1]
 
     def test_criterion_route_realizes_band_beyond_left_curve(self):
         # the left form is negative here but inside the band: membership says
@@ -330,46 +341,39 @@ class TestCrossConstruction:
 
 
 class TestSearchCost:
-    """Evaluations the two bracketed searches make, counted at the functions
-    they evaluate."""
+    """Evaluations the one bracketed search makes, counted at the form it
+    evaluates."""
 
-    def test_path_evaluations_per_solve(self, monkeypatch):
-        calls = count_calls(monkeypatch, criterion, "angle_for_shift")
+    @staticmethod
+    def form_calls_over_grid(monkeypatch, route, method) -> tuple[int, int]:
+        calls = count_calls(monkeypatch, synthesis, "left_boundary_form")
         fewest, worst = 12, 0
         for lam in interior_grid():
             calls.clear()
-            solve_criterion(make_context(lam))
+            assert route(lam).method is method
             fewest, worst = min(fewest, len(calls)), max(worst, len(calls))
+        return fewest, worst
+
+    def test_path_evaluations_per_solve(self, monkeypatch):
+        fewest, worst = self.form_calls_over_grid(monkeypatch, realize_via_criterion,
+                                                  Method.CRITERION_SOLVER)
         assert 1 <= fewest and worst <= 12  # an uncounted evaluation would read 0
 
     def test_form_calls_per_interior_realize(self, monkeypatch):
-        calls = count_calls(monkeypatch, synthesis, "left_boundary_form")
-        fewest, worst = 20, 0
-        for lam in interior_grid():
-            calls.clear()
-            assert realize(lam).method is Method.INTERIOR_SHRINK
-            fewest, worst = min(fewest, len(calls)), max(worst, len(calls))
-        assert 1 <= fewest and worst <= 20  # an uncounted evaluation would read 0
+        fewest, worst = self.form_calls_over_grid(monkeypatch, realize, Method.INTERIOR_SHRINK)
+        assert 1 <= fewest and worst <= 12
 
-    def test_ray_obeys_iteration_cap(self, monkeypatch):
+    def test_search_obeys_iteration_cap(self, monkeypatch):
         calls, entered = calls_past_setup(monkeypatch, synthesis, "left_boundary_form")
         monkeypatch.setattr(scalar, "_SEARCH_EVALUATIONS", 4)
-        with pytest.raises(BracketFailure):
-            ray_to_left_boundary(0.2 + 0.3j)
-        assert len(calls) - entered[0] <= 4
-
-    def test_criterion_path_obeys_iteration_cap(self, monkeypatch):
-        calls, entered = calls_past_setup(monkeypatch, criterion, "angle_for_shift")
-        monkeypatch.setattr(scalar, "_SEARCH_EVALUATIONS", 4)
-        try:
-            result = realize_via_criterion(0.9 + 0.05j)
-        except Cycle4Error as err:
-            assert type(err) is NoConvergence
-        else:
-            ctx = make_context(0.9 + 0.05j)
-            left = right = 1.0
-            for a in result.matrix.alpha:
-                left *= ctx.z + 1.0 - a
-                right *= 1.0 - a
-            assert abs(left / right - 1.0) <= 1e-8
-        assert len(calls) - entered[0] <= 4
+        for lam in (0.2 + 0.3j, 0.9 + 0.05j):
+            for route in (realize, realize_via_criterion):
+                calls.clear()
+                entered.clear()
+                try:
+                    result = route(lam)
+                except Cycle4Error as err:
+                    assert type(err) is NoConvergence
+                else:
+                    assert result.residual == eigen_residual(result.matrix, lam) <= 1e-8
+                assert len(calls) - entered[0] <= 4

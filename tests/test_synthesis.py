@@ -363,17 +363,23 @@ class TestSearchCost:
         fewest, worst = self.form_calls_over_grid(monkeypatch, realize, Method.INTERIOR_SHRINK)
         assert 1 <= fewest and worst <= 12
 
-    def test_search_obeys_iteration_cap(self, monkeypatch):
+    @staticmethod
+    def search_obeys_iteration_cap(monkeypatch, route):
         calls, entered = calls_past_setup(monkeypatch, synthesis, "left_boundary_form")
         monkeypatch.setattr(scalar, "_SEARCH_EVALUATIONS", 4)
         for lam in (0.2 + 0.3j, 0.9 + 0.05j):
-            for route in (realize, realize_via_criterion):
-                calls.clear()
-                entered.clear()
-                try:
-                    result = route(lam)
-                except Cycle4Error as err:
-                    assert type(err) is NoConvergence
-                else:
-                    assert result.residual == eigen_residual(result.matrix, lam) <= 1e-8
-                assert len(calls) - entered[0] <= 4
+            calls.clear()
+            entered.clear()
+            try:
+                result = route(lam)
+            except Cycle4Error as err:
+                assert type(err) is NoConvergence
+            else:
+                assert result.residual == eigen_residual(result.matrix, lam) <= 1e-8
+            assert len(calls) - entered[0] <= 4
+
+    def test_ray_obeys_iteration_cap(self, monkeypatch):
+        self.search_obeys_iteration_cap(monkeypatch, realize)
+
+    def test_criterion_path_obeys_iteration_cap(self, monkeypatch):
+        self.search_obeys_iteration_cap(monkeypatch, realize_via_criterion)

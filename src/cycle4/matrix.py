@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 
 from .errors import ParameterOutOfRange, SpectrumFailure
-from .scalar import _EPS, DEFAULT_TOLERANCE, Tolerance
+from .scalar import DEFAULT_TOLERANCE, Tolerance
 
 # Each seed moves by ``_SEED_SPREAD[k] * s`` along 1 + i, where s, at least
 # ``_SEED_FLOOR``, measures the spread of the roots.  p is real, so a
@@ -52,6 +52,7 @@ _ABERTH_STEPS = 200
 # An iterate has settled when its step is at most 4 ulp of it, or when |p|
 # is at the rounding-noise floor of the product form, 16 eps (|prod| + hop)
 # = 32 eps hop to first order; both tests compare squares.
+_EPS = 2.220446049250313e-16
 _NEAR2, _NOISE2 = (4.0 * _EPS) ** 2, (32.0 * _EPS) ** 2
 
 

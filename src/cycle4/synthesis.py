@@ -2,20 +2,20 @@
 
 Both routes run one pipeline: membership picks the construction, a lower
 half-plane target takes its conjugate's matrix, and one eigen-defect check
-certifies the result.  Boundary matrices are the anchor A = (alpha, 0, 0, 0)
-shrunk to (1-l) I + l A, spectrum (1-l) + l*spec(A): the plain cycle for
-the real interval and right segment, the curve's own anchor for the left
-curve.  Interior targets get the ray's hit on the left curve shrunk back,
-found by one solver in c = cot(arg mu) with only + - * /; ``realize`` puts
-the anchor first and ``realize_via_criterion`` last, as the criterion does.
+certifies the result.  Each matrix shrinks an anchor A with hop weights
+(tau, 1, 1, 1) to (1-l) I + l A: the plain cycle (tau = 1) for the real
+interval and right segment, the left curve's own anchor for its points, and
+for interior targets the anchor at the ray's hit on the left curve, found by
+Newton's method in c = cot(arg mu).  ``realize`` puts the anchor first and
+``realize_via_criterion`` last, as the criterion does.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from math import inf, sqrt
 
-from . import scalar
 from .errors import (
     AlphaOutOfRange,
     LowerHalfPlane,
@@ -26,8 +26,8 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .matrix import CycleMatrix4, eigen_residual
-from .region import Status, left_boundary_form, membership
-from .scalar import DEFAULT_TOLERANCE, Tolerance, bracketed_zero
+from .region import Status, membership
+from .scalar import DEFAULT_TOLERANCE, Tolerance
 
 
 class Method(str, Enum):
@@ -92,6 +92,18 @@ def alpha_for_left_point(mu: complex) -> float:
     return alpha
 
 
+def _quartic(x, y):
+    """(q4, q3, q2, q0) with left_boundary_form(y c/l, y/l) l^4 = y^2 Q(c),
+    Q(c) = q4 c^4 + q3 c^3 + q2 c^2 + q0, for l = y c - x; exact on symbols."""
+    return 6 * y * y, -8 * x * y, 3 * (x * x + y * y), (y - x) * (y + x)
+
+
+def _quartic_at(q, c: float) -> tuple[float, float]:
+    # Q(c) and Q'(c), nested
+    q4, q3, q2, q0 = q
+    return ((q4 * c + q3) * c + q2) * c * c + q0, ((4 * q4 * c + 3 * q3) * c + 2 * q2) * c
+
+
 def _left_hit(lam: complex) -> tuple[complex, float, float]:
     """The ray from 1 through a strictly interior ``lam`` meets the left
     curve at mu with lam = (1 - l) + l mu; returns (mu, l, tau), tau the
@@ -99,37 +111,32 @@ def _left_hit(lam: complex) -> tuple[complex, float, float]:
 
     With z = lam - 1 = x + iy, put z + l = y (c + i): then c = cot(arg mu),
     l = y c - x is a sum of positive terms and mu = y (c + i) / l cancels
-    nothing.  False
-    position (``scalar.bracketed_zero``, capped at ``_SEARCH_EVALUATIONS``)
-    solves the relative form F(c) = left_boundary_form(mu) / |mu|^2 = 0 on
-    [0, min(a/b, 0.6)], a sign-change bracket without a search.  In polar
-    form mu = r e^(i theta), left_boundary_form = r^2 ((r + cos theta)^2 +
-    3 cos^2 theta - 1), so:
-      - F(0) = r^2 - 1 < 0, as mu = iy/(1 - a) and a + b < 1;
-      - F > 0 wherever theta <= pi/3, since then cos theta >= 1/2; that
-        covers every c >= 1/sqrt(3), c = 0.6 among them;
-      - at c = a/b, l = 1 and mu = lam, where F > 0 as lam is interior.
+    nothing.  On the ray the left form is y^2 Q(c) / l^4 (``_quartic``), and
+    inside the region x < 0 < y < -x, so only q0 = y^2 - x^2 is negative:
+    Q rises and is convex on c > 0.  Newton's method from c = sqrt(-q0/q2),
+    where Q = q4 c^4 + q3 c^3 > 0, falls monotonically onto its one positive
+    root, and Q - c Q' = -18 y^2 c^4 + 16 x y c^3 - 3 (x^2 + y^2) c^2 + q0 < 0
+    keeps every iterate positive.  It runs while c falls and Q(c) > 0: a
+    strictly falling float sequence stops, so there is no tolerance and no
+    cap, and Q(0) = q0 <= 0 stops it before a division by a zero slope.
     """
     x, y = lam.real - 1.0, lam.imag
-
-    def form_at(c: float) -> tuple[float, float, float, float]:
-        l = y * c - x
-        mr, mi = y * c / l, y / l
-        return left_boundary_form(mr, mi) / (mr * mr + mi * mi), l, mr, mi
-
-    hi = min(lam.real / y, 0.6)
-    _, (_, l, mr, mi) = bracketed_zero(
-        form_at, 0.0, form_at(0.0), hi, form_at(hi), 1e-12, scalar._SEARCH_EVALUATIONS
-    )
-    mu = complex(mr, mi)
+    q = _quartic(x, y)
+    c, step = inf, sqrt(-q[3] / q[2])
+    while step < c:
+        c = step
+        value, slope = _quartic_at(q, c)
+        step = c - value / slope if value > 0.0 else c
+    l = y * c - x
+    mu = complex(y * c / l, y / l)
     return mu, l, _anchor_hop(mu).real
 
 
-def _shrunk_anchor(alpha: float, l: float) -> CycleMatrix4:
-    # (1-l) I + l A for the anchor A = (alpha, 0, 0, 0), parameter-wise:
-    # (1-l) + l*0.0 is 1-l bit for bit
+def _shrunk_alpha(l: float, tau: float) -> tuple[float, float, float, float]:
+    # (1-l) I + l A for the anchor A = (1 - tau, 0, 0, 0): hop weights
+    # (l tau, l, l, l), stored as alpha = 1 - hop
     w = 1.0 - l
-    return CycleMatrix4((w + l * alpha, w, w, w))
+    return (1.0 - l * tau, w, w, w)
 
 
 def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
@@ -140,37 +147,38 @@ def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
     if status is Status.OUTSIDE:
         raise OutsideRegion(f"{lam!r} is outside the spectral region")
     work = lam if lam.imag >= 0.0 else lam.conjugate()  # the matrix is real
-    mu = l = None
+    mu = None
     if status is Status.INSIDE_NONREAL:
-        # (1-l) I + l A with the anchor hop tau: weights 1 - l*tau and 1 - l;
-        # the criterion route puts the anchor last, mu and l unreported
         mu, l, tau = _left_hit(work)
-        w, method = 1.0 - l, interior
-        alpha = (1.0 - l * tau, w, w, w)
-        if method is Method.CRITERION_SOLVER:
-            alpha, mu, l = alpha[1:] + alpha[:1], None, None
-        try:
-            matrix = CycleMatrix4(alpha)
-        except ParameterOutOfRange as err:
-            # near the real axis a shrunk weight rounds onto the excluded 1
-            raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
+        method = interior
     elif status is Status.BOUNDARY_CL:
+        # 1 - (1 - alpha) is alpha bit for bit for every alpha the curve gives
         mu, method = work, Method.BOUNDARY_CL
-        matrix = _shrunk_anchor(alpha_for_left_point(work), 1.0)
+        l, tau = 1.0, 1.0 - alpha_for_left_point(work)
     elif status is Status.BOUNDARY_CR:
         # inside the band Im may pass 1 (near i): clamp onto the plain cycle
-        matrix, method = _shrunk_anchor(0.0, min(work.imag, 1.0)), Method.BOUNDARY_CR
+        l, tau, method = min(work.imag, 1.0), 1.0, Method.BOUNDARY_CR
     else:
-        # the plain cycle shrunk by x has 1 - 2x = r in its spectrum; at r = 1
-        # its weight 1 - x hits the excluded 1, so the plain cycle itself
+        # the plain cycle shrunk by l has 1 - 2l = r in its spectrum; at r = 1
+        # its weight 1 - l hits the excluded 1, so the plain cycle itself
         # serves, as it does for targets in the band past +-1
         r = min(max(work.real, -1.0), 1.0)
-        x = 1.0 if abs(r - 1.0) < 1e-12 else 0.5 * (1.0 - r)
-        matrix, method = _shrunk_anchor(0.0, x), Method.REAL_INTERVAL
+        l = 1.0 if abs(r - 1.0) < 1e-12 else 0.5 * (1.0 - r)
+        tau, method = 1.0, Method.REAL_INTERVAL
+    alpha = _shrunk_alpha(l, tau)
+    if method is Method.CRITERION_SOLVER:
+        # the criterion puts the anchor last, mu unreported
+        alpha, mu = alpha[1:] + alpha[:1], None
+    try:
+        matrix = CycleMatrix4(alpha)
+    except ParameterOutOfRange as err:
+        # near the real axis a shrunk weight rounds onto the excluded 1
+        raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
     residual = eigen_residual(matrix, lam)
     if residual > tol.eigen_residual:
         raise NoConvergence(f"construction for {lam!r} missed the residual contract: {residual}")
-    return Realization(matrix, lam, method, mu, l, residual)
+    shrink_l = l if method is Method.INTERIOR_SHRINK else None
+    return Realization(matrix, lam, method, mu, shrink_l, residual)
 
 
 def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:

@@ -315,8 +315,8 @@ class TestBitPin:
 
     def test_spectrum_clustered_rows(self):
         rows = [alpha for alpha, _ in clustered_rows()]
-        assert _digest(_root_parts(rows)) == "69da5e00ff514ccc7c19c454193d93863f8d7500ead23ea41f9c4a18baa91f2f"
+        assert _digest(_root_parts(rows)) == "a2ccdac2697aeda8707de9d0845c43ef50ed9f87cf0d8e8f2fbfce68a5ccd2a0"
 
     def test_both_routes_over_grid(self, grid_realizations):
         floats = [x for found in grid_realizations for x in (*found.matrix.alpha, found.residual)]
-        assert _digest(floats) == "f0d41e1433f03eacaca104deaf39b2398497f583393260659e6a03f70e96f50e"
+        assert _digest(floats) == "5abe1e54d4bac096c2fe4285e0c6d2561426a163a8cd3576646a892089ff1da0"

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import interior_grid, off_left_curve, sample_inside_nonreal
 from cycle4 import (
@@ -23,7 +26,7 @@ from cycle4 import (
     trace_left_curve,
     trace_right_segment,
 )
-from cycle4 import scalar, synthesis
+from cycle4 import synthesis
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -37,21 +40,6 @@ def count_calls(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counting)
     return calls
-
-
-def calls_past_setup(monkeypatch, module, name) -> tuple[list, list]:
-    """count_calls, plus the count reached when the module enters its
-    bracketed search: the calls after it are the search's own."""
-    calls = count_calls(monkeypatch, module, name)
-    entered = []
-    search = module.bracketed_zero
-
-    def spy(*args):
-        entered.append(len(calls))
-        return search(*args)
-
-    monkeypatch.setattr(module, "bracketed_zero", spy)
-    return calls, entered
 
 
 class TestLeftAnchorWeight:
@@ -126,32 +114,35 @@ class TestRayToLeftBoundary:
 
 
 class TestShrink:
-    """``_shrunk_anchor(alpha, l)`` is (1-l) I + l A for the anchor
-    A = (alpha, 0, 0, 0), the one shrink every construction uses."""
+    """``_shrunk_alpha(l, tau)`` is (1-l) I + l A for the anchor with hop
+    weights (tau, 1, 1, 1), the one shrink every construction uses."""
 
     def test_identity_factor(self):
-        assert synthesis._shrunk_anchor(0.37, 1.0) == make_cycle_matrix(0.37, 0, 0, 0)
+        # l = 1 leaves the anchor: the left curve's weights come back bit for bit
+        for p in trace_left_curve(400):
+            alpha = alpha_for_left_point(p.point)
+            assert synthesis._shrunk_alpha(1.0, 1.0 - alpha) == (alpha, 0.0, 0.0, 0.0)
 
     def test_permutation_to_half(self):
-        m = synthesis._shrunk_anchor(0.0, 0.5)
-        assert m.alpha == (0.5, 0.5, 0.5, 0.5)
-        assert min(abs(r - (0.5 + 0.5j)) for r in spectrum(m)) < 1e-10
+        alpha = synthesis._shrunk_alpha(0.5, 1.0)
+        assert alpha == (0.5, 0.5, 0.5, 0.5)
+        assert min(abs(r - (0.5 + 0.5j)) for r in spectrum(make_cycle_matrix(*alpha))) < 1e-10
 
     def test_spectrum_maps_affinely(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            alpha = rng.random()
+            tau = rng.uniform(0.0, 1.0)
             l = rng.uniform(0.05, 1.0)
-            shrunk = synthesis._shrunk_anchor(alpha, l)
+            shrunk = make_cycle_matrix(*synthesis._shrunk_alpha(l, tau))
             mapped = sorted(
-                ((1.0 - l) + l * r for r in spectrum(make_cycle_matrix(alpha, 0, 0, 0))),
+                ((1.0 - l) + l * r for r in spectrum(make_cycle_matrix(1.0 - tau, 0, 0, 0))),
                 key=lambda z: (z.real, z.imag),
             )
             for got, want in zip(spectrum(shrunk), mapped):
                 assert abs(got - want) < 1e-8
 
     def test_accepts_int_factor(self):
-        assert synthesis._shrunk_anchor(0.37, 1) == make_cycle_matrix(0.37, 0, 0, 0)
+        assert synthesis._shrunk_alpha(1, 0.63) == synthesis._shrunk_alpha(1.0, 0.63)
 
 
 class TestRealize:
@@ -341,13 +332,16 @@ class TestCrossConstruction:
 
 
 class TestSearchCost:
-    """Evaluations the one bracketed search makes, counted at the form it
-    evaluates."""
+    """Newton evaluations of the one interior solve, counted at
+    ``synthesis._quartic_at``, which evaluates Q and Q' once per step."""
 
     @staticmethod
-    def form_calls_over_grid(monkeypatch, route, method) -> tuple[int, int]:
-        calls = count_calls(monkeypatch, synthesis, "left_boundary_form")
-        fewest, worst = 12, 0
+    def evaluations(monkeypatch) -> list:
+        return count_calls(monkeypatch, synthesis, "_quartic_at")
+
+    @staticmethod
+    def evaluations_over_grid(calls, route, method) -> tuple[int, int]:
+        fewest, worst = 8, 0
         for lam in interior_grid():
             calls.clear()
             assert route(lam).method is method
@@ -355,31 +349,95 @@ class TestSearchCost:
         return fewest, worst
 
     def test_path_evaluations_per_solve(self, monkeypatch):
-        fewest, worst = self.form_calls_over_grid(monkeypatch, realize_via_criterion,
-                                                  Method.CRITERION_SOLVER)
-        assert 1 <= fewest and worst <= 12  # an uncounted evaluation would read 0
+        calls = self.evaluations(monkeypatch)
+        fewest, worst = self.evaluations_over_grid(calls, realize_via_criterion,
+                                                   Method.CRITERION_SOLVER)
+        assert 1 <= fewest and worst <= 8  # an uncounted evaluation would read 0
 
     def test_form_calls_per_interior_realize(self, monkeypatch):
-        fewest, worst = self.form_calls_over_grid(monkeypatch, realize, Method.INTERIOR_SHRINK)
-        assert 1 <= fewest and worst <= 12
+        calls = self.evaluations(monkeypatch)
+        fewest, worst = self.evaluations_over_grid(calls, realize, Method.INTERIOR_SHRINK)
+        assert 1 <= fewest and worst <= 8
+
+    def test_edge_targets(self, monkeypatch):
+        # strictly interior, though the default band may class some as
+        # boundary: 1e-15 under the right segment, b = 1e-200, next to i
+        targets = [complex(a, 1.0 - a - 1e-15) for a in np.linspace(0.05, 0.95, 19)]
+        targets += [complex(a, 1e-200) for a in np.linspace(0.05, 0.95, 19)]
+        targets += [complex(a, 1.0 - a - a * a / 4.0) for a in (1e-2, 1e-3, 1e-4)]
+        calls = self.evaluations(monkeypatch)
+        for lam in targets:
+            calls.clear()
+            mu, l, tau = synthesis._left_hit(lam)
+            assert 1 <= len(calls) <= 8
+            assert 0.0 < l <= 1.0 and mu.imag > 0.0 and 0.0 <= tau <= 1.0
 
     @staticmethod
-    def search_obeys_iteration_cap(monkeypatch, route):
-        calls, entered = calls_past_setup(monkeypatch, synthesis, "left_boundary_form")
-        monkeypatch.setattr(scalar, "_SEARCH_EVALUATIONS", 4)
-        for lam in (0.2 + 0.3j, 0.9 + 0.05j):
+    def route_step_bound(monkeypatch, route):
+        calls = TestSearchCost.evaluations(monkeypatch)
+        for lam, bound in ((0.2 + 0.3j, 6), (0.9 + 0.05j, 7)):
             calls.clear()
-            entered.clear()
-            try:
-                result = route(lam)
-            except Cycle4Error as err:
-                assert type(err) is NoConvergence
-            else:
-                assert result.residual == eigen_residual(result.matrix, lam) <= 1e-8
-            assert len(calls) - entered[0] <= 4
+            result = route(lam)
+            assert result.residual == eigen_residual(result.matrix, lam) <= 1e-8
+            assert 1 <= len(calls) <= bound
 
     def test_ray_obeys_iteration_cap(self, monkeypatch):
-        self.search_obeys_iteration_cap(monkeypatch, realize)
+        self.route_step_bound(monkeypatch, realize)
 
     def test_criterion_path_obeys_iteration_cap(self, monkeypatch):
-        self.search_obeys_iteration_cap(monkeypatch, realize_via_criterion)
+        self.route_step_bound(monkeypatch, realize_via_criterion)
+
+
+class TestQuartic:
+    """The interior equation is the left form on the ray, as a quartic in
+    c = cot(arg mu)."""
+
+    @staticmethod
+    def defect(coefficients):
+        sympy = pytest.importorskip("sympy")
+        x, y, c = sympy.symbols("x y c")
+        l = y * c - x
+        q4, q3, q2, q0 = coefficients(x, y)
+        quartic = q4 * c**4 + q3 * c**3 + q2 * c**2 + q0
+        return sympy.cancel(left_boundary_form(y * c / l, y / l) * l**4 - y**2 * quartic)
+
+    def test_left_form_on_the_ray(self):
+        assert self.defect(synthesis._quartic) == 0
+
+    def test_mutated_coefficient_detected(self):
+        def mutated(x, y):
+            q4, q3, _, q0 = synthesis._quartic(x, y)
+            return q4, q3, 2 * (x * x + y * y), q0
+
+        assert self.defect(mutated) != 0
+
+    def test_one_sign_change_inside(self):
+        rng = np.random.default_rng(17)
+        for lam in sample_inside_nonreal(rng, 200):
+            q4, q3, q2, q0 = synthesis._quartic(lam.real - 1.0, lam.imag)
+            assert min(q4, q3, q2) > 0.0 > q0
+
+
+class TestRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        band=st.floats(5e-324, 1e-3),
+        a=st.floats(0.0, 1.0, exclude_max=True),
+        kind=st.sampled_from(["any", "axis", "segment"]),
+        b=st.floats(5e-324, 1.0),
+        ulps=st.integers(1, 4),
+        route=st.sampled_from([realize, realize_via_criterion]),
+    )
+    def test_certified_or_documented_error(self, band, a, kind, b, ulps, route):
+        # targets from b = 5e-324 up, and down to one ulp under the right
+        # segment; a ZeroDivisionError or any other type fails the test
+        if kind == "axis":
+            b = min(b, 1e-3)
+        elif kind == "segment":
+            b = 1.0 - a - ulps * math.ulp(1.0 - a)
+        lam, tol = complex(a, b), Tolerance(boundary_band=band)
+        try:
+            result = route(lam, tol)
+        except (Cycle4Error, ValueError):
+            return
+        assert result.residual == eigen_residual(result.matrix, lam) <= tol.eigen_residual

@@ -15,14 +15,13 @@ import importlib
 _EXPORTS = {
     "criterion": "CriterionContext Regime criterion_max criterion_sum log_modulus_ratio "
     "make_context shift_for_angle",
-    "errors": "AlphaOutOfRange ArgumentOutOfRange Cycle4Error FeasibilityViolation "
-    "InfeasiblePoint LowerHalfPlane NoConvergence NonrealRequired NotOnCurve OutsideRegion "
-    "ParameterOutOfRange SpectrumFailure",
+    "errors": "AlphaOutOfRange ArgumentOutOfRange Cycle4Error NoConvergence NotOnCurve "
+    "OutsideRegion ParameterOutOfRange SpectrumFailure",
     "identities": "IdentityResult verify_identity_suite",
-    "matrix": "CycleMatrix4 eigen_residual make_cycle_matrix spectrum",
+    "matrix": "DEFAULT_TOLERANCE CycleMatrix4 Tolerance eigen_residual make_cycle_matrix "
+    "spectrum",
     "region": "RegionVerdict Status left_boundary_form left_branch_root membership "
     "modulus_threshold trace_left_curve trace_right_segment",
-    "scalar": "DEFAULT_TOLERANCE Tolerance",
     "synthesis": "Method Realization alpha_for_left_point realize realize_via_criterion",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

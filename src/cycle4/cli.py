@@ -6,7 +6,7 @@ Exit codes: 0 ok, 2 usage, 3 outside-region, 4 construction failure,
 byte-identical stdout and output files.
 
 At module level this imports only the standard library, ``errors`` and
-``scalar``; each ``cmd_*`` imports the modules it runs, so ``check`` never
+``matrix``; each ``cmd_*`` imports the modules it runs, so ``check`` never
 loads the criterion, synthesis, identity or sampling code, nor numpy.
 """
 
@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import Cycle4Error, OutsideRegion
-from .scalar import DEFAULT_TOLERANCE, Tolerance
+from .matrix import DEFAULT_TOLERANCE, Tolerance
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -33,13 +33,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import (
-    ArgumentOutOfRange,
-    FeasibilityViolation,
-    InfeasiblePoint,
-    LowerHalfPlane,
-    NonrealRequired,
-)
+from .errors import ArgumentOutOfRange
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_SLACK = 1e-12  # float slack below the lower angle bound
@@ -61,26 +55,22 @@ class CriterionContext(namedtuple("CriterionContext", "lam z lower_arg upper_arg
 
     __slots__ = ()
 
-    @property
-    def x(self) -> float:
-        return self.z.real
-
-    @property
-    def y(self) -> float:
-        return self.z.imag
-
 
 def make_context(lam: complex) -> CriterionContext:
-    """Build the criterion context for an upper-half-plane target left of 1."""
+    """Build the criterion context for an upper-half-plane target left of 1.
+
+    Raises ValueError for a non-finite ``lam``, and ArgumentOutOfRange when
+    it is real, lies in the lower half-plane or has real part at least 1.
+    """
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise ValueError(f"non-finite point {lam!r}")
     if lam.imag == 0.0:
-        raise NonrealRequired(f"{lam!r} is real")
+        raise ArgumentOutOfRange(f"{lam!r} is real")
     if lam.imag < 0.0:
-        raise LowerHalfPlane(f"{lam!r} lies in the lower half-plane; conjugate first")
+        raise ArgumentOutOfRange(f"{lam!r} lies in the lower half-plane; conjugate first")
     if lam.real >= 1.0:
-        raise FeasibilityViolation(f"real part {lam.real} >= 1")
+        raise ArgumentOutOfRange(f"real part {lam.real} >= 1")
     z = lam - 1.0
     lower = math.atan2(lam.imag, lam.real)
     upper = math.atan2(z.imag, z.real)
@@ -95,13 +85,15 @@ def make_context(lam: complex) -> CriterionContext:
 
 def shift_for_angle(ctx: CriterionContext, u: float) -> float:
     """Hop weight t with Arg(z + t) = u; decreases from t(lower_arg) = 1
-    toward 0 as u approaches upper_arg."""
+    toward 0 as u approaches upper_arg.  Raises ArgumentOutOfRange for u
+    outside [lower_arg, upper_arg)."""
     if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
         raise ArgumentOutOfRange(f"angle {u!r} outside [{ctx.lower_arg}, {ctx.upper_arg})")
     sin_u = math.sin(u)
-    if sin_u == 0.0:
-        # a subnormal lower_arg lets the slack admit u = 0, where cot u is infinite
-        raise ArgumentOutOfRange(f"angle {u!r} has no finite cotangent")
+    if sin_u <= 0.0:
+        # a lower_arg below the slack admits u <= 0, where cot u is infinite
+        # or negative and log_modulus_ratio would take the log of a negative
+        raise ArgumentOutOfRange(f"angle {u!r} is not positive")
     z = ctx.z
     t = z.imag * math.cos(u) / sin_u - z.real
     if t > 1.0:
@@ -117,27 +109,28 @@ def log_modulus_ratio(ctx: CriterionContext, u: float) -> float:
 
     Tends to +infinity as u approaches upper_arg (t -> 0); the value at
     lower_arg is log|lam| and the value at pi/2 is log(b / (1 - a)).
+    Raises ArgumentOutOfRange as ``shift_for_angle`` does.
     """
     t = shift_for_angle(ctx, u)
     if t <= 0.0:
         return math.inf
-    return math.log(ctx.y / math.sin(u)) - math.log(t)
+    return math.log(ctx.z.imag / math.sin(u)) - math.log(t)
 
 
 def criterion_sum(ctx: CriterionContext, angles) -> float:
     """Sum of log-modulus ratios over a feasible angle 4-tuple.
 
-    Raises InfeasiblePoint unless every angle is inside the box and the
-    angles sum to 2*pi within 1e-9.
+    Raises ArgumentOutOfRange unless there are four angles, each inside the
+    box, summing to 2*pi within 1e-9.
     """
     angles = tuple(float(u) for u in angles)
     if len(angles) != 4:
-        raise InfeasiblePoint(f"need 4 angles, got {len(angles)}")
+        raise ArgumentOutOfRange(f"need 4 angles, got {len(angles)}")
     for u in angles:
         if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
-            raise InfeasiblePoint(f"angle {u!r} outside the feasible box")
+            raise ArgumentOutOfRange(f"angle {u!r} outside the feasible box")
     if abs(math.fsum(angles) - _TWO_PI) > 1e-9:
-        raise InfeasiblePoint(f"angles sum to {math.fsum(angles)!r}, not 2*pi")
+        raise ArgumentOutOfRange(f"angles sum to {math.fsum(angles)!r}, not 2*pi")
     # fsum is exactly rounded, which makes the value permutation-invariant
     return math.fsum(log_modulus_ratio(ctx, u) for u in angles)
 
@@ -147,7 +140,8 @@ def criterion_max(ctx: CriterionContext) -> float:
 
     +infinity in the unbounded regime; otherwise the attained maximum
     3 F(lower_arg) + F(peak_arg), which also equals
-    log(|lam|^6 / modulus_threshold(a, b)).
+    log(|lam|^6 / modulus_threshold(a, b)).  Raises ArgumentOutOfRange when
+    peak_arg falls below lower_arg, as it does left of the imaginary axis.
     """
     if ctx.regime is Regime.UNBOUNDED:
         return math.inf

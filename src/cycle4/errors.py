@@ -1,7 +1,9 @@
 """Exception types raised across the package.
 
-Every failure mode has its own class so callers (and the CLI exit-code
-mapping) can dispatch on type rather than parse messages.
+Each class is a failure mode a caller can act on: a bad argument, a point
+outside the region, or a construction or spectrum that missed its
+certificate.  The CLI exits 3 on ``OutsideRegion`` and 4 on every other
+``Cycle4Error``; ``ValueError`` marks a non-finite or malformed input.
 """
 
 
@@ -31,28 +33,12 @@ class SpectrumFailure(Cycle4Error):
     """Root finder did not deliver a spectrum meeting the residual contract."""
 
 
-class LowerHalfPlane(Cycle4Error):
-    """Operation requires a point in the open upper half-plane."""
-
-
-class NonrealRequired(Cycle4Error):
-    """Operation requires a nonreal point."""
-
-
-class FeasibilityViolation(Cycle4Error):
-    """The feasible angle set is empty for this point."""
-
-
 class ArgumentOutOfRange(Cycle4Error):
-    """Angle or shift parameter outside its admissible interval."""
-
-
-class InfeasiblePoint(Cycle4Error):
-    """Angle tuple violates the box or sum constraint of the feasible set."""
+    """An argument lies outside the function's domain."""
 
 
 class NoConvergence(Cycle4Error):
-    """Iterative search exhausted its iteration budget."""
+    """A construction missed its eigen-residual certificate."""
 
 
 class NotOnCurve(Cycle4Error):

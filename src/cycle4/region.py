@@ -19,8 +19,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import ArgumentOutOfRange, SpectrumFailure
-from .matrix import CycleMatrix4, spectrum
-from .scalar import DEFAULT_TOLERANCE, Tolerance
+from .matrix import DEFAULT_TOLERANCE, CycleMatrix4, Tolerance, spectrum
 
 
 def left_boundary_form(a, b):
@@ -41,8 +40,10 @@ def modulus_threshold(a, b):
 
     Linked to the left boundary by the factorisation
     |lam|^6 - modulus_threshold(a, b) = ((a-1)^2 + b^2) * left_boundary_form(a, b).
+    Products only, as in ``left_boundary_form``: a float cube that overflows
+    gives inf instead of raising OverflowError.
     """
-    return 4 * a**3 - 3 * a * a - 4 * a * b * b + b * b
+    return 4 * a * a * a - 3 * a * a - 4 * a * b * b + b * b
 
 
 class Status(str, Enum):  # position = code in sampling.classify_points
@@ -109,6 +110,7 @@ def membership(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionVerdic
     conjugation.  Real points (|Im| below the band) are judged against
     [-1, 1]; nonreal points against the three region constraints, with
     boundary bands applied to the constraint values (see ``_rules``).
+    Raises ValueError for a non-finite ``lam``.
     """
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
@@ -131,7 +133,8 @@ class TracePoint(namedtuple("TracePoint", "curve param point boundary_form")):
 
 def trace_right_segment(n: int) -> list[TracePoint]:
     """n points of the right boundary segment lam = 1 - x + ix, x in [0, 1],
-    endpoints included."""
+    endpoints included.  Raises ArgumentOutOfRange unless n is an integer
+    of at least 2."""
     if not (hasattr(n, "__index__") and n >= 2):  # an int, numpy's included
         raise ArgumentOutOfRange(f"need an integer count of at least 2 points, got {n!r}")
     points = []
@@ -149,7 +152,8 @@ def left_branch_root(anchor_alpha: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
     lam^4 - alpha lam^3 + alpha - 1 is the characteristic polynomial of the
     anchor matrix (alpha, 0, 0, 0).  Its spectrum holds at most one root
     with Im above the band (the rest are real or conjugates); this returns
-    the root of greatest Im and raises SpectrumFailure if it is not above.
+    the root of greatest Im and raises SpectrumFailure if it is not above,
+    and ArgumentOutOfRange when ``anchor_alpha`` lies outside [0, 1).
     """
     if not 0.0 <= anchor_alpha < 1.0:
         raise ArgumentOutOfRange(f"left anchor weight {anchor_alpha!r} outside [0, 1)")
@@ -165,6 +169,7 @@ def trace_left_curve(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> list[TracePo
 
     Every returned point satisfies |left_boundary_form| < 1e-9 and has real
     part in [0, 1/6] up to the band; violations raise SpectrumFailure.
+    Raises ArgumentOutOfRange unless n is an integer of at least 2.
     """
     if not (hasattr(n, "__index__") and n >= 2):
         raise ArgumentOutOfRange(f"need an integer count of at least 2 points, got {n!r}")

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrix
+from .matrix import DEFAULT_TOLERANCE, Tolerance
 from .region import _RULE_STATUS, Status, _rules, left_boundary_form
-from .scalar import DEFAULT_TOLERANCE, Tolerance
 
 _RULE_CODES = [np.int8(tuple(Status).index(status)) for status in _RULE_STATUS]
 _OUTSIDE_CODE = np.int8(tuple(Status).index(Status.OUTSIDE))

@@ -18,16 +18,14 @@ from math import inf, sqrt
 
 from .errors import (
     AlphaOutOfRange,
-    LowerHalfPlane,
+    ArgumentOutOfRange,
     NoConvergence,
-    NonrealRequired,
     NotOnCurve,
     OutsideRegion,
     ParameterOutOfRange,
 )
-from .matrix import CycleMatrix4, eigen_residual
+from .matrix import DEFAULT_TOLERANCE, CycleMatrix4, Tolerance, eigen_residual
 from .region import Status, membership
-from .scalar import DEFAULT_TOLERANCE, Tolerance
 
 
 class Method(str, Enum):
@@ -73,14 +71,15 @@ def alpha_for_left_point(mu: complex) -> float:
 
     Inverts the characteristic equation: alpha = 1 - tau with the anchor hop
     tau = mu^3 (1 - mu) / (mu^3 - 1), which is real exactly when mu sits on
-    the left curve.  Raises NotOnCurve when the imaginary part betrays an
-    off-curve input, and AlphaOutOfRange when alpha leaves [0, 1).
+    the left curve.  Raises ArgumentOutOfRange when Im(mu) <= 0, NotOnCurve
+    when the imaginary part of tau betrays an off-curve input, and
+    AlphaOutOfRange when alpha leaves [0, 1).
     """
     mu = complex(mu)
     if mu.imag == 0.0:
-        raise NonrealRequired(f"{mu!r} is real")
+        raise ArgumentOutOfRange(f"{mu!r} is real")
     if mu.imag < 0.0:
-        raise LowerHalfPlane(f"{mu!r} lies in the lower half-plane")
+        raise ArgumentOutOfRange(f"{mu!r} lies in the lower half-plane")
     tau = _anchor_hop(mu)
     if abs(tau.imag) >= 1e-8:
         raise NotOnCurve(f"{mu!r} is off the left curve: Im(alpha) = {-tau.imag}")

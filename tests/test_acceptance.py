@@ -242,8 +242,8 @@ def test_criterion_6_convexity_second_derivative():
                 + 16 * log_modulus_ratio(ctx, u + h)
                 - log_modulus_ratio(ctx, u + 2 * h)
             ) / (12 * h * h)
-            t = ctx.y * math.cos(u) / math.sin(u) - ctx.x
-            closed = (ctx.x**2 + ctx.y**2) / (t * t * math.sin(u) ** 2)
+            t = ctx.z.imag * math.cos(u) / math.sin(u) - ctx.z.real
+            closed = (ctx.z.real**2 + ctx.z.imag**2) / (t * t * math.sin(u) ** 2)
             assert closed > 0.0
             worst = max(worst, abs(fd - closed) / closed)
     assert worst < 1e-4

@@ -15,11 +15,7 @@ from cycle4 import (
     AlphaOutOfRange,
     ArgumentOutOfRange,
     Cycle4Error,
-    FeasibilityViolation,
-    InfeasiblePoint,
-    LowerHalfPlane,
     Method,
-    NonrealRequired,
     OutsideRegion,
     Status,
     criterion_max,
@@ -72,11 +68,11 @@ class TestMakeContext:
             assert 0.0 < ctx.lower_arg < ctx.upper_arg < math.pi
 
     def test_errors(self):
-        with pytest.raises(LowerHalfPlane):
+        with pytest.raises(ArgumentOutOfRange, match="lower half-plane"):
             make_context(0.2 - 0.3j)
-        with pytest.raises(NonrealRequired):
+        with pytest.raises(ArgumentOutOfRange, match="is real"):
             make_context(0.5 + 0j)
-        with pytest.raises(FeasibilityViolation):
+        with pytest.raises(ArgumentOutOfRange, match="real part"):
             make_context(1.2 + 0.3j)
 
 
@@ -128,14 +124,16 @@ class TestShiftAngleMaps:
             shift_for_angle(ctx, ctx.lower_arg - 1e-6)
 
     def test_zero_sine_raises_argument_out_of_range(self):
-        # a subnormal lower_arg lets the slack admit u = 0, where the
-        # cotangent divided by zero
+        # a subnormal lower_arg lets the slack admit u <= 0, where the
+        # cotangent divided by zero (u = 0) or the cosecant form took the
+        # log of a negative number (u < 0)
         ctx = make_context(4.5e-15 + 5e-324j)
         assert 0.0 < ctx.lower_arg < 1e-300
         for function in (shift_for_angle, log_modulus_ratio):
-            with pytest.raises(Cycle4Error) as err:
-                function(ctx, 0.0)
-            assert type(err.value) is ArgumentOutOfRange
+            for u in (0.0, -1e-300):
+                with pytest.raises(Cycle4Error) as err:
+                    function(ctx, u)
+                assert type(err.value) is ArgumentOutOfRange
 
 
 class TestLogModulusRatio:
@@ -205,9 +203,9 @@ class TestCriterionSum:
 
     def test_infeasible_rejected(self):
         ctx = make_context(0.2 + 0.3j)
-        with pytest.raises(InfeasiblePoint):
+        with pytest.raises(ArgumentOutOfRange, match="not 2\\*pi"):
             criterion_sum(ctx, (1.0, 1.0, 1.0, 1.0))  # sum far from 2*pi
-        with pytest.raises(InfeasiblePoint):
+        with pytest.raises(ArgumentOutOfRange, match="feasible box"):
             criterion_sum(ctx, (0.1, 2.0, 2.0, TWO_PI - 4.1))  # box violated
 
 
@@ -324,7 +322,7 @@ class TestSolveCriterion:
 
 def angle_for_shift(ctx, t: float) -> float:
     """Arg(z + t), the angle whose shift is t."""
-    return math.atan2(ctx.y, ctx.x + t)
+    return math.atan2(ctx.z.imag, ctx.z.real + t)
 
 
 def relative_defect(ctx, shifts) -> float:

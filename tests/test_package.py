@@ -21,14 +21,13 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 EXPORTS = {
     "criterion": ["CriterionContext", "Regime", "criterion_max", "criterion_sum",
                   "log_modulus_ratio", "make_context", "shift_for_angle"],
-    "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "Cycle4Error", "FeasibilityViolation",
-               "InfeasiblePoint", "LowerHalfPlane", "NoConvergence", "NonrealRequired",
+    "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "Cycle4Error", "NoConvergence",
                "NotOnCurve", "OutsideRegion", "ParameterOutOfRange", "SpectrumFailure"],
     "identities": ["IdentityResult", "verify_identity_suite"],
-    "matrix": ["CycleMatrix4", "eigen_residual", "make_cycle_matrix", "spectrum"],
+    "matrix": ["CycleMatrix4", "DEFAULT_TOLERANCE", "Tolerance", "eigen_residual",
+               "make_cycle_matrix", "spectrum"],
     "region": ["RegionVerdict", "Status", "left_boundary_form", "left_branch_root", "membership",
                "modulus_threshold", "trace_left_curve", "trace_right_segment"],
-    "scalar": ["DEFAULT_TOLERANCE", "Tolerance"],
     "synthesis": ["Method", "Realization", "alpha_for_left_point", "realize",
                   "realize_via_criterion"],
 }
@@ -76,7 +75,9 @@ class TestExports:
             assert getattr(cycle4, name) is getattr(home, name)
 
     def test_unknown_name_raises_attribute_error(self):
-        for name in ("no_such_name", "principal_arg", "ZeroArgument", "shrink", "ShrinkOutOfRange"):
+        for name in ("no_such_name", "principal_arg", "ZeroArgument", "shrink", "ShrinkOutOfRange",
+                     "scalar", "LowerHalfPlane", "NonrealRequired", "FeasibilityViolation",
+                     "InfeasiblePoint"):
             with pytest.raises(AttributeError):
                 getattr(cycle4, name)
             assert not hasattr(cycle4, name)

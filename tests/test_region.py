@@ -36,6 +36,12 @@ class TestForms:
     def test_modulus_threshold(self, a, b, expected):
         assert modulus_threshold(a, b) == pytest.approx(expected, abs=1e-15)
 
+    def test_modulus_threshold_overflow_raises_nothing(self):
+        # a float cube past the range gives inf, as the left form's products
+        # do; a**3 raised OverflowError
+        assert np.isnan(modulus_threshold(1e200, 0.0))  # inf - inf
+        assert modulus_threshold(-1e103, 1.0) == -np.inf
+
 
 class TestMembership:
     def test_interior_point(self):

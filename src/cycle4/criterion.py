@@ -141,10 +141,15 @@ def criterion_max(ctx: CriterionContext) -> float:
     +infinity in the unbounded regime; otherwise the attained maximum
     3 F(lower_arg) + F(peak_arg), which also equals
     log(|lam|^6 / modulus_threshold(a, b)).  Raises ArgumentOutOfRange when
-    peak_arg falls below lower_arg, as it does left of the imaginary axis.
+    peak_arg falls below lower_arg, as it does left of the imaginary axis:
+    there 4 lower_arg > 2*pi and no angle vector is feasible.
     """
     if ctx.regime is Regime.UNBOUNDED:
         return math.inf
+    if ctx.peak_arg < ctx.lower_arg - _ANGLE_SLACK:
+        raise ArgumentOutOfRange(
+            f"feasible angle set of {ctx.lam!r} is empty: 4 Arg(lam) = {4.0 * ctx.lower_arg} > 2*pi"
+        )
     return 3.0 * log_modulus_ratio(ctx, ctx.lower_arg) + log_modulus_ratio(
         ctx, ctx.peak_arg
     )

@@ -1,12 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cycle4 import region
+from cycle4 import cli, region
 from cycle4.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -213,10 +215,17 @@ class TestSample:
             for k in range(4):
                 assert float(parts[1 + k]) == alphas[i, k]
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize(
+        "n",
+        sorted(
+            {1, 255, 256, 257, 600}
+            | {cli._SAMPLE_CHUNK - 1, cli._SAMPLE_CHUNK, cli._SAMPLE_CHUNK + 1, 2 * cli._SAMPLE_CHUNK + 88}
+        ),
+    )
     def test_bytes_match_plain_rendering(self, capsys, tmp_path, n):
-        # chunk edges at 256 rows: a per-row f-string rendering of the same
-        # records must give the same bytes
+        # edges of 256-row chunks and of the writer's chunk size, whatever it
+        # is: a per-row f-string rendering of the same records must give the
+        # same bytes
         from cycle4 import Status
         from cycle4.sampling import sample_records
 
@@ -238,6 +247,23 @@ class TestSample:
             parts = row.split(",")
             ones[int(parts[0])] += parts[5:7] == ["1", "0"]
         assert ones == [1] * n
+
+    def test_usage_error_leaves_cached_parser_clean(self, capsys, tmp_path):
+        # main() reuses one parser; a rejected call must not change what the
+        # next call parses or writes
+        assert cli.build_parser() is cli.build_parser()
+        alone, after = tmp_path / "alone.csv", tmp_path / "after.csv"
+        code, out_alone = run(capsys, "sample", "200", "42", str(alone))
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "0", "1", str(tmp_path / "bad.csv")])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out_after = run(capsys, "sample", "200", "42", str(after))
+        assert code == 0
+        assert out_after == out_alone
+        assert after.read_bytes() == alone.read_bytes()
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_eigenvalues_equal_spectrum_command(self, capsys, tmp_path):
         # both commands run one spectrum kernel, so each sampled row's
@@ -331,6 +357,29 @@ class TestTrace:
         assert (code, len(traced)) == (0, calls)
 
 
+class TestG17Column:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0, 1.0, -1.0, 1.0, -0.0],
+            [0.1, -0.1, 0.1, 5e-324, -5e-324, 1.0000000000000002],
+            [math.inf, -math.inf, math.nan, -math.nan, 0.1, -math.nan],
+            [2.5, -2.5, -2.5, 2.5, 0.0, 0.0],
+            [-math.nan],
+            [-0.0],
+            [1.0, 0.5, 0.0],
+        ],
+        ids=["zeros-ones", "tiny-and-0.1", "inf-nan", "opposite-signs", "negative-nan", "negative-zero", "no-sign"],
+    )
+    def test_matches_format(self, values):
+        # %.17g differs from repr at 0.1; Python prints -0.0 as "-0" and a
+        # negative NaN as "nan"
+        assert f"{0.1:.17g}" != repr(0.1)
+        assert f"{-math.nan:.17g}" == "nan"
+        column = cli._g17_column(np.array(values, dtype=float))
+        assert column.tolist() == [f"{x:.17g}" for x in values]
+
+
 class TestPsi:
     def test_tight(self, capsys):
         code, out = run(capsys, "psi", "0.05", "0.1")
@@ -351,6 +400,19 @@ class TestPsi:
     def test_real_input_fails(self, capsys):
         code, _ = run(capsys, "psi", "0.5", "0")
         assert code == 4
+
+    def test_left_of_axis_names_empty_feasible_set(self, capsys):
+        code = main(["psi", "-0.5", "0.1"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "feasible angle set of (-0.5+0.1j) is empty" in err
+
+    def test_command_replaced_after_first_call_runs(self, capsys, monkeypatch):
+        # the cached parser stores no command function: main() looks cmd_*
+        # up per call, so a wrapper installed on the module later takes effect
+        assert run(capsys, "psi", "0.2", "0.3")[0] == 0
+        monkeypatch.setattr(cli, "cmd_psi", lambda args: 7)
+        assert main(["psi", "0.2", "0.3"]) == 7
 
 # stdout of `cycle4 verify` when every identity holds, recorded before the
 # grid proof replaced the polynomial engine

@@ -224,6 +224,11 @@ class TestCriterionMax:
         # at i the peak coincides with the barycenter and the maximum is 0
         assert criterion_max(make_context(1j)) == pytest.approx(0.0, abs=1e-12)
 
+    def test_left_of_axis_names_empty_feasible_set(self):
+        # 4 Arg(lam) > 2*pi: the error names the empty set, not an angle
+        with pytest.raises(ArgumentOutOfRange, match="feasible angle set .* is empty"):
+            criterion_max(make_context(-0.5 + 0.1j))
+
     def test_closed_form_on_random_tight_points(self):
         rng = np.random.default_rng(21)
         for lam in sample_tight(rng, 100):

@@ -1,23 +1,48 @@
+import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cycle4 import cli, region
+from cycle4 import _sample_csv, cli, region
 from cycle4.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# sha256 of `sample 100000 42`'s CSV, also checked by CI
+SAMPLE_100000_42_SHA256 = "38f5007ab0c8b0c30f02bf7aff15dca51fa2b53433cb2cba4f9879b042ad905c"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def plain_csv(alphas, eigenvalues, codes) -> bytes:
+    """The sample CSV of these records, rendered row by row with f-strings."""
+    names = [status.value for status in region.Status]
+    lines = ["index,alpha1,alpha2,alpha3,alpha4,re,im,status\n"]
+    for i, row_alphas, row_lams, row_codes in zip(
+        range(len(alphas)), alphas.tolist(), eigenvalues.tolist(), codes.tolist()
+    ):
+        prefix = f"{i}," + "".join(f"{a:.17g}," for a in row_alphas)
+        for lam, k in zip(row_lams, row_codes):
+            lines.append(f"{prefix}{lam.real:.17g},{lam.imag:.17g},{names[k]}\n")
+    return "".join(lines).encode()
+
+
+def g17_texts(values) -> list[str]:
+    """What the sample writer renders for each float: its words, NULs and
+    the leading comma dropped."""
+    words = _sample_csv.g17_words(np.array(values, dtype=float)).astype("<u8")
+    return [row.tobytes().replace(b"\0", b"")[1:].decode() for row in words]
 
 
 class TestCheck:
@@ -226,22 +251,12 @@ class TestSample:
         # edges of 256-row chunks and of the writer's chunk size, whatever it
         # is: a per-row f-string rendering of the same records must give the
         # same bytes
-        from cycle4 import Status
         from cycle4.sampling import sample_records
 
         out_path = tmp_path / "s.csv"
         code, _ = run(capsys, "sample", str(n), "5", str(out_path))
         assert code == 0
-        alphas, eigenvalues, codes = sample_records(n, 5)
-        names = [status.value for status in Status]
-        lines = ["index,alpha1,alpha2,alpha3,alpha4,re,im,status\n"]
-        for i, row_alphas, row_lams, row_codes in zip(
-            range(n), alphas.tolist(), eigenvalues.tolist(), codes.tolist()
-        ):
-            prefix = f"{i}," + "".join(f"{a:.17g}," for a in row_alphas)
-            for lam, k in zip(row_lams, row_codes):
-                lines.append(f"{prefix}{lam.real:.17g},{lam.imag:.17g},{names[k]}\n")
-        assert out_path.read_bytes() == "".join(lines).encode()
+        assert out_path.read_bytes() == plain_csv(*sample_records(n, 5))
         ones = [0] * n
         for row in out_path.read_text().splitlines()[1:]:
             parts = row.split(",")
@@ -291,6 +306,26 @@ class TestSample:
         assert "Outside=0" in out
         with open(out_path) as handle:
             assert sum(1 for _ in handle) == 1 + 400_000
+        # the bytes of the per-float format() writer this one replaced
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SAMPLE_100000_42_SHA256
+
+    def test_fallback_records_at_a_chunk_boundary(self, capsys, tmp_path, monkeypatch):
+        # (0.5,) * 4 has a real root of -1.2e-17, an alpha of 5e-324 is a
+        # subnormal: both leave the fixed-notation fast path, on either side
+        # of the first chunk boundary
+        from cycle4 import sampling
+
+        n = cli._SAMPLE_CHUNK + 2
+        alphas = sampling.sample_parameters(n, 11)
+        alphas[[0, cli._SAMPLE_CHUNK - 1, cli._SAMPLE_CHUNK]] = 0.5
+        alphas[[1, cli._SAMPLE_CHUNK + 1], 2] = 5e-324
+        monkeypatch.setattr(sampling, "sample_parameters", lambda n, seed: alphas[:n])
+        records = sampling.sample_records(n, 0)
+        assert 0.0 < abs(records[1][0, 0]) < 1e-10
+        out_path = tmp_path / "s.csv"
+        code, _ = run(capsys, "sample", str(n), "0", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == plain_csv(*records)
 
 
 class TestTrace:
@@ -357,7 +392,24 @@ class TestTrace:
         assert (code, len(traced)) == (0, calls)
 
 
+def float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def around_powers_of_ten(low: int, high: int) -> list[float]:
+    """10**k for k = low..high, and its two neighbours on either side."""
+    values = []
+    for k in range(low, high + 1):
+        below = above = 10.0**k
+        values.append(below)
+        for _ in range(2):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+    return values
+
+
 class TestG17Column:
+    # the sample writer's float rendering against format(x, ".17g")
     @pytest.mark.parametrize(
         "values",
         [
@@ -376,8 +428,72 @@ class TestG17Column:
         # negative NaN as "nan"
         assert f"{0.1:.17g}" != repr(0.1)
         assert f"{-math.nan:.17g}" == "nan"
-        column = cli._g17_column(np.array(values, dtype=float))
-        assert column.tolist() == [f"{x:.17g}" for x in values]
+        assert g17_texts(values) == [f"{x:.17g}" for x in values]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [x for v in around_powers_of_ten(-12, 16) for x in (v, -v)],
+            # the last float of exponent notation, the first of fixed
+            [9.9999999999999991e-05, 1e-4, -9.9999999999999991e-05, -1e-4],
+            # 18 significant digits ending in 5: ties, rounded half-even
+            [1 + 2.0**-17, 1 + 3 * 2.0**-17, 1 + 5 * 2.0**-17, 0.5 + 2.0**-18],
+            # texts of 24 bytes widen the words to 4
+            [-2.2250738585072014e-308, -4.9406564584124654e-324, 0.25, -1e-300, 1.7976931348623157e308],
+            [9.9999999999999982, 9.9999999999999964, 10.0, 0.99999999999999989, 1.0000000000000002],
+        ],
+        ids=["powers-of-ten", "notation-switch", "ties", "long-texts", "near-ten-and-one"],
+    )
+    def test_matches_format_on_edges(self, values):
+        assert g17_texts(values) == [f"{x:.17g}" for x in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1).map(float_from_bits),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(1e-4, 10.0).flatmap(lambda x: st.sampled_from([x, -x])),
+    ), min_size=1, max_size=64))
+    @example([-0.0, math.nan, -math.inf, 5e-324, 1 + 2.0**-17])
+    def test_matches_format_on_any_floats(self, values):
+        assert g17_texts(values) == [f"{x:.17g}" for x in values]
+
+
+class TestG17Digits:
+    # the exact digit kernel: 17 digits, rounded half-even, and the decimal
+    # exponent, as format(x, ".16e") gives them
+    @staticmethod
+    def expected(x):
+        mantissa, exponent = f"{x:.16e}".split("e")
+        return int(mantissa.replace(".", "")), int(exponent)
+
+    def check(self, values):
+        digits, X = _sample_csv.g17_digits(np.array(values, dtype=float))
+        assert list(zip(digits.tolist(), X.tolist())) == [self.expected(x) for x in values]
+
+    def test_around_powers_of_ten(self):
+        self.check([x for x in around_powers_of_ten(-10, 14) if 1e-10 <= x < 1e15])
+
+    def test_ties_round_half_even(self):
+        # in [1e14, 1e15) two digits follow the point; an odd multiple of
+        # 1/8 there is a tie at the 17th digit, both below and above even
+        ties = [1e14 + 0.125, 1e14 + 0.375, 123456789012345.625, 999999999999999.875, 1 + 2.0**-17]
+        for x in ties:
+            assert len(f"{x:.30g}".replace(".", "").rstrip("0")) == 18
+        self.check(ties)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-10, 1e15, exclude_max=True), min_size=1, max_size=64))
+    def test_matches_format_on_the_domain(self, values):
+        self.check(values)
+
+
+class TestIndexWords:
+    @pytest.mark.parametrize("start, stop, groups", [(0, 12, 1), (99_999_990, 100_000_010, 2),
+                                                     (0, 3, 2), (10**15 - 2, 10**15 + 2, 2)])
+    def test_decimal_without_leading_zeros(self, start, stop, groups):
+        words = _sample_csv.index_words(start, stop, groups).astype("<u8")
+        assert [row.tobytes().replace(b"\0", b"").decode() for row in words] == [
+            str(i) for i in range(start, stop)]
 
 
 class TestPsi:
@@ -501,6 +617,20 @@ class TestUsage:
         assert err.value.code == 2
         assert "seed must be in [0, 2**128)" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_negative_exponent_is_a_number(self, capsys):
+        # argparse's own negative-number pattern has no exponent, so "-1e-3"
+        # was taken for an unknown option
+        assert run(capsys, "check", "0.2", "-1e-3") == run(capsys, "check", "0.2", "-0.001")
+        assert run(capsys, "realize", "0.2", "-1e-3")[0] == 0
+        assert run(capsys, "realize", "-2.5E-1", "0.1")[0] == 3
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e", "-e3"])
+    def test_other_dash_words_stay_options(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["check", "0.2", value])
+        assert err.value.code == 2
+        assert "the following arguments are required: im" in capsys.readouterr().err
 
     def test_import_leaves_numpy_unloaded(self):
         # only the sample command needs numpy; it imports sampling lazily

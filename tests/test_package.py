@@ -34,7 +34,7 @@ EXPORTS = {
 
 # Modules a command may pull in only when it runs the code that needs them.
 ON_DEMAND = ["cycle4.criterion", "cycle4.synthesis", "cycle4.identities", "cycle4.figure",
-             "cycle4.sampling", "fractions", "decimal", "numpy"]
+             "cycle4.sampling", "cycle4._sample_csv", "fractions", "decimal", "numpy"]
 
 
 def modules_after(code: str) -> set:

@@ -37,8 +37,6 @@ def _head_word(X: int, has_fraction: bool) -> int:
 # by X + 4 + 5 * has_fraction, and the lead digit's bit shift by X + 4
 _HEADS = np.array([_head_word(X, f) for f in (False, True) for X in range(-4, 1)], dtype=_U64)
 _LEAD_SHIFTS = np.array([56, 56, 56, 56, 48], dtype=_U64)
-# "e-05" to "e-10" in the high half of a word, by -X
-_EXPONENTS = np.array([int.from_bytes(f"e-{k:02d}".encode(), "little") << 32 for k in range(11)], dtype=_U64)
 # a comma, each status name and a newline, by code
 _STATUSES = np.array([f",{s.value}\n".encode() for s in Status], dtype="S24").view("<u8").reshape(-1, 3)
 
@@ -64,9 +62,9 @@ def _scaled(m, e, X):
 
 
 def g17_digits(x):
-    """(D, X) for each float 1e-10 <= x < 1e15: X = floor(log10 x) and D
-    the 17 significant digits of x, correctly rounded half-even, as an
-    integer in [10**16, 10**17).
+    """(D, X) for each float 1e-4 <= x < 10: X = floor(log10 x) and D the
+    17 significant digits of x, correctly rounded half-even, as an integer
+    in [10**16, 10**17).
 
     The float estimate of X is corrected wherever the unrounded digits fall
     outside [10**16, 10**17).  Rounding never carries past 10**17: the
@@ -108,15 +106,13 @@ def g17_words(values):
     (n, w) array of words padded with NULs: w = 3, or 4 if a text is longer
     than 23 bytes.
 
-    Zeros and values with 1e-10 <= |x| < 10 are rendered from g17_digits:
-    in fixed notation (X >= -4) a head word, then two words of the 16 digits
-    after the lead one, trailing zeros as NUL; in exponent notation the
-    digits move half a word forward to make room for "e-05" to "e-10".
-    Anything else goes through format(); in sample output that is a rare
-    tiny root.
+    Zeros and values with 1e-4 <= |x| < 10, which %g writes in fixed
+    notation, are rendered from g17_digits: a head word, then two words of
+    the 16 digits after the lead one, trailing zeros as NUL.  Anything else
+    goes through format(); in sample output that is a rare tiny root.
     """
     x = np.abs(values)
-    fast = (x >= 1e-10) & (x < 10.0)  # NaN fails both
+    fast = (x >= 1e-4) & (x < 10.0)  # NaN fails both
     zero = x == 0.0
     special = np.flatnonzero(~fast & ~zero)
     texts = [b"," + format(v, ".17g").encode() for v in values[special].tolist()]
@@ -135,44 +131,19 @@ def g17_words(values):
     for shift in (8, 16, 32):
         keep_low |= keep_low >> _U64(shift)
         keep_high |= keep_high >> _U64(shift)
-    head = np.maximum(X, -4) + 4
+    head = X + 4
     sign = np.signbit(values) * _U64(ord("-") << 8)
     words[:, 0] = _HEADS[head + 5 * (fraction != 0)] | sign | ((lead + _U64(48)) << _LEAD_SHIFTS[head])
     words[:, 1] = high + keep_high * _U64(48)
     words[:, 2] = low + keep_low * _U64(48)
-    exponent = np.flatnonzero(X < -4)  # ",-d.dddddddddddddddde-05"
-    if exponent.size:
-        high, low = words[exponent, 1], words[exponent, 2]
-        point = (fraction[exponent] != 0) * _U64(ord(".") << 24)
-        lead_digit = (lead[exponent] + _U64(48)) << _U64(16)
-        words[exponent, 0] = (words[exponent, 0] & _U64(0xFFFF)) | lead_digit | point | (high << _U64(32))
-        words[exponent, 1] = (high >> _U64(32)) | (low << _U64(32))
-        words[exponent, 2] = (low >> _U64(32)) | _EXPONENTS[-X[exponent]]
     if texts:
         words[special] = np.array(texts, dtype=f"S{8 * width}").view("<u8").reshape(-1, width)
     return words
 
 
 def index_words(start, stop, groups):
-    """start..stop-1 in decimal, in ``groups`` words of 8 digits each,
-    leading zeros as NUL (0 keeps its one digit)."""
-    index = np.arange(start, stop, dtype=_U64)
-    words = np.empty((stop - start, groups), dtype=_U64)
-    for g in reversed(range(groups)):
-        index, rest = np.divmod(index, _U64(10**8))
-        words[:, g] = _digits8(rest)
-    # a digit is kept from the first nonzero one on: smear each nonzero byte
-    # up to the bytes after it, and on to the later words
-    seen = np.zeros(stop - start, dtype=bool)
-    for g in range(groups):
-        keep = _nonzero_bytes(words[:, g]) | (seen * _U64(_ONES))
-        seen |= words[:, g] != 0
-        if g == groups - 1:
-            keep |= _U64(1 << 56)
-        for shift in (8, 16, 32):
-            keep |= keep << _U64(shift)
-        words[:, g] += keep * _U64(48)
-    return words
+    """start..stop-1 in decimal, in ``groups`` words padded with NULs."""
+    return np.array([b"%d" % i for i in range(start, stop)], dtype=f"S{8 * groups}").view("<u8").reshape(-1, groups)
 
 
 def lines(start, alphas, eigenvalues, codes) -> bytes:

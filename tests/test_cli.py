@@ -437,7 +437,7 @@ class TestG17Column:
             # the last float of exponent notation, the first of fixed
             [9.9999999999999991e-05, 1e-4, -9.9999999999999991e-05, -1e-4],
             # 18 significant digits ending in 5: ties, rounded half-even
-            [1 + 2.0**-17, 1 + 3 * 2.0**-17, 1 + 5 * 2.0**-17, 0.5 + 2.0**-18],
+            [1 + 2.0**-17, 1 + 3 * 2.0**-17, 1 + 5 * 2.0**-17, 0.5 + 2.0**-18, 1e14 + 0.125, 1e14 + 0.375],
             # texts of 24 bytes widen the words to 4
             [-2.2250738585072014e-308, -4.9406564584124654e-324, 0.25, -1e-300, 1.7976931348623157e308],
             [9.9999999999999982, 9.9999999999999964, 10.0, 0.99999999999999989, 1.0000000000000002],
@@ -470,30 +470,22 @@ class TestG17Digits:
         digits, X = _sample_csv.g17_digits(np.array(values, dtype=float))
         assert list(zip(digits.tolist(), X.tolist())) == [self.expected(x) for x in values]
 
+    # its domain is the writer's fixed notation, 1e-4 <= x < 10
     def test_around_powers_of_ten(self):
-        self.check([x for x in around_powers_of_ten(-10, 14) if 1e-10 <= x < 1e15])
+        self.check([x for x in around_powers_of_ten(-4, 1) if 1e-4 <= x < 10])
 
     def test_ties_round_half_even(self):
-        # in [1e14, 1e15) two digits follow the point; an odd multiple of
-        # 1/8 there is a tie at the 17th digit, both below and above even
-        ties = [1e14 + 0.125, 1e14 + 0.375, 123456789012345.625, 999999999999999.875, 1 + 2.0**-17]
+        # at 10**X <= x < 10**(X+1) an odd multiple of 2**(X-17) is a tie at
+        # the 17th digit, both below and above even
+        ties = [1 + 2.0**-17, 1 + 3 * 2.0**-17, 9 + 2.0**-17, 0.5 + 2.0**-18, 211 * 2.0**-21]
         for x in ties:
-            assert len(f"{x:.30g}".replace(".", "").rstrip("0")) == 18
+            assert len(f"{x:.30g}".replace(".", "").strip("0")) == 18
         self.check(ties)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(1e-10, 1e15, exclude_max=True), min_size=1, max_size=64))
+    @given(st.lists(st.floats(1e-4, 10.0, exclude_max=True), min_size=1, max_size=64))
     def test_matches_format_on_the_domain(self, values):
         self.check(values)
-
-
-class TestIndexWords:
-    @pytest.mark.parametrize("start, stop, groups", [(0, 12, 1), (99_999_990, 100_000_010, 2),
-                                                     (0, 3, 2), (10**15 - 2, 10**15 + 2, 2)])
-    def test_decimal_without_leading_zeros(self, start, stop, groups):
-        words = _sample_csv.index_words(start, stop, groups).astype("<u8")
-        assert [row.tobytes().replace(b"\0", b"").decode() for row in words] == [
-            str(i) for i in range(start, stop)]
 
 
 class TestPsi:

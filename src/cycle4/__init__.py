@@ -13,8 +13,7 @@ defines each exported name; the submodules in it are exported too.
 import importlib
 
 _EXPORTS = {
-    "criterion": "CriterionContext Regime criterion_max criterion_sum log_modulus_ratio "
-    "make_context shift_for_angle",
+    "criterion": "CriterionContext Regime criterion_max make_context",
     "errors": "AlphaOutOfRange ArgumentOutOfRange Cycle4Error NoConvergence NotOnCurve "
     "OutsideRegion ParameterOutOfRange SpectrumFailure",
     "identities": "IdentityResult verify_identity_suite",

@@ -8,17 +8,21 @@ multiplicative eigenvalue identity
 holds for some hop weights t_k exactly when four angles u_k in
 [lower_arg, upper_arg) satisfy
 
-    u1 + u2 + u3 + u4 = 2*pi   and   sum_k log_modulus_ratio(u_k) = 0,
+    u1 + u2 + u3 + u4 = 2*pi   and   sum_k F(u_k) = 0,
 
-where u_k is the argument of z + t_k.  The map between shifts and angles is
-a strictly decreasing bijection, and the log-modulus ratio
+where u_k is the argument of z + t_k and F(u) = log|z + t| - log t is the
+log-modulus ratio of its weight.  F is strictly convex in u, which pins
+down the supremum of the sum over the feasible set: unbounded when
+3*lower + upper <= 2*pi, and otherwise attained at the angle vector
+(peak, lower, lower, lower) with peak = 2*pi - 3*lower.  The triple-angle
+expansions (identity I8) turn that maximum 3 F(lower) + F(peak) into the
+closed form
 
-    F(u) = log|z + t(u)| - log t(u) = log(y csc u) - log(y cot u - x)
+    log(|lam|^6 / T(a, b)),   T = region.modulus_threshold,
 
-is strictly convex, which pins down the supremum of the sum over the
-feasible set: unbounded when 3*lower + upper <= 2*pi, and otherwise
-attained at the angle vector (peak, lower, lower, lower) with
-peak = 2*pi - 3*lower.
+and identity I5, |lam|^6 - T = |lam - 1|^2 left_boundary_form(a, b), puts
+its zero on the left curve.  ``cycle4 verify`` proves both on the region's
+own forms.
 
 This module evaluates the criterion; it solves nothing.  The realizing
 weights come from ``synthesis``: the shrunk left-curve anchor has hop
@@ -32,8 +36,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from fractions import Fraction
 
 from .errors import ArgumentOutOfRange
+from .region import modulus_threshold
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_SLACK = 1e-12  # float slack below the lower angle bound
@@ -83,66 +89,17 @@ def make_context(lam: complex) -> CriterionContext:
     return CriterionContext(lam, z, lower, upper, regime, peak)
 
 
-def shift_for_angle(ctx: CriterionContext, u: float) -> float:
-    """Hop weight t with Arg(z + t) = u; decreases from t(lower_arg) = 1
-    toward 0 as u approaches upper_arg.  Raises ArgumentOutOfRange for u
-    outside [lower_arg, upper_arg)."""
-    if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
-        raise ArgumentOutOfRange(f"angle {u!r} outside [{ctx.lower_arg}, {ctx.upper_arg})")
-    sin_u = math.sin(u)
-    if sin_u <= 0.0:
-        # a lower_arg below the slack admits u <= 0, where cot u is infinite
-        # or negative and log_modulus_ratio would take the log of a negative
-        raise ArgumentOutOfRange(f"angle {u!r} is not positive")
-    z = ctx.z
-    t = z.imag * math.cos(u) / sin_u - z.real
-    if t > 1.0:
-        # t(lower_arg) = 1 exactly; anything above is rounding noise
-        if t > 1.0 + 1e-9:
-            raise ArgumentOutOfRange(f"angle {u!r} maps to shift {t!r} > 1")
-        t = 1.0
-    return t
-
-
-def log_modulus_ratio(ctx: CriterionContext, u: float) -> float:
-    """log |z + t(u)| - log t(u), evaluated in the cosecant form.
-
-    Tends to +infinity as u approaches upper_arg (t -> 0); the value at
-    lower_arg is log|lam| and the value at pi/2 is log(b / (1 - a)).
-    Raises ArgumentOutOfRange as ``shift_for_angle`` does.
-    """
-    t = shift_for_angle(ctx, u)
-    if t <= 0.0:
-        return math.inf
-    return math.log(ctx.z.imag / math.sin(u)) - math.log(t)
-
-
-def criterion_sum(ctx: CriterionContext, angles) -> float:
-    """Sum of log-modulus ratios over a feasible angle 4-tuple.
-
-    Raises ArgumentOutOfRange unless there are four angles, each inside the
-    box, summing to 2*pi within 1e-9.
-    """
-    angles = tuple(float(u) for u in angles)
-    if len(angles) != 4:
-        raise ArgumentOutOfRange(f"need 4 angles, got {len(angles)}")
-    for u in angles:
-        if not ctx.lower_arg - _ANGLE_SLACK <= u < ctx.upper_arg:
-            raise ArgumentOutOfRange(f"angle {u!r} outside the feasible box")
-    if abs(math.fsum(angles) - _TWO_PI) > 1e-9:
-        raise ArgumentOutOfRange(f"angles sum to {math.fsum(angles)!r}, not 2*pi")
-    # fsum is exactly rounded, which makes the value permutation-invariant
-    return math.fsum(log_modulus_ratio(ctx, u) for u in angles)
-
-
 def criterion_max(ctx: CriterionContext) -> float:
     """Supremum of the criterion sum over the feasible set.
 
-    +infinity in the unbounded regime; otherwise the attained maximum
-    3 F(lower_arg) + F(peak_arg), which also equals
-    log(|lam|^6 / modulus_threshold(a, b)).  Raises ArgumentOutOfRange when
-    peak_arg falls below lower_arg, as it does left of the imaginary axis:
-    there 4 lower_arg > 2*pi and no angle vector is feasible.
+    +infinity in the unbounded regime; otherwise log(|lam|^6 / T(a, b)),
+    with T and the ratio formed exactly on the binary values of a and b, so
+    a normal result is within 4e-16 relative of the true value.  Where the
+    exact T is not positive the peak angle reaches upper_arg, the feasible
+    set is unbounded after all, and the supremum is +infinity.  Raises
+    ArgumentOutOfRange when peak_arg falls below lower_arg, as it does left
+    of the imaginary axis: there 4 lower_arg > 2*pi and no angle vector is
+    feasible.
     """
     if ctx.regime is Regime.UNBOUNDED:
         return math.inf
@@ -150,6 +107,22 @@ def criterion_max(ctx: CriterionContext) -> float:
         raise ArgumentOutOfRange(
             f"feasible angle set of {ctx.lam!r} is empty: 4 Arg(lam) = {4.0 * ctx.lower_arg} > 2*pi"
         )
-    return 3.0 * log_modulus_ratio(ctx, ctx.lower_arg) + log_modulus_ratio(
-        ctx, ctx.peak_arg
-    )
+    a, b = Fraction(ctx.lam.real), Fraction(ctx.lam.imag)
+    threshold = modulus_threshold(a, b)
+    if threshold <= 0:
+        return math.inf
+    return _log((a * a + b * b) ** 3 / threshold)
+
+
+def _log(ratio: Fraction) -> float:
+    """log of a positive rational: log1p of the exactly formed ratio - 1
+    near 1, else the log of the correctly rounded ratio, scaled by a power
+    of two where that would leave the normal floats."""
+    if Fraction(1, 2) <= ratio <= 2:
+        return math.log1p(ratio - 1)
+    num, den = ratio.numerator, ratio.denominator
+    shift = num.bit_length() - den.bit_length()
+    if abs(shift) < 1000:
+        return math.log(num / den)
+    mantissa = num / (den << shift) if shift > 0 else (num << -shift) / den
+    return math.log(mantissa) + shift * math.log(2.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 
@@ -53,6 +55,22 @@ def sample_tight(rng: np.random.Generator, count: int) -> list[complex]:
         if ctx.regime is Regime.TIGHT:
             out.append(complex(a, b))
     return out
+
+
+def weight(z: complex, u: float) -> float:
+    """The hop weight t(u) = y cot u - x whose angle Arg(z + t) is u, for
+    z = x + iy."""
+    return z.imag * math.cos(u) / math.sin(u) - z.real
+
+
+def log_ratio(z: complex, t: float) -> float:
+    """The paper's log-modulus ratio F = log|z + t| - log t of hop weight t."""
+    return math.log(abs(z + t)) - math.log(t)
+
+
+def angle_sum(z: complex, angles) -> float:
+    """The criterion sum: the log-modulus ratios of the angles' weights."""
+    return math.fsum(log_ratio(z, weight(z, u)) for u in angles)
 
 
 def sample_feasible_angles(rng: np.random.Generator, ctx, count: int) -> np.ndarray:

@@ -23,15 +23,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import sample_feasible_angles, sample_inside_nonreal, sample_tight
+from conftest import (
+    angle_sum,
+    log_ratio,
+    sample_feasible_angles,
+    sample_inside_nonreal,
+    sample_tight,
+    weight,
+)
 from cycle4 import (
     Status,
     criterion_max,
-    criterion_sum,
     eigen_residual,
     left_boundary_form,
     left_branch_root,
-    log_modulus_ratio,
     make_context,
     make_cycle_matrix,
     membership,
@@ -194,9 +199,9 @@ def test_criterion_5_criterion_bounds():
     jensen_margin = math.inf
     for lam in sample_inside_nonreal(rng, 20):
         ctx = make_context(lam)
-        floor = 4.0 * log_modulus_ratio(ctx, math.pi / 2)
+        floor = 4.0 * log_ratio(ctx.z, weight(ctx.z, math.pi / 2))
         for angles in sample_feasible_angles(rng, ctx, 1000):
-            jensen_margin = min(jensen_margin, criterion_sum(ctx, angles) - floor)
+            jensen_margin = min(jensen_margin, angle_sum(ctx.z, angles) - floor)
     assert jensen_margin >= -1e-9
 
     # tight-regime ceiling
@@ -205,7 +210,7 @@ def test_criterion_5_criterion_bounds():
         ctx = make_context(lam)
         ceiling = criterion_max(ctx)
         for angles in sample_feasible_angles(rng, ctx, 1000):
-            tight_margin = min(tight_margin, ceiling - criterion_sum(ctx, angles))
+            tight_margin = min(tight_margin, ceiling - angle_sum(ctx.z, angles))
     assert tight_margin >= -1e-9
 
     # closed form of the tight maximum
@@ -235,14 +240,9 @@ def test_criterion_6_convexity_second_derivative():
             h = min(1e-3, 0.02 * (ctx.upper_arg - u), 0.2 * (u - ctx.lower_arg))
             if h <= 0.0:
                 continue
-            fd = (
-                -log_modulus_ratio(ctx, u - 2 * h)
-                + 16 * log_modulus_ratio(ctx, u - h)
-                - 30 * log_modulus_ratio(ctx, u)
-                + 16 * log_modulus_ratio(ctx, u + h)
-                - log_modulus_ratio(ctx, u + 2 * h)
-            ) / (12 * h * h)
-            t = ctx.z.imag * math.cos(u) / math.sin(u) - ctx.z.real
+            f = [log_ratio(ctx.z, weight(ctx.z, u + k * h)) for k in (-2, -1, 0, 1, 2)]
+            fd = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+            t = weight(ctx.z, u)
             closed = (ctx.z.real**2 + ctx.z.imag**2) / (t * t * math.sin(u) ** 2)
             assert closed > 0.0
             worst = max(worst, abs(fd - closed) / closed)

@@ -505,6 +505,16 @@ class TestPsi:
         assert payload["U"] is None
         assert payload["maxPsi"] == "inf"
 
+    def test_tight_by_float_with_threshold_below_zero(self, capsys):
+        # atan2 calls the regime tight, but the exact threshold T is
+        # -1.09e-16: the peak angle reaches upper and the supremum is
+        # infinite, where rounded floats give a finite 35.58
+        code, out = run(capsys, "psi", "0.2351677941765864", "1.3855041382024993")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == "Tight"
+        assert payload["maxPsi"] == "inf"
+
     def test_real_input_fails(self, capsys):
         code, _ = run(capsys, "psi", "0.5", "0")
         assert code == 4

@@ -1,15 +1,20 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    angle_sum,
     interior_grid,
+    log_ratio,
     oracle_roots,
     sample_feasible_angles,
     sample_inside_nonreal,
     sample_tight,
+    weight,
 )
 from cycle4 import (
     AlphaOutOfRange,
@@ -19,17 +24,16 @@ from cycle4 import (
     OutsideRegion,
     Status,
     criterion_max,
-    criterion_sum,
     eigen_residual,
     left_boundary_form,
-    log_modulus_ratio,
+    left_branch_root,
     make_context,
     membership,
     modulus_threshold,
     realize,
     realize_via_criterion,
-    shift_for_angle,
     spectrum,
+    trace_left_curve,
 )
 from cycle4 import synthesis
 from cycle4.criterion import Regime
@@ -77,93 +81,73 @@ class TestMakeContext:
 
 
 class TestShiftAngleMaps:
+    """The weight map t(u) = y cot u - x of the angle parametrisation, on
+    the angle box ``make_context`` reports."""
+
     def test_shift_at_lower_arg_is_one(self):
         for lam in (0.2 + 0.3j, 0.7 + 0.2j, 0.05 + 0.9j):
             ctx = make_context(lam)
-            assert shift_for_angle(ctx, ctx.lower_arg) == pytest.approx(1.0, abs=1e-12)
+            assert weight(ctx.z, ctx.lower_arg) == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_point_half_pi(self):
         ctx = make_context(1j)
-        assert shift_for_angle(ctx, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+        assert weight(ctx.z, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_pi_gives_one_minus_a(self):
         ctx = make_context(0.2 + 0.3j)
-        assert shift_for_angle(ctx, math.pi / 2) == pytest.approx(0.8, abs=1e-15)
+        assert weight(ctx.z, math.pi / 2) == pytest.approx(0.8, abs=1e-15)
 
     def test_shift_vanishes_toward_upper_arg(self):
         ctx = make_context(0.2 + 0.3j)
         previous = 1.0
         for frac in (0.5, 0.9, 0.99, 0.9999):
             u = ctx.lower_arg + frac * (ctx.upper_arg - ctx.lower_arg)
-            t = shift_for_angle(ctx, u)
+            t = weight(ctx.z, u)
             assert 0.0 < t < previous
             previous = t
         assert previous < 1e-3
 
     def test_angle_for_shift_inverse(self):
-        # the angle of shift t is arg(z + t); shift_for_angle inverts it
+        # the angle of shift t is arg(z + t); the weight map inverts it
         ctx = make_context(0.2 + 0.3j)
         # (a - 1) + 1 recombines to a only up to one ulp
         assert angle_for_shift(ctx, 1.0) == pytest.approx(ctx.lower_arg, abs=1e-14)
         u = angle_for_shift(ctx, 0.37)
-        assert shift_for_angle(ctx, u) == pytest.approx(0.37, abs=1e-12)
+        assert weight(ctx.z, u) == pytest.approx(0.37, abs=1e-12)
 
     def test_angle_increases_as_shift_shrinks(self):
         ctx = make_context(0.3 + 0.4j)
         angles = [angle_for_shift(ctx, t) for t in (1.0, 0.5, 0.1, 0.01, 1e-6)]
         assert all(x < y for x, y in zip(angles, angles[1:]))
         assert angles[-1] < ctx.upper_arg
-        shifts = [shift_for_angle(ctx, u) for u in angles]
+        shifts = [weight(ctx.z, u) for u in angles]
         assert all(x > y for x, y in zip(shifts, shifts[1:]))
-
-    def test_domain_errors(self):
-        ctx = make_context(0.2 + 0.3j)
-        with pytest.raises(ArgumentOutOfRange):
-            shift_for_angle(ctx, ctx.upper_arg)
-        with pytest.raises(ArgumentOutOfRange):
-            shift_for_angle(ctx, ctx.lower_arg - 1e-6)
-
-    def test_zero_sine_raises_argument_out_of_range(self):
-        # a subnormal lower_arg lets the slack admit u <= 0, where the
-        # cotangent divided by zero (u = 0) or the cosecant form took the
-        # log of a negative number (u < 0)
-        ctx = make_context(4.5e-15 + 5e-324j)
-        assert 0.0 < ctx.lower_arg < 1e-300
-        for function in (shift_for_angle, log_modulus_ratio):
-            for u in (0.0, -1e-300):
-                with pytest.raises(Cycle4Error) as err:
-                    function(ctx, u)
-                assert type(err.value) is ArgumentOutOfRange
 
 
 class TestLogModulusRatio:
+    """F(u) = log|z + t(u)| - log t(u), the paper's convex summand."""
+
     def test_two_formulas_agree(self):
-        # cosecant form versus direct log|z + t|
+        # direct log|z + t| versus the cosecant form log(y csc u) - log t
         for lam in (0.2 + 0.3j, 0.6 + 0.35j, 0.05 + 0.95j):
             ctx = make_context(lam)
             for frac in np.linspace(0.0, 0.999, 40):
                 u = ctx.lower_arg + frac * (ctx.upper_arg - ctx.lower_arg)
-                t = shift_for_angle(ctx, u)
-                direct = math.log(abs(ctx.z + t)) - math.log(t)
-                assert log_modulus_ratio(ctx, u) == pytest.approx(direct, abs=1e-12)
+                t = weight(ctx.z, u)
+                cosecant = math.log(ctx.z.imag / math.sin(u)) - math.log(t)
+                assert log_ratio(ctx.z, t) == pytest.approx(cosecant, abs=1e-12)
 
     def test_value_at_lower_arg(self):
         ctx = make_context(0.2 + 0.3j)
-        assert log_modulus_ratio(ctx, ctx.lower_arg) == pytest.approx(
-            math.log(abs(0.2 + 0.3j)), abs=1e-12
-        )
+        assert F(ctx, ctx.lower_arg) == pytest.approx(math.log(abs(0.2 + 0.3j)), abs=1e-12)
 
     def test_value_at_half_pi(self):
         ctx = make_context(0.2 + 0.3j)
-        assert log_modulus_ratio(ctx, math.pi / 2) == pytest.approx(
-            math.log(0.3 / 0.8), abs=1e-12
-        )
+        assert F(ctx, math.pi / 2) == pytest.approx(math.log(0.3 / 0.8), abs=1e-12)
 
     def test_blows_up_toward_upper_arg(self):
         ctx = make_context(0.2 + 0.3j)
-        values = [
-            log_modulus_ratio(ctx, ctx.upper_arg - gap) for gap in (1e-2, 1e-4, 1e-8)
-        ]
+        values = [F(ctx, ctx.upper_arg - gap) for gap in (1e-2, 1e-4, 1e-8)]
         assert values[0] < values[1] < values[2]
         assert values[2] > 15.0
 
@@ -174,39 +158,19 @@ class TestLogModulusRatio:
             h = 1e-4 * (ctx.upper_arg - ctx.lower_arg)
             for frac in np.linspace(0.05, 0.9, 20):
                 u = ctx.lower_arg + frac * (ctx.upper_arg - ctx.lower_arg)
-                second = (
-                    log_modulus_ratio(ctx, u + h)
-                    - 2 * log_modulus_ratio(ctx, u)
-                    + log_modulus_ratio(ctx, u - h)
-                )
-                assert second > 0.0
+                assert F(ctx, u + h) - 2 * F(ctx, u) + F(ctx, u - h) > 0.0
 
 
 class TestCriterionSum:
     def test_barycenter_value(self):
         ctx = make_context(0.2 + 0.3j)
-        u = (math.pi / 2,) * 4
-        assert criterion_sum(ctx, u) == pytest.approx(4 * math.log(0.375), abs=1e-12)
-
-    def test_permutation_invariance(self):
-        ctx = make_context(0.2 + 0.3j)
-        rng = np.random.default_rng(4)
-        u = sample_feasible_angles(rng, ctx, 1)[0]
-        reference = criterion_sum(ctx, u)
-        for perm in ((1, 0, 2, 3), (3, 2, 1, 0), (2, 3, 0, 1)):
-            assert criterion_sum(ctx, u[list(perm)]) == pytest.approx(reference, abs=0)
+        barycenter = (math.pi / 2,) * 4
+        assert angle_sum(ctx.z, barycenter) == pytest.approx(4 * math.log(0.375), abs=1e-12)
 
     def test_tight_peak_matches_maximum(self):
         ctx = make_context(0.05 + 0.1j)
         peak = (ctx.peak_arg, ctx.lower_arg, ctx.lower_arg, ctx.lower_arg)
-        assert criterion_sum(ctx, peak) == pytest.approx(criterion_max(ctx), abs=1e-10)
-
-    def test_infeasible_rejected(self):
-        ctx = make_context(0.2 + 0.3j)
-        with pytest.raises(ArgumentOutOfRange, match="not 2\\*pi"):
-            criterion_sum(ctx, (1.0, 1.0, 1.0, 1.0))  # sum far from 2*pi
-        with pytest.raises(ArgumentOutOfRange, match="feasible box"):
-            criterion_sum(ctx, (0.1, 2.0, 2.0, TWO_PI - 4.1))  # box violated
+        assert angle_sum(ctx.z, peak) == pytest.approx(criterion_max(ctx), abs=1e-10)
 
 
 class TestCriterionMax:
@@ -239,14 +203,91 @@ class TestCriterionMax:
             assert criterion_max(ctx) == pytest.approx(expected, abs=1e-9)
 
 
+def oracle_max_psi(lam: complex, dps: int = 60):
+    """3 F(lower) + F(peak) in dps-digit arithmetic on the binary values of
+    lam, or None where the peak angle reaches upper: its weight is not
+    positive there and the supremum is infinite.  The terms are of order
+    log|lam| and cancel near the left curve, so a value below 10^(20 - dps)
+    is evaluated again at twice the digits, up to 480."""
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(lam.real), mpmath.mpf(lam.imag)
+        lower, upper = mpmath.atan2(b, a), mpmath.atan2(b, a - 1)
+        peak = 2 * mpmath.pi - 3 * lower
+        if peak >= upper:
+            return None
+        t = b * mpmath.cot(peak) - (a - 1)
+        value = 3 * mpmath.log(mpmath.hypot(a, b)) + mpmath.log(b / mpmath.sin(peak) / t)
+    if dps >= 480 or abs(value) > mpmath.mpf(10) ** (20 - dps):
+        return value
+    return oracle_max_psi(lam, 2 * dps)
+
+
+def check_max_psi(lam: complex) -> float:
+    """criterion_max at lam, checked: infinite where the regime is unbounded
+    or the exact threshold is not positive (the oracle agrees that the
+    supremum is), else within 4e-16 relative of the oracle, or within the
+    spacing 5e-324 of the subnormal floats."""
+    ctx = make_context(lam)
+    value = criterion_max(ctx)
+    if ctx.regime is Regime.UNBOUNDED:
+        assert value == math.inf
+        return value
+    oracle = oracle_max_psi(lam)
+    if modulus_threshold(Fraction(lam.real), Fraction(lam.imag)) <= 0:
+        assert value == math.inf and oracle is None
+        return value
+    assert oracle is not None and math.isfinite(value)
+    assert abs(value - oracle) <= 4e-16 * abs(oracle) + 5e-324, (lam, value, oracle)
+    return value
+
+
+def left_curve_point(alpha: float, k: int, sign: int) -> complex:
+    """The left-curve point of anchor weight alpha, moved 10^-k along Im."""
+    return left_branch_root(alpha) + sign * 10.0**-k * 1j
+
+
+class TestCriterionMaxAccuracy:
+    """``criterion_max`` against a 60-digit oracle of the angle form."""
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_below_the_left_curve(self, d):
+        # the maximum tends to 0 on the curve, where the angle form cancels
+        finite = 0
+        for p in trace_left_curve(200):
+            if p.point.imag > d:
+                finite += math.isfinite(check_max_psi(p.point - d * 1j))
+        assert finite >= 190
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.one_of(
+        st.builds(complex, st.floats(-1e10, 1.0, exclude_max=True),
+                  st.floats(5e-324, 1e10)),
+        st.builds(left_curve_point, st.floats(0.0, 0.999), st.integers(3, 15),
+                  st.sampled_from((-1, 1))),
+    ))
+    @example(lam=1j)
+    @example(lam=1e-100j)  # |lam|^6 / T = b^4 underflows a float
+    @example(lam=1e-200j)
+    # tight by atan2, but the exact T is -1.09e-16: the supremum is infinite
+    @example(lam=0.2351677941765864 + 1.3855041382024993j)
+    @example(lam=8.918241265765223e-209 + 1j)  # a maximum of 3.6e-208, below 60 digits
+    @example(lam=5e-324 + 1j)  # a subnormal maximum
+    @example(lam=0.0789222787846143 + 0.15644616023896302j)
+    def test_matches_the_oracle(self, lam):
+        try:
+            check_max_psi(lam)
+        except ArgumentOutOfRange:  # real, or an empty feasible set
+            pass
+
+
 class TestBounds:
     def test_jensen_lower_bound(self):
         rng = np.random.default_rng(31)
         for lam in sample_inside_nonreal(rng, 5):
             ctx = make_context(lam)
-            floor = 4.0 * log_modulus_ratio(ctx, math.pi / 2)
+            floor = 4.0 * F(ctx, math.pi / 2)
             for u in sample_feasible_angles(rng, ctx, 200):
-                assert criterion_sum(ctx, u) >= floor - 1e-9
+                assert angle_sum(ctx.z, u) >= floor - 1e-9
 
     def test_tight_upper_bound(self):
         rng = np.random.default_rng(32)
@@ -254,7 +295,7 @@ class TestBounds:
             ctx = make_context(lam)
             ceiling = criterion_max(ctx)
             for u in sample_feasible_angles(rng, ctx, 200):
-                assert criterion_sum(ctx, u) <= ceiling + 1e-9
+                assert angle_sum(ctx.z, u) <= ceiling + 1e-9
 
     def test_negative_form_implies_tight(self):
         rng = np.random.default_rng(33)
@@ -302,14 +343,15 @@ class TestSolveCriterion:
             realize_via_criterion(-0.1 + 0.5j)
 
     def test_round_trip_constraints(self):
-        # mapped back to angles, the weights sit on the hyperplane and
-        # zero the criterion sum
+        # mapped back to angles, the weights sit on the hyperplane, and
+        # their log-modulus ratios sum to zero
         rng = np.random.default_rng(44)
         for lam in sample_inside_nonreal(rng, 20):
             ctx = make_context(lam)
-            angles = [angle_for_shift(ctx, 1.0 - a) for a in realize_via_criterion(lam).matrix.alpha]
+            shifts = [1.0 - a for a in realize_via_criterion(lam).matrix.alpha]
+            angles = [angle_for_shift(ctx, t) for t in shifts]
             assert abs(sum(angles) - TWO_PI) < 1e-9
-            assert abs(sum(log_modulus_ratio(ctx, u) for u in angles)) < 1e-9
+            assert abs(sum(log_ratio(ctx.z, t) for t in shifts)) < 1e-9
 
     def test_grid_weights_solve_the_criterion(self):
         # the paper's criterion on every interior grid matrix: the angles
@@ -318,9 +360,11 @@ class TestSolveCriterion:
         worst_sum = worst_criterion = 0.0
         for lam in interior_grid():
             ctx = make_context(lam)
-            angles = [angle_for_shift(ctx, 1.0 - a) for a in realize_via_criterion(lam).matrix.alpha]
+            shifts = [1.0 - a for a in realize_via_criterion(lam).matrix.alpha]
+            angles = [angle_for_shift(ctx, t) for t in shifts]
             worst_sum = max(worst_sum, abs(math.fsum(angles) - TWO_PI))
-            worst_criterion = max(worst_criterion, abs(criterion_sum(ctx, angles)))
+            criterion = math.fsum(log_ratio(ctx.z, t) for t in shifts)
+            worst_criterion = max(worst_criterion, abs(criterion))
         assert worst_sum <= 1e-9
         assert worst_criterion <= 1e-8
 
@@ -328,6 +372,11 @@ class TestSolveCriterion:
 def angle_for_shift(ctx, t: float) -> float:
     """Arg(z + t), the angle whose shift is t."""
     return math.atan2(ctx.z.imag, ctx.z.real + t)
+
+
+def F(ctx, u: float) -> float:
+    """The log-modulus ratio at the angle u."""
+    return log_ratio(ctx.z, weight(ctx.z, u))
 
 
 def relative_defect(ctx, shifts) -> float:

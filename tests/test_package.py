@@ -19,8 +19,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # Each exported name under the module that defines it; the modules are
 # exported too.
 EXPORTS = {
-    "criterion": ["CriterionContext", "Regime", "criterion_max", "criterion_sum",
-                  "log_modulus_ratio", "make_context", "shift_for_angle"],
+    "criterion": ["CriterionContext", "Regime", "criterion_max", "make_context"],
     "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "Cycle4Error", "NoConvergence",
                "NotOnCurve", "OutsideRegion", "ParameterOutOfRange", "SpectrumFailure"],
     "identities": ["IdentityResult", "verify_identity_suite"],
@@ -77,7 +76,7 @@ class TestExports:
     def test_unknown_name_raises_attribute_error(self):
         for name in ("no_such_name", "principal_arg", "ZeroArgument", "shrink", "ShrinkOutOfRange",
                      "scalar", "LowerHalfPlane", "NonrealRequired", "FeasibilityViolation",
-                     "InfeasiblePoint"):
+                     "InfeasiblePoint", "shift_for_angle", "log_modulus_ratio", "criterion_sum"):
             with pytest.raises(AttributeError):
                 getattr(cycle4, name)
             assert not hasattr(cycle4, name)
@@ -90,8 +89,7 @@ class TestExports:
     def test_every_export_is_used_by_the_package(self):
         # An export only tests reach is dead API.  A reference is a name or
         # an attribute, or a module in a relative import, anywhere in the
-        # package but the definition itself; criterion_sum is the named
-        # oracle of the criterion and stays exported unused.
+        # package but the definition itself.
         used = set()
         for path in Path(SRC, "cycle4").glob("*.py"):
             for statement in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -104,7 +102,7 @@ class TestExports:
                     elif isinstance(node, ast.ImportFrom) and node.level == 1:
                         found.update([node.module] if node.module else [a.name for a in node.names])
                 used |= found - {getattr(statement, "name", None)}
-        assert set(cycle4.__all__) - used == {"criterion_sum"}
+        assert set(cycle4.__all__) - used == set()
 
     def test_submodules_resolve_after_bare_import(self):
         code = "import cycle4\ncycle4.synthesis.realize, cycle4.matrix.spectrum"

@@ -159,5 +159,4 @@ def lines(start, alphas, eigenvalues, codes) -> bytes:
     table[:, :, groups:at] = values[: 4 * rows].reshape(rows, 1, 4 * width)
     table[:, :, at : at + 2 * width] = values[4 * rows :].reshape(rows, 4, 2 * width)
     table[:, :, at + 2 * width :] = _STATUSES[codes]
-    text = table.view(np.uint8)
-    return text[text != 0].tobytes()
+    return table.tobytes().translate(None, b"\0")

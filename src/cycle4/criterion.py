@@ -80,13 +80,17 @@ def make_context(lam: complex) -> CriterionContext:
     z = lam - 1.0
     lower = math.atan2(lam.imag, lam.real)
     upper = math.atan2(z.imag, z.real)
-    if 3.0 * lower + upper > _TWO_PI:
-        regime = Regime.TIGHT
-        peak = _TWO_PI - 3.0 * lower
+    total = 3.0 * lower + upper  # the angle of lam^3 (lam - 1), not reduced
+    if abs(total - _TWO_PI) < 0.5 * math.pi:
+        # Im(lam^3 (lam - 1)) = b T(a, b), and on (pi, 3*pi) sin(total) has
+        # the sign of total - 2*pi, so the exact sign of T decides; the ends
+        # of this narrower interval lie far beyond the rounding of total
+        tight = modulus_threshold(Fraction(lam.real), Fraction(lam.imag)) > 0
     else:
-        regime = Regime.UNBOUNDED
-        peak = None
-    return CriterionContext(lam, z, lower, upper, regime, peak)
+        tight = total > _TWO_PI
+    if tight:
+        return CriterionContext(lam, z, lower, upper, Regime.TIGHT, _TWO_PI - 3.0 * lower)
+    return CriterionContext(lam, z, lower, upper, Regime.UNBOUNDED, None)
 
 
 def criterion_max(ctx: CriterionContext) -> float:

@@ -2,8 +2,10 @@
 
 Parameters come from a Philox counter-based generator keyed by the seed, so
 row i consumes a fixed counter range: the tuple at (seed, i) is independent
-of the batch size, and batches may be evaluated in any order without
-changing the output.
+of the batch size.  A batch may start at any row, since a generator
+advanced by i counter steps yields row i onward, so ``cycle4 sample`` draws,
+solves, classifies and writes one block of rows at a time, in memory that
+does not grow with the number of rows.
 
 Spectra for large batches come from ``bulk_spectra``, which runs the
 spectrum kernel of ``matrix`` on whole arrays; it uses only IEEE-754
@@ -27,18 +29,22 @@ _RULE_CODES = [np.int8(tuple(Status).index(status)) for status in _RULE_STATUS]
 _OUTSIDE_CODE = np.int8(tuple(Status).index(Status.OUTSIDE))
 
 
-def sample_parameters(n: int, seed: int) -> np.ndarray:
-    """(n, 4) array of parameter tuples, i.i.d. uniform on [0, 1).
+def sample_parameters(n: int, seed: int, start: int = 0) -> np.ndarray:
+    """(n, 4) array of parameter tuples, i.i.d. uniform on [0, 1): rows
+    start .. start + n - 1 of the seed's sequence.
 
-    Row i is fully determined by (seed, i): prefixes of longer batches
-    coincide with shorter batches.
+    Row i is fully determined by (seed, i): a batch equals the same rows of
+    any longer batch, whatever its start.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((n, 4))
+    if start < 0:
+        raise ValueError(f"need start >= 0, got {start}")
+    bit_generator = np.random.Philox(key=seed)
+    bit_generator.advance(start)  # one counter step draws one row's 4 x 64 bits
+    return np.random.Generator(bit_generator).random((n, 4))
 
 
 def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -98,22 +104,29 @@ def classify_points(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
     """Region verdict codes by ``region._rules``, the rule ``membership``
     applies to one point; a code is the verdict's position in ``Status``.
 
-    NaN and infinite points are ``Outside``.
+    NaN and infinite points are ``Outside``.  The region grows with the
+    band: a point ``Outside`` at one band is ``Outside`` at every smaller one.
     """
     a = np.array(re, dtype=float)  # a compact copy: ``.real`` of a complex array is strided
     b = np.abs(np.asarray(im, dtype=float))
     with np.errstate(invalid="ignore", over="ignore"):
         right = 1.0 - a - b
         g = left_boundary_form(a, b)
-        return np.select(_rules(a, b, right, g, band), _RULE_CODES, _OUTSIDE_CODE)
+        rules = _rules(a, b, right, g, band)
+    # each point takes the code of the first rule that holds: later rules
+    # are written first and overwritten
+    codes = np.full(a.shape, _OUTSIDE_CODE)
+    for rule, code in zip(reversed(rules), reversed(_RULE_CODES)):
+        codes[rule] = code
+    return codes
 
 
 def sample_records(
-    n: int, seed: int, tol: Tolerance = DEFAULT_TOLERANCE
+    n: int, seed: int, tol: Tolerance = DEFAULT_TOLERANCE, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled batch as arrays: parameters (n, 4), eigenvalues (n, 4),
-    verdict codes (n, 4)."""
-    alphas = sample_parameters(n, seed)
+    """Sampled rows start .. start + n - 1 as arrays: parameters (n, 4),
+    eigenvalues (n, 4), verdict codes (n, 4)."""
+    alphas = sample_parameters(n, seed, start)
     eigenvalues = bulk_spectra(alphas, tol)
     codes = classify_points(eigenvalues.real, eigenvalues.imag, tol.boundary_band)
     return alphas, eigenvalues, codes

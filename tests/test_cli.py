@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -312,20 +313,85 @@ class TestSample:
     def test_fallback_records_at_a_chunk_boundary(self, capsys, tmp_path, monkeypatch):
         # (0.5,) * 4 has a real root of -1.2e-17, an alpha of 5e-324 is a
         # subnormal: both leave the fixed-notation fast path, on either side
-        # of the first chunk boundary
+        # of the first chunk boundary, and the second block starts with one
         from cycle4 import sampling
 
         n = cli._SAMPLE_CHUNK + 2
         alphas = sampling.sample_parameters(n, 11)
         alphas[[0, cli._SAMPLE_CHUNK - 1, cli._SAMPLE_CHUNK]] = 0.5
         alphas[[1, cli._SAMPLE_CHUNK + 1], 2] = 5e-324
-        monkeypatch.setattr(sampling, "sample_parameters", lambda n, seed: alphas[:n])
+        monkeypatch.setattr(sampling, "sample_parameters", lambda n, seed, start=0: alphas[start:start + n])
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", cli._SAMPLE_CHUNK + 1)
         records = sampling.sample_records(n, 0)
         assert 0.0 < abs(records[1][0, 0]) < 1e-10
         out_path = tmp_path / "s.csv"
         code, _ = run(capsys, "sample", str(n), "0", str(out_path))
         assert code == 0
         assert out_path.read_bytes() == plain_csv(*records)
+
+
+    @pytest.mark.parametrize("block, n", [(300, 1001), (700, 1700), (2 * cli._SAMPLE_CHUNK, 4 * cli._SAMPLE_CHUNK + 5)])
+    def test_blocks_give_the_same_output(self, capsys, tmp_path, monkeypatch, block, n):
+        # n is not a multiple of the block or of the chunk, and the block
+        # not always one of the chunk: bytes, verdicts and exit code must
+        # equal those of one block, and the per-row rendering of all rows
+        from cycle4.sampling import sample_records
+
+        one, blocked = tmp_path / "one.csv", tmp_path / "blocked.csv"
+        code, out = run(capsys, "sample", str(n), "3", str(one))
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+        assert run(capsys, "sample", str(n), "3", str(blocked)) == (code, out)
+        records = sample_records(n, 3)
+        assert blocked.read_bytes() == one.read_bytes() == plain_csv(*records)
+        counts = np.bincount(records[2].ravel(), minlength=len(region.Status))
+        names = [status.value for status in region.Status]
+        assert code == 0
+        assert out == "verdicts: " + " ".join(f"{k}={v}" for k, v in sorted(zip(names, counts.tolist()))) + "\n"
+
+    def test_traced_peak_flat_in_n(self, capsys, tmp_path, monkeypatch):
+        # one block of rows is held at a time, so eight times the rows take
+        # no more memory (the whole batch at once took about 600 bytes a row)
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", 512)
+        assert run(capsys, "sample", "64", "5", str(tmp_path / "warm.csv"))[0] == 0
+        peaks = []
+        for n in (1024, 8192):
+            tracemalloc.start()
+            try:
+                assert run(capsys, "sample", str(n), "5", str(tmp_path / f"{n}.csv"))[0] == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize(
+        "point, options, code, outside",
+        [
+            (0.5 + 0.6j, [], 3, 1),
+            (0.5 + (0.5 + 5e-8) * 1j, [], 0, 0),  # Outside at the default band only
+            (0.5 + (0.5 + 1e-6) * 1j, ["--tol-band", "1e-5"], 3, 1),  # inside at 1e-5 only
+        ],
+        ids=["far-outside", "within-gate-band", "outside-gate-band-only"],
+    )
+    def test_gate_across_blocks(self, capsys, tmp_path, monkeypatch, point, options, code, outside):
+        # one eigenvalue of row 450, in the second block, is moved to point;
+        # the gate re-checks it at band 1e-7
+        from cycle4 import sampling
+
+        target = sampling.sample_parameters(700, 8)[450]
+        solve = sampling.bulk_spectra
+
+        def moved(alphas, tol):
+            eigenvalues = solve(alphas, tol)
+            eigenvalues[(alphas == target).all(axis=1), 2] = point
+            return eigenvalues
+
+        monkeypatch.setattr(sampling, "bulk_spectra", moved)
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", 300)
+        assert main(["sample", "700", "8", str(tmp_path / "s.csv"), *options]) == code
+        captured = capsys.readouterr()
+        counts = dict(part.split("=") for part in captured.out.split()[1:])
+        assert counts["Outside"] == str(1 - (len(options) > 0))
+        assert captured.err == (f"outside at band 1e-07: {outside}\n" if outside else "")
 
 
 class TestTrace:
@@ -507,13 +573,24 @@ class TestPsi:
 
     def test_tight_by_float_with_threshold_below_zero(self, capsys):
         # atan2 calls the regime tight, but the exact threshold T is
-        # -1.09e-16: the peak angle reaches upper and the supremum is
-        # infinite, where rounded floats give a finite 35.58
+        # -1.09e-16: the regime is unbounded and the supremum infinite,
+        # where rounded floats give a finite 35.58
         code, out = run(capsys, "psi", "0.2351677941765864", "1.3855041382024993")
         assert code == 0
         payload = json.loads(out)
-        assert payload["regime"] == "Tight"
+        assert payload["regime"] == "Unbounded"
+        assert payload["U"] is None
         assert payload["maxPsi"] == "inf"
+
+    def test_unbounded_by_float_with_threshold_above_zero(self, capsys):
+        # the float angle sum stays below 2*pi, but the exact T is positive:
+        # the regime is tight, with the closed form's finite supremum
+        code, out = run(capsys, "psi", "0.2425372141788141", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == "Tight"
+        assert payload["U"] == pytest.approx(payload["M"], abs=1e-15)
+        assert payload["maxPsi"] == pytest.approx(41.5655, abs=1e-4)
 
     def test_real_input_fails(self, capsys):
         code, _ = run(capsys, "psi", "0.5", "0")

@@ -71,6 +71,28 @@ class TestMakeContext:
             ctx = make_context(complex(min(a, 0.999), b))
             assert 0.0 < ctx.lower_arg < ctx.upper_arg < math.pi
 
+    def test_regime_exact_beside_the_threshold_curve(self):
+        # the two float neighbours in a of T(a, b) = 0 on 0 < a < 1/2, where
+        # the angle sum crosses 2*pi: the regime must follow the angle sum
+        # of the floats' binary values; the float angle sum misjudges 89 of
+        # these 200 points
+        wrong = []
+        for k in range(1, 101):
+            b = k / 50
+            lo, hi = 0.0, 0.5  # T(0, b) = b^2 > 0 > T(1/2, b) = -1/4 - b^2
+            while (mid := (lo + hi) / 2) not in (lo, hi):
+                if modulus_threshold(Fraction(mid), Fraction(b)) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            for a in (lo, hi):
+                with mpmath.workdps(60):
+                    total = 3 * mpmath.atan2(b, a) + mpmath.atan2(b, mpmath.mpf(a) - 1)
+                    tight = total > 2 * mpmath.pi
+                if (make_context(complex(a, b)).regime is Regime.TIGHT) != tight:
+                    wrong.append((a, b))
+        assert wrong == []
+
     def test_errors(self):
         with pytest.raises(ArgumentOutOfRange, match="lower half-plane"):
             make_context(0.2 - 0.3j)

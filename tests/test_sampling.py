@@ -46,6 +46,16 @@ class TestParameterSampling:
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
             sample_parameters(3, seed)
 
+    @pytest.mark.parametrize("start", [1, 700, 16384, 39999])
+    def test_start_continues_the_sequence(self, start):
+        full = sample_parameters(40000, 42)
+        assert np.array_equal(sample_parameters(40000 - start, 42, start), full[start:])
+        assert np.array_equal(sample_parameters(1, 42, start), full[start:start + 1])
+
+    def test_rejects_negative_start(self):
+        with pytest.raises(ValueError, match="start"):
+            sample_parameters(3, 1, -1)
+
 
 def _assert_match_oracle(rows, spectra) -> None:
     """Every root within max(b/100, 1e-13) of a 60-digit root, both ways."""
@@ -147,6 +157,33 @@ class TestClassification:
         for band in (1e-9, 1e-7):
             codes = classify_points(re, im, band)
             assert all(tuple(Status)[code] is Status.OUTSIDE for code in codes)
+
+    def test_region_grows_with_the_band(self):
+        # what `sample`'s gate relies on: a point Outside at a band is
+        # Outside at every smaller band
+        rng = np.random.default_rng(17)
+        edges = _band_edge_points()
+        for d in (1e-11, 1e-8, 5e-8, 2e-7, 1e-6, 1e-4, 1e-2):
+            for a in (0.1, 0.5, 0.9):
+                edges += [complex(a, 1.0 - a + d), complex(a, 1.0 - a - d)]
+            for r in (1.0, -1.0):
+                edges += [complex(r + d, 0.5 * d), complex(r - d, 2.0 * d)]
+            edges += [off_left_curve(p.point, g) for p in trace_left_curve(20)[1:] for g in (-d, d)]
+        edges = np.array(edges)
+        re = np.concatenate([rng.uniform(-1.5, 1.5, 20000), edges.real])
+        im = np.concatenate([rng.uniform(-1.5, 1.5, 20000), edges.imag])
+        outside = tuple(Status).index(Status.OUTSIDE)
+        bands = (1e-12, BAND, 1e-8, 1e-7, 1e-5, 1e-3)
+        masks = [classify_points(re, im, band) == outside for band in bands]
+        for wider, narrower in zip(masks[1:], masks):
+            assert not (wider & ~narrower).any()
+
+    @pytest.mark.parametrize("start", [1, 250, 999])
+    def test_sample_records_from_a_start(self, start):
+        full = sample_records(1000, 13)
+        part = sample_records(1000 - start, 13, start=start)
+        for whole, rows in zip(full, part):
+            assert np.array_equal(rows, whole[start:])
 
     def test_sample_records_shapes(self):
         alphas, eigenvalues, codes = sample_records(100, 23)

@@ -249,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol-residual", type=_finite_positive, help="eigen-residual tolerance (default 1e-8)")
+    def add_tol(p: argparse.ArgumentParser, residual: bool = True) -> None:
+        if residual:  # check and sample read only the band
+            p.add_argument("--tol-residual", type=_finite_positive, help="eigen-residual tolerance (default 1e-8)")
         p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
         p.set_defaults(tol_residual=DEFAULT_TOLERANCE.eigen_residual, tol_band=DEFAULT_TOLERANCE.boundary_band)
 
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("re", type=_finite)
     p.add_argument("im", type=_finite)
     p.add_argument("--out", default=None, help=f"optional verdict CSV ({_VERDICT_HEADER})")
-    add_tol(p)
+    add_tol(p, residual=False)
 
     p = sub.add_parser("realize", help="construct a matrix with the point in its spectrum")
     p.add_argument("re", type=_finite)
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("seed", type=int)
     p.add_argument("out")
-    add_tol(p)
+    add_tol(p, residual=False)
 
     p = sub.add_parser(
         "trace",

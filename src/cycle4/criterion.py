@@ -24,6 +24,14 @@ and identity I5, |lam|^6 - T = |lam - 1|^2 left_boundary_form(a, b), puts
 its zero on the left curve.  ``cycle4 verify`` proves both on the region's
 own forms.
 
+Both angle tests are exact sign tests on the binary values of a and b.
+With b > 0 and a < 1, Arg(lam - 1) lies in (pi/2, pi).  If a < 0, then
+Arg(lam) > pi/2 and the sum passes 2*pi: tight.  If 3 b^2 < a^2 (a > 0),
+then Arg(lam) < pi/6 and the sum stays below 3*pi/2: unbounded.  Otherwise
+Arg(lam) lies in [pi/6, pi/2] and the sum in (pi, 5*pi/2), where its sine
+has the sign of Im(lam^3 (lam - 1)) = b T(a, b): tight iff T > 0.  The
+feasible set is empty iff 4 Arg(lam) > 2*pi, that is iff a < 0.
+
 This module evaluates the criterion; it solves nothing.  The realizing
 weights come from ``synthesis``: the shrunk left-curve anchor has hop
 weights (l, l, l, l tau), whose angles lie on the family
@@ -42,7 +50,6 @@ from .errors import ArgumentOutOfRange
 from .region import modulus_threshold
 
 _TWO_PI = 2.0 * math.pi
-_ANGLE_SLACK = 1e-12  # float slack below the lower angle bound
 
 
 class Regime(str, Enum):
@@ -65,6 +72,8 @@ class CriterionContext(namedtuple("CriterionContext", "lam z lower_arg upper_arg
 def make_context(lam: complex) -> CriterionContext:
     """Build the criterion context for an upper-half-plane target left of 1.
 
+    The regime takes the module's three exact sign tests: tight iff a < 0,
+    or 3 b^2 >= a^2 and T(a, b) > 0.  The angles are ``atan2`` floats.
     Raises ValueError for a non-finite ``lam``, and ArgumentOutOfRange when
     it is real, lies in the lower half-plane or has real part at least 1.
     """
@@ -80,15 +89,8 @@ def make_context(lam: complex) -> CriterionContext:
     z = lam - 1.0
     lower = math.atan2(lam.imag, lam.real)
     upper = math.atan2(z.imag, z.real)
-    total = 3.0 * lower + upper  # the angle of lam^3 (lam - 1), not reduced
-    if abs(total - _TWO_PI) < 0.5 * math.pi:
-        # Im(lam^3 (lam - 1)) = b T(a, b), and on (pi, 3*pi) sin(total) has
-        # the sign of total - 2*pi, so the exact sign of T decides; the ends
-        # of this narrower interval lie far beyond the rounding of total
-        tight = modulus_threshold(Fraction(lam.real), Fraction(lam.imag)) > 0
-    else:
-        tight = total > _TWO_PI
-    if tight:
+    a, b = Fraction(lam.real), Fraction(lam.imag)
+    if a < 0 or (3 * b * b >= a * a and modulus_threshold(a, b) > 0):
         return CriterionContext(lam, z, lower, upper, Regime.TIGHT, _TWO_PI - 3.0 * lower)
     return CriterionContext(lam, z, lower, upper, Regime.UNBOUNDED, None)
 
@@ -98,24 +100,17 @@ def criterion_max(ctx: CriterionContext) -> float:
 
     +infinity in the unbounded regime; otherwise log(|lam|^6 / T(a, b)),
     with T and the ratio formed exactly on the binary values of a and b, so
-    a normal result is within 4e-16 relative of the true value.  Where the
-    exact T is not positive the peak angle reaches upper_arg, the feasible
-    set is unbounded after all, and the supremum is +infinity.  Raises
-    ArgumentOutOfRange when peak_arg falls below lower_arg, as it does left
-    of the imaginary axis: there 4 lower_arg > 2*pi and no angle vector is
-    feasible.
+    a normal result is within 4e-16 relative of the true value; T > 0, as a
+    tight target with a >= 0 passed the sign test on T.  Raises
+    ArgumentOutOfRange when a < 0: then 4 Arg(lam) > 2*pi, and no angle
+    vector is feasible.
     """
     if ctx.regime is Regime.UNBOUNDED:
         return math.inf
-    if ctx.peak_arg < ctx.lower_arg - _ANGLE_SLACK:
-        raise ArgumentOutOfRange(
-            f"feasible angle set of {ctx.lam!r} is empty: 4 Arg(lam) = {4.0 * ctx.lower_arg} > 2*pi"
-        )
     a, b = Fraction(ctx.lam.real), Fraction(ctx.lam.imag)
-    threshold = modulus_threshold(a, b)
-    if threshold <= 0:
-        return math.inf
-    return _log((a * a + b * b) ** 3 / threshold)
+    if a < 0:
+        raise ArgumentOutOfRange(f"feasible angle set of {ctx.lam!r} is empty: Re(lam) < 0")
+    return _log((a * a + b * b) ** 3 / modulus_threshold(a, b))
 
 
 def _log(ratio: Fraction) -> float:

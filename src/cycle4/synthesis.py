@@ -158,11 +158,11 @@ def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
         # inside the band Im may pass 1 (near i): clamp onto the plain cycle
         l, tau, method = min(work.imag, 1.0), 1.0, Method.BOUNDARY_CR
     else:
-        # the plain cycle shrunk by l has 1 - 2l = r in its spectrum; at r = 1
-        # its weight 1 - l hits the excluded 1, so the plain cycle itself
-        # serves, as it does for targets in the band past +-1
+        # the plain cycle shrunk by l has 1 - 2l = r in its spectrum; from
+        # r = 1 - 2^-53 on its weight 1 - l rounds onto the excluded 1, so the
+        # plain cycle itself serves, as it does for targets in the band past +-1
         r = min(max(work.real, -1.0), 1.0)
-        l = 1.0 if abs(r - 1.0) < 1e-12 else 0.5 * (1.0 - r)
+        l = 0.5 * (1.0 - r) if r < 1.0 - 2.0**-53 else 1.0
         tau, method = 1.0, Method.REAL_INTERVAL
     alpha = _shrunk_alpha(l, tau)
     if method is Method.CRITERION_SOLVER:

@@ -602,6 +602,14 @@ class TestPsi:
         assert code == 4
         assert "feasible angle set of (-0.5+0.1j) is empty" in err
 
+    def test_just_left_of_axis_exits_4(self, capsys):
+        # 4 Arg(lam) > 2*pi by 8e-15: no float slack hides the empty set
+        code = main(["psi", "-1e-15", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "Re(lam) < 0" in captured.err
+
     def test_command_replaced_after_first_call_runs(self, capsys, monkeypatch):
         # the cached parser stores no command function: main() looks cmd_*
         # up per call, so a wrapper installed on the module later takes effect
@@ -663,14 +671,29 @@ class TestUsage:
             main(["check", "abc", "0.3"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("option, value", [("--tol-band", "inf"), ("--tol-residual", "nan"),
-                                               ("--tol-band", "0"), ("--tol-band", "x")])
-    def test_bad_tolerance_exits_2(self, capsys, option, value):
+    @pytest.mark.parametrize("command, option, value", [
+        pytest.param("check", "--tol-band", "inf", id="--tol-band-inf"),
+        pytest.param("realize", "--tol-residual", "nan", id="--tol-residual-nan"),
+        pytest.param("check", "--tol-band", "0", id="--tol-band-0"),
+        pytest.param("check", "--tol-band", "x", id="--tol-band-x"),
+    ])
+    def test_bad_tolerance_exits_2(self, capsys, command, option, value):
         # an infinite band would call 0.5+0.3i BoundaryRealEndpoint
         with pytest.raises(SystemExit) as err:
-            main(["check", "0.5", "0.3", option, value])
+            main([command, "0.5", "0.3", option, value])
         assert err.value.code == 2
         assert "expected a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check 0.2 0.3", "sample 3 5 never.csv"], ids=["check", "sample"])
+    def test_residual_tolerance_only_where_read(self, capsys, tmp_path, monkeypatch, command):
+        # check and sample read only the band; the residual is realize's,
+        # spectrum's and trace's
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main([*command.split(), "--tol-residual", "1e-3"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --tol-residual" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize("params", [("nan", "0.5", "0.5", "0.5"), ("0.5", "0.5", "inf", "0.5"),
                                         ("0.5", "0.5", "0.5", "-inf"), ("0.5", "abc", "0.5", "0.5")])

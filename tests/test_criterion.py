@@ -72,11 +72,12 @@ class TestMakeContext:
             assert 0.0 < ctx.lower_arg < ctx.upper_arg < math.pi
 
     def test_regime_exact_beside_the_threshold_curve(self):
-        # the two float neighbours in a of T(a, b) = 0 on 0 < a < 1/2, where
-        # the angle sum crosses 2*pi: the regime must follow the angle sum
-        # of the floats' binary values; the float angle sum misjudges 89 of
-        # these 200 points
-        wrong = []
+        # the regime must follow the angle sum of the floats' binary values:
+        # at the two float neighbours in a of T(a, b) = 0 on 0 < a < 1/2,
+        # where the sum crosses 2*pi (the float angle sum misjudges 89 of
+        # these 200 points), beside the lines Arg(lam) = pi/6 and 2*pi/3, and
+        # at random points with log-uniform b
+        points = []
         for k in range(1, 101):
             b = k / 50
             lo, hi = 0.0, 0.5  # T(0, b) = b^2 > 0 > T(1/2, b) = -1/4 - b^2
@@ -85,13 +86,37 @@ class TestMakeContext:
                     lo = mid
                 else:
                     hi = mid
-            for a in (lo, hi):
-                with mpmath.workdps(60):
-                    total = 3 * mpmath.atan2(b, a) + mpmath.atan2(b, mpmath.mpf(a) - 1)
-                    tight = total > 2 * mpmath.pi
-                if (make_context(complex(a, b)).regime is Regime.TIGHT) != tight:
-                    wrong.append((a, b))
+            points += [(lo, b), (hi, b)]
+        rng = np.random.default_rng(47)
+        for a in 10.0 ** rng.uniform(-12, 0, 100):
+            # b = a/sqrt(3) for a > 0 and b = -sqrt(3) a for a < 0
+            for aa, b in ((a, a / math.sqrt(3)), (-a, a * math.sqrt(3))):
+                points += [(aa, math.nextafter(b, 0.0)), (aa, b), (aa, math.nextafter(b, math.inf))]
+        points += zip(rng.uniform(-1, 1, 300), 10.0 ** rng.uniform(-12, 2, 300))
+        wrong = []
+        for a, b in points:
+            with mpmath.workdps(60):
+                total = 3 * mpmath.atan2(b, a) + mpmath.atan2(b, mpmath.mpf(a) - 1)
+                tight = total > 2 * mpmath.pi
+            if (make_context(complex(a, b)).regime is Regime.TIGHT) != tight:
+                wrong.append((a, b))
         assert wrong == []
+
+    def test_exact_zero_of_the_threshold_is_unbounded(self):
+        # T(3/16, 9/16) = 0: the angle sum is 2*pi exactly, which is not
+        # tight, and the supremum is infinite rather than a division by 0
+        ctx = make_context(0.1875 + 0.5625j)
+        assert modulus_threshold(Fraction(3, 16), Fraction(9, 16)) == 0
+        assert ctx.regime is Regime.UNBOUNDED
+        assert criterion_max(ctx) == math.inf
+
+    def test_sign_of_the_angle_sum_is_the_threshold_in_sympy(self):
+        # the sign test on T: Im(lam^3 (lam - 1)) = b T(a, b)
+        sympy = pytest.importorskip("sympy")
+        a, b = sympy.symbols("a b", real=True)
+        lam = a + sympy.I * b
+        im = sympy.im(sympy.expand(lam**3 * (lam - 1)))
+        assert sympy.expand(im - b * modulus_threshold(a, b)) == 0
 
     def test_errors(self):
         with pytest.raises(ArgumentOutOfRange, match="lower half-plane"):
@@ -215,6 +240,17 @@ class TestCriterionMax:
         with pytest.raises(ArgumentOutOfRange, match="feasible angle set .* is empty"):
             criterion_max(make_context(-0.5 + 0.1j))
 
+    @pytest.mark.parametrize("lam", [-1e-15 + 0.5j, -5e-324 + 0.5j])
+    def test_empty_feasible_set_just_left_of_the_axis(self, lam):
+        # 4 Arg(lam) exceeds 2*pi by less than any float slack: decided by
+        # the sign of Re(lam)
+        with pytest.raises(ArgumentOutOfRange, match=r"Re\(lam\) < 0"):
+            criterion_max(make_context(lam))
+
+    def test_on_the_axis_the_set_is_one_point(self):
+        # a = 0: |lam|^6 / T = b^6 / b^2 = 1/16
+        assert criterion_max(make_context(0.5j)) == math.log(0.0625)
+
     def test_closed_form_on_random_tight_points(self):
         rng = np.random.default_rng(21)
         for lam in sample_tight(rng, 100):
@@ -245,19 +281,15 @@ def oracle_max_psi(lam: complex, dps: int = 60):
 
 
 def check_max_psi(lam: complex) -> float:
-    """criterion_max at lam, checked: infinite where the regime is unbounded
-    or the exact threshold is not positive (the oracle agrees that the
-    supremum is), else within 4e-16 relative of the oracle, or within the
-    spacing 5e-324 of the subnormal floats."""
+    """criterion_max at lam, checked: infinite where the regime is unbounded,
+    else within 4e-16 relative of the oracle, or within the spacing 5e-324
+    of the subnormal floats."""
     ctx = make_context(lam)
     value = criterion_max(ctx)
     if ctx.regime is Regime.UNBOUNDED:
         assert value == math.inf
         return value
     oracle = oracle_max_psi(lam)
-    if modulus_threshold(Fraction(lam.real), Fraction(lam.imag)) <= 0:
-        assert value == math.inf and oracle is None
-        return value
     assert oracle is not None and math.isfinite(value)
     assert abs(value - oracle) <= 4e-16 * abs(oracle) + 5e-324, (lam, value, oracle)
     return value
@@ -290,7 +322,7 @@ class TestCriterionMaxAccuracy:
     @example(lam=1j)
     @example(lam=1e-100j)  # |lam|^6 / T = b^4 underflows a float
     @example(lam=1e-200j)
-    # tight by atan2, but the exact T is -1.09e-16: the supremum is infinite
+    # tight by atan2, but the exact T is -1.09e-16: the regime is unbounded
     @example(lam=0.2351677941765864 + 1.3855041382024993j)
     @example(lam=8.918241265765223e-209 + 1j)  # a maximum of 3.6e-208, below 60 digits
     @example(lam=5e-324 + 1j)  # a subnormal maximum

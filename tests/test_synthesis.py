@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import interior_grid, off_left_curve, sample_inside_nonreal
+from conftest import interior_grid, off_left_curve, oracle_roots, sample_inside_nonreal
 from cycle4 import (
     AlphaOutOfRange,
     Cycle4Error,
@@ -174,6 +174,16 @@ class TestRealize:
         assert result.method is Method.BOUNDARY_CR
         assert result.matrix.alpha == (0.0, 0.0, 0.0, 0.0)
         assert result.residual < 1e-8
+
+    @pytest.mark.parametrize("r", [1.0 - 1e-12 / 2, 1.0 - 2.0**-52, 1.0 - 2.0**-53])
+    def test_real_target_just_below_one(self, r):
+        # the plain cycle serves only where the shrunk weight 1 - l rounds
+        # onto 1; closer to 1 than 1e-12 the target stays an eigenvalue
+        direct = realize(complex(r, 0.0))
+        assert realize_via_criterion(complex(r, 0.0)) == direct
+        assert direct.method is Method.REAL_INTERVAL
+        gap = min(abs(root - r) for root in oracle_roots(direct.matrix.alpha))
+        assert gap <= 2.0**-53
 
     def test_real_interior(self):
         r = realize(0.7 + 0j)

@@ -3,7 +3,8 @@
 Subcommands: check, realize, spectrum, sample, trace, psi, verify.
 Exit codes: 0 ok, 2 usage, 3 outside-region, 4 construction failure,
 5 I/O failure.  Every command is deterministic: identical arguments give
-byte-identical stdout and output files.
+byte-identical stdout and output files.  JSON output is strict: a
+non-finite number prints as the string "inf", "-inf" or "nan".
 
 At module level this imports only the standard library, ``errors`` and
 ``matrix``; each ``cmd_*`` imports the modules it runs, so ``check`` never
@@ -19,7 +20,7 @@ import math
 import re
 import sys
 
-from .errors import Cycle4Error, OutsideRegion
+from .errors import Cycle4Error
 from .matrix import DEFAULT_TOLERANCE, Tolerance
 
 EXIT_OK = 0
@@ -79,13 +80,21 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _print_json(record: dict) -> None:
+    """Print a record as strict JSON: JSON has no non-finite numbers, so a
+    non-finite float value prints as the string "inf", "-inf" or "nan".
+    Values inside lists are left as they are; every list holds finite floats."""
+    finite = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in record.items()}
+    print(json.dumps(finite))
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    from .region import membership
+    from .region import Status, membership
 
     tol = _tolerance(args)
     lam = complex(args.re, args.im)
     verdict = membership(lam, tol)
-    print(json.dumps({"re": lam.real, "im": lam.imag, **verdict.to_dict()}))
+    _print_json({"re": lam.real, "im": lam.imag, **verdict._asdict()})
     if args.out:
         row = ",".join(
             [
@@ -98,24 +107,23 @@ def cmd_check(args: argparse.Namespace) -> int:
             ]
         )
         _write_text(args.out, _VERDICT_HEADER + "\n" + row + "\n")
-    return EXIT_OUTSIDE if verdict.outside else EXIT_OK
+    return EXIT_OUTSIDE if verdict.status is Status.OUTSIDE else EXIT_OK
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
     from . import synthesis
+    from .errors import OutsideRegion
     from .region import membership
 
     tol = _tolerance(args)
     lam = complex(args.re, args.im)
-    verdict = membership(lam, tol)
-    if verdict.outside:
-        print(json.dumps({"re": lam.real, "im": lam.imag, **verdict.to_dict()}))
+    route = synthesis.realize_via_criterion if args.method == "criterion" else synthesis.realize
+    try:
+        result = route(lam, tol)
+    except OutsideRegion:  # the route classified lam; classify again only to print why
+        _print_json({"re": lam.real, "im": lam.imag, **membership(lam, tol)._asdict()})
         return EXIT_OUTSIDE
-    if args.method == "criterion":
-        result = synthesis.realize_via_criterion(lam, tol)
-    else:
-        result = synthesis.realize(lam, tol)
-    print(json.dumps(result.to_dict()))
+    _print_json(result.to_dict())
     return EXIT_OK
 
 
@@ -130,7 +138,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "eigenvalues": [[lam.real, lam.imag] for lam in eigenvalues],
         "residuals": [eigen_residual(matrix, lam) for lam in eigenvalues],
     }
-    print(json.dumps(payload))
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -142,7 +150,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
     tol = _tolerance(args)
     names = [status.value for status in Status]
-    outside = len(names) - 1
+    outside = names.index(Status.OUTSIDE.value)
     counts = np.zeros(len(names), dtype=np.int64)
     n_outside = 0
     with open(args.out, "wb") as handle:
@@ -197,15 +205,14 @@ def cmd_psi(args: argparse.Namespace) -> int:
     from . import criterion
 
     ctx = criterion.make_context(complex(args.re, args.im))
-    top = criterion.criterion_max(ctx)
     payload = {
         "m": ctx.lower_arg,
         "M": ctx.upper_arg,
         "regime": ctx.regime.value,
         "U": ctx.peak_arg,
-        "maxPsi": "inf" if math.isinf(top) else top,
+        "maxPsi": criterion.criterion_max(ctx),
     }
-    print(json.dumps(payload))
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -318,9 +325,6 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command]
     try:
         return command(args)
-    except OutsideRegion as exc:
-        print(f"outside-region: {exc}", file=sys.stderr)
-        return EXIT_OUTSIDE
     except (Cycle4Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION

@@ -65,18 +65,6 @@ class RegionVerdict(namedtuple("RegionVerdict", "status a_check right_check g_ch
 
     __slots__ = ()
 
-    @property
-    def outside(self) -> bool:
-        return self.status is Status.OUTSIDE
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "a_check": self.a_check,
-            "right_check": self.right_check,
-            "g_check": self.g_check,
-        }
-
 
 def _rules(a, b, right, g, band):
     """Region conditions in order of precedence, one per ``_RULE_STATUS``

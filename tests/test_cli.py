@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cycle4 import _sample_csv, cli, region
+from cycle4 import _sample_csv, cli, region, synthesis
 from cycle4.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -24,6 +24,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def strict_loads(out: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, as strict JSON
+    parsers do."""
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 def plain_csv(alphas, eigenvalues, codes) -> bytes:
@@ -95,8 +105,28 @@ class TestRealize:
         assert "mu" in payload and "l" in payload
 
     def test_outside(self, capsys):
-        code, _ = run(capsys, "realize", "0", "0.05")
-        assert code == 3
+        for method in ("auto", "criterion"):
+            code = main(["realize", "0", "0.05", "--method", method])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert strict_loads(captured.out) == strict_loads(run(capsys, "check", "0", "0.05")[1])
+            assert captured.err == ""
+
+    @pytest.mark.parametrize("method", ["auto", "criterion"])
+    def test_inside_target_classified_once(self, capsys, monkeypatch, method):
+        calls = []
+        membership = region.membership
+
+        def counting(*args):
+            calls.append(args)
+            return membership(*args)
+
+        monkeypatch.setattr(region, "membership", counting)
+        monkeypatch.setattr(synthesis, "membership", counting)
+        code, out = run(capsys, "realize", "0.2", "0.3", "--method", method)
+        assert code == 0
+        assert "alpha" in json.loads(out)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("method", ["auto", "criterion"])
     @pytest.mark.parametrize("re", ["2", "-1.5"])
@@ -183,6 +213,30 @@ class TestRealize:
         code, out = run(capsys, "realize", repr(lam.real), repr(lam.imag), "--method", "criterion")
         assert code == 0
         assert json.loads(out)["residual"] < 1e-8
+
+
+class TestStrictJson:
+    """Constraint values that overflow print as strings, as maxPsi does
+    (``TestPsi.test_unbounded``)."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["realize", "--method", "auto"], ["realize", "--method", "criterion"]],
+        ids=["check", "realize-auto", "realize-criterion"],
+    )
+    @pytest.mark.parametrize(
+        "point, g_check, right_check",
+        [(("1e200", "0"), "inf", -1e200), (("0", "1e200"), "nan", -1e200), (("1e308", "1e308"), "nan", "-inf")],
+        ids=["1e200-0", "0-1e200", "1e308-1e308"],
+    )
+    def test_overflowing_verdict(self, capsys, command, point, g_check, right_check):
+        code, out = run(capsys, *command, *point)
+        assert code == 3
+        payload = strict_loads(out)
+        assert payload["status"] == "Outside"
+        assert payload["g_check"] == g_check
+        assert payload["right_check"] == right_check
+        assert payload["a_check"] == float(point[0])
 
 
 class TestSpectrum:
@@ -566,7 +620,7 @@ class TestPsi:
     def test_unbounded(self, capsys):
         code, out = run(capsys, "psi", "0.2", "0.3")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["regime"] == "Unbounded"
         assert payload["U"] is None
         assert payload["maxPsi"] == "inf"

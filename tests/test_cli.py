@@ -17,7 +17,7 @@ from cycle4.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # sha256 of `sample 100000 42`'s CSV, also checked by CI
-SAMPLE_100000_42_SHA256 = "38f5007ab0c8b0c30f02bf7aff15dca51fa2b53433cb2cba4f9879b042ad905c"
+SAMPLE_100000_42_SHA256 = "b24b67b35510e310d841908aa38b1b23eb2e976c11d48c5a738e3fa28f78f0a1"
 
 
 def run(capsys, *argv):
@@ -361,18 +361,20 @@ class TestSample:
         assert "Outside=0" in out
         with open(out_path) as handle:
             assert sum(1 for _ in handle) == 1 + 400_000
-        # the bytes of the per-float format() writer this one replaced
+        # pinned bytes: a deliberate numeric change updates the digest here
+        # and in CI, and says so in CHANGES.md
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SAMPLE_100000_42_SHA256
 
     def test_fallback_records_at_a_chunk_boundary(self, capsys, tmp_path, monkeypatch):
-        # (0.5,) * 4 has a real root of -1.2e-17, an alpha of 5e-324 is a
-        # subnormal: both leave the fixed-notation fast path, on either side
-        # of the first chunk boundary, and the second block starts with one
+        # (0.5, 0.5, 0.5, 0.5 + 2^-36) has a real root of 7.3e-12, an alpha
+        # of 5e-324 is a subnormal: both leave the fixed-notation fast path,
+        # on either side of the first chunk boundary, and the second block
+        # starts with one
         from cycle4 import sampling
 
         n = cli._SAMPLE_CHUNK + 2
         alphas = sampling.sample_parameters(n, 11)
-        alphas[[0, cli._SAMPLE_CHUNK - 1, cli._SAMPLE_CHUNK]] = 0.5
+        alphas[[0, cli._SAMPLE_CHUNK - 1, cli._SAMPLE_CHUNK]] = (0.5, 0.5, 0.5, 0.5 + 2.0**-36)
         alphas[[1, cli._SAMPLE_CHUNK + 1], 2] = 5e-324
         monkeypatch.setattr(sampling, "sample_parameters", lambda n, seed, start=0: alphas[start:start + n])
         monkeypatch.setattr(cli, "_SAMPLE_BLOCK", cli._SAMPLE_CHUNK + 1)

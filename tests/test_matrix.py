@@ -1,10 +1,11 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import clustered_rows
+from conftest import clustered_rows, oracle_roots
 
 from cycle4 import (
     CycleMatrix4,
@@ -230,6 +231,10 @@ class TestSpectrum:
             assert abs(total.real - alpha.sum()) < 1e-8
             assert abs(total.imag) < 1e-8
 
+    def test_root_zero_is_exact(self):
+        # p(0) = 0.5^4 - 0.5^4 exactly, and the seeds find that root
+        assert spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))[0] == 0.0
+
     def test_coincident_iterates_raise(self, monkeypatch):
         # All three seeds forced onto one point: the roots would stay
         # unrefined there, and their defect (about 1e-12) passes the guard.
@@ -286,9 +291,51 @@ def grid_matrices(grid_realizations):
     return [found.matrix for found in grid_realizations]
 
 
+def _seed_points(alpha):
+    a1, a2, a3, a4 = alpha
+    hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
+    x0, y0, x1, y1, x2, y2 = matrix._seeds(a1, a2, a3, a4, hop, min(alpha), math.sqrt)
+    return complex(x0, y0), complex(x1, y1), complex(x2, y2)
+
+
+# (0, 0, x, x) has a double real root at x / 2 for x = 2 sqrt 2 - 2: the
+# pair's discriminant is zero there
+_DOUBLE = 2.0 * math.sqrt(2.0) - 2.0
+_NEAR_DOUBLE = [(0.0, 0.0, x, x) for x in (math.nextafter(_DOUBLE, 0.0), _DOUBLE, math.nextafter(_DOUBLE, 1.0))]
+_ONE = 1.0 - 2.0**-53
+
+
+class TestSeeds:
+    def test_no_spread_when_the_split_is_clear(self):
+        # a real root and a well-separated complex pair: the seeds are the
+        # closed-form ones, exactly real and exactly conjugate
+        r, u, v = _seed_points((0.3, 0.7, 0.1, 0.9))
+        assert r.imag == 0.0 and u == v.conjugate() and u.imag != 0.0
+
+    @pytest.mark.parametrize("alpha", _NEAR_DOUBLE)
+    def test_spread_at_a_near_zero_discriminant(self, alpha):
+        # the real/complex split of the pair is in doubt: every seed moves
+        # off the real axis
+        assert all(z.imag != 0.0 for z in _seed_points(alpha))
+
+    @pytest.mark.parametrize("alpha, tol", [
+        *[(alpha, 1e-7) for alpha in _NEAR_DOUBLE],
+        # a real pair whose unspread seed rounds onto the pinned root 1
+        ((_ONE, 0.21647461030533066, 0.6011272481828078, _ONE), 1e-15),
+        *[(alpha, 1e-15) for alpha, _ in clustered_rows()],
+    ])
+    def test_distinct_seeds_and_oracle_roots(self, alpha, tol):
+        # seeds apart from each other and from 1, and roots on the oracle's
+        # (a double root to about sqrt(eps))
+        assert len({*_seed_points(alpha), 1.0}) == 4
+        roots = spectrum(make_cycle_matrix(*alpha))
+        for want in oracle_roots(alpha):
+            assert min(abs(complex(want) - got) for got in roots) < tol, alpha
+
+
 class TestStepCount:
-    """Two Aberth steps settle the spectra of the constructions: capping the
-    iteration at two changes no bit of them."""
+    """Two Aberth steps settle the spectra of the constructions, and one
+    settles most: capping the iteration at two changes no bit of them."""
 
     def test_scalar_grid(self, monkeypatch, grid_matrices):
         assert len(grid_matrices) > 2000
@@ -302,6 +349,17 @@ class TestStepCount:
         uncapped = bulk_spectra(alphas)
         monkeypatch.setattr(matrix, "_ABERTH_STEPS", 2)
         assert np.array_equal(bulk_spectra(alphas), uncapped)
+
+    def test_most_constructions_settle_in_one_step(self, monkeypatch, grid_matrices):
+        # seeds from the hop weights sit within the settle test of most
+        # roots, so one step both lands and confirms them
+        uncapped = [spectrum(m) for m in grid_matrices]
+        alphas = np.array([m.alpha for m in grid_matrices])
+        bulk_uncapped = bulk_spectra(alphas)
+        monkeypatch.setattr(matrix, "_ABERTH_STEPS", 1)
+        scalar = sum(spectrum(m) == roots for m, roots in zip(grid_matrices, uncapped))
+        bulk = int((bulk_spectra(alphas) == bulk_uncapped).all(axis=1).sum())
+        assert scalar == bulk >= 0.8 * len(grid_matrices)
 
     def test_left_curve_trace(self, monkeypatch):
         uncapped = trace_left_curve(400)
@@ -343,11 +401,11 @@ class TestBitPin:
 
     def test_spectrum_random_rows(self):
         rows = np.random.default_rng(2026).random((2000, 4))
-        assert _digest(_root_parts(rows)) == "ac5ed805490cf18bda7fec66a30737f52d1655ee9c1cc2da017f837f5b9790c1"
+        assert _digest(_root_parts(rows)) == "f6f2fcb81939049aa5e6b88609aa091a1efb21ab061a85047458280c8a315966"
 
     def test_spectrum_clustered_rows(self):
         rows = [alpha for alpha, _ in clustered_rows()]
-        assert _digest(_root_parts(rows)) == "a2ccdac2697aeda8707de9d0845c43ef50ed9f87cf0d8e8f2fbfce68a5ccd2a0"
+        assert _digest(_root_parts(rows)) == "e5006586c6439e2f11cd4938f3b34ed9daebd06e868b777be7b558859a21e328"
 
     def test_both_routes_over_grid(self, grid_realizations):
         floats = [x for found in grid_realizations for x in (*found.matrix.alpha, found.residual)]

@@ -14,14 +14,14 @@ import importlib
 
 _EXPORTS = {
     "criterion": "CriterionContext Regime criterion_max make_context",
-    "errors": "AlphaOutOfRange ArgumentOutOfRange Cycle4Error NoConvergence NotOnCurve "
-    "OutsideRegion ParameterOutOfRange SpectrumFailure",
+    "errors": "AlphaOutOfRange ArgumentOutOfRange Cycle4Error NoConvergence OutsideRegion "
+    "ParameterOutOfRange SpectrumFailure",
     "identities": "IdentityResult verify_identity_suite",
     "matrix": "DEFAULT_TOLERANCE CycleMatrix4 Tolerance eigen_residual make_cycle_matrix "
     "spectrum",
     "region": "RegionVerdict Status left_boundary_form left_branch_root membership "
     "modulus_threshold trace_left_curve trace_right_segment",
-    "synthesis": "Method Realization alpha_for_left_point realize realize_via_criterion",
+    "synthesis": "Method Realization realize realize_via_criterion",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -41,12 +41,8 @@ class NoConvergence(Cycle4Error):
     """A construction missed its eigen-residual certificate."""
 
 
-class NotOnCurve(Cycle4Error):
-    """Point is not on the left boundary curve within tolerance."""
-
-
 class AlphaOutOfRange(Cycle4Error):
-    """Recovered matrix parameter falls outside [0, 1)."""
+    """A constructed matrix parameter rounds outside [0, 1)."""
 
 
 class OutsideRegion(Cycle4Error):

@@ -107,6 +107,8 @@ def membership(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionVerdic
     b = abs(lam.imag)
     right = 1.0 - a - b
     g = left_boundary_form(a, b)
+    if g != g:  # s*s - b*b = inf - inf: b*b overflowed, so the form is above the float range
+        g = math.inf
     hit = _rules(a, b, right, g, tol.boundary_band)
     status = _RULE_STATUS[hit.index(True)] if True in hit else Status.OUTSIDE
     return RegionVerdict(status, a, right, g)

@@ -16,14 +16,7 @@ from collections import namedtuple
 from enum import Enum
 from math import inf, sqrt
 
-from .errors import (
-    AlphaOutOfRange,
-    ArgumentOutOfRange,
-    NoConvergence,
-    NotOnCurve,
-    OutsideRegion,
-    ParameterOutOfRange,
-)
+from .errors import AlphaOutOfRange, NoConvergence, OutsideRegion, ParameterOutOfRange
 from .matrix import DEFAULT_TOLERANCE, CycleMatrix4, Tolerance, eigen_residual
 from .region import Status, membership
 
@@ -59,36 +52,9 @@ class Realization(namedtuple("Realization", "matrix lam method mu shrink_l resid
 
 def _anchor_hop(mu: complex) -> complex:
     # hop weight tau = 1 - alpha of the anchor (alpha, 0, 0, 0) with mu in
-    # its spectrum, mu^3 (1 - mu) / (mu^3 - 1), in products only: a cube
-    # that overflows turns into inf/nan instead of raising
+    # its spectrum, mu^3 (1 - mu) / (mu^3 - 1)
     cube = mu * mu * mu
     return cube * (1.0 - mu) / (cube - 1.0)
-
-
-def alpha_for_left_point(mu: complex) -> float:
-    """Anchor weight alpha with mu in the spectrum of the left boundary
-    matrix (alpha, 0, 0, 0).
-
-    Inverts the characteristic equation: alpha = 1 - tau with the anchor hop
-    tau = mu^3 (1 - mu) / (mu^3 - 1), which is real exactly when mu sits on
-    the left curve.  Raises ArgumentOutOfRange when Im(mu) <= 0, NotOnCurve
-    when the imaginary part of tau betrays an off-curve input, and
-    AlphaOutOfRange when alpha leaves [0, 1).
-    """
-    mu = complex(mu)
-    if mu.imag == 0.0:
-        raise ArgumentOutOfRange(f"{mu!r} is real")
-    if mu.imag < 0.0:
-        raise ArgumentOutOfRange(f"{mu!r} lies in the lower half-plane")
-    tau = _anchor_hop(mu)
-    if abs(tau.imag) >= 1e-8:
-        raise NotOnCurve(f"{mu!r} is off the left curve: Im(alpha) = {-tau.imag}")
-    alpha = 1.0 - tau.real
-    if -1e-9 <= alpha < 0.0:
-        alpha = 0.0
-    if not 0.0 <= alpha < 1.0:
-        raise AlphaOutOfRange(f"recovered weight {alpha!r} outside [0, 1)")
-    return alpha
 
 
 def _quartic(x, y):
@@ -151,9 +117,7 @@ def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
         mu, l, tau = _left_hit(work)
         method = interior
     elif status is Status.BOUNDARY_CL:
-        # 1 - (1 - alpha) is alpha bit for bit for every alpha the curve gives
-        mu, method = work, Method.BOUNDARY_CL
-        l, tau = 1.0, 1.0 - alpha_for_left_point(work)
+        mu, l, tau, method = work, 1.0, min(_anchor_hop(work).real, 1.0), Method.BOUNDARY_CL
     elif status is Status.BOUNDARY_CR:
         # inside the band Im may pass 1 (near i): clamp onto the plain cycle
         l, tau, method = min(work.imag, 1.0), 1.0, Method.BOUNDARY_CR
@@ -186,9 +150,8 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
 
     Raises OutsideRegion for points outside the region, NoConvergence when
     the matrix misses the ``tol.eigen_residual`` certificate,
-    AlphaOutOfRange when a weight rounds onto 1 near the real axis,
-    NotOnCurve when a left-curve target inside a wide boundary band sits
-    too far off the curve, and ValueError for a non-finite target.
+    AlphaOutOfRange when a weight rounds onto 1 near the real axis, and
+    ValueError for a non-finite target.
     """
     return _realize(lam, tol, Method.INTERIOR_SHRINK)
 

@@ -12,7 +12,6 @@ from cycle4 import (
     AlphaOutOfRange,
     ArgumentOutOfRange,
     NoConvergence,
-    NotOnCurve,
     OutsideRegion,
     ParameterOutOfRange,
     SpectrumFailure,
@@ -41,7 +40,7 @@ TOLERANCE = st.builds(cycle4.Tolerance, POSITIVE, POSITIVE)
 CONTEXT = st.builds(complex, specials(lambda a: -math.inf < a < 1.0), POSITIVE).map(
     cycle4.make_context)
 COUNT = st.one_of(st.integers(-1, 4), SPECIAL)
-REALIZE = (OutsideRegion, NoConvergence, AlphaOutOfRange, NotOnCurve, ValueError)
+REALIZE = (OutsideRegion, NoConvergence, AlphaOutOfRange, ValueError)
 
 
 def fields(record) -> st.SearchStrategy:
@@ -60,7 +59,6 @@ CONTRACT = {
     "RegionVerdict": ((), fields(cycle4.RegionVerdict)),
     "Status": ((ValueError,), st.tuples(SPECIAL)),
     "Tolerance": ((ValueError,), st.tuples(SPECIAL, SPECIAL)),
-    "alpha_for_left_point": ((ArgumentOutOfRange, NotOnCurve, AlphaOutOfRange), st.tuples(POINT)),
     "criterion_max": ((ArgumentOutOfRange,), st.tuples(CONTEXT)),
     "eigen_residual": ((), st.tuples(MATRIX, POINT)),
     "left_boundary_form": ((), st.tuples(SPECIAL, SPECIAL)),

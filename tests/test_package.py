@@ -21,14 +21,13 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 EXPORTS = {
     "criterion": ["CriterionContext", "Regime", "criterion_max", "make_context"],
     "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "Cycle4Error", "NoConvergence",
-               "NotOnCurve", "OutsideRegion", "ParameterOutOfRange", "SpectrumFailure"],
+               "OutsideRegion", "ParameterOutOfRange", "SpectrumFailure"],
     "identities": ["IdentityResult", "verify_identity_suite"],
     "matrix": ["CycleMatrix4", "DEFAULT_TOLERANCE", "Tolerance", "eigen_residual",
                "make_cycle_matrix", "spectrum"],
     "region": ["RegionVerdict", "Status", "left_boundary_form", "left_branch_root", "membership",
                "modulus_threshold", "trace_left_curve", "trace_right_segment"],
-    "synthesis": ["Method", "Realization", "alpha_for_left_point", "realize",
-                  "realize_via_criterion"],
+    "synthesis": ["Method", "Realization", "realize", "realize_via_criterion"],
 }
 
 # Modules a command may pull in only when it runs the code that needs them.

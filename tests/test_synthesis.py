@@ -10,11 +10,9 @@ from cycle4 import (
     Cycle4Error,
     Method,
     NoConvergence,
-    NotOnCurve,
     OutsideRegion,
     Status,
     Tolerance,
-    alpha_for_left_point,
     eigen_residual,
     left_boundary_form,
     left_branch_root,
@@ -42,29 +40,53 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+ROUTES = [realize, realize_via_criterion]
+
+
 class TestLeftAnchorWeight:
+    """A left-curve target is realized by its anchor (alpha, 0, 0, 0), alpha
+    the curve parameter; both routes return that matrix."""
+
     def test_at_i(self):
-        assert alpha_for_left_point(1j) == pytest.approx(0.0, abs=1e-12)
+        # the anchor hop at i is 1: weight 0, the plain cycle
+        assert synthesis._anchor_hop(1j) == 1.0
+        for route in ROUTES:
+            assert route(1j).matrix.alpha == (0.0, 0.0, 0.0, 0.0)
 
     def test_round_trip_through_root(self):
-        lam = left_branch_root(0.5)
-        assert alpha_for_left_point(lam) == pytest.approx(0.5, abs=1e-8)
-
-    def test_off_curve_rejected(self):
-        with pytest.raises(NotOnCurve):
-            alpha_for_left_point(0.5 + 0.5j)  # form = 1.25, far from the curve
+        for route in ROUTES:
+            result = route(left_branch_root(0.5))
+            assert result.method is Method.BOUNDARY_CL
+            assert result.matrix.alpha[0] == pytest.approx(0.5, abs=1e-8)
+            assert result.matrix.alpha[1:] == (0.0, 0.0, 0.0)
 
     def test_round_trip_along_curve(self):
-        for p in trace_left_curve(50):
-            if p.param == 0.0:
-                continue
-            assert alpha_for_left_point(p.point) == pytest.approx(p.param, abs=1e-8)
+        for p in trace_left_curve(50)[1:]:
+            direct = realize(p.point)
+            assert direct.method is Method.BOUNDARY_CL
+            assert direct.matrix.alpha[0] == pytest.approx(p.param, abs=1e-8)
+            assert realize_via_criterion(p.point) == direct
 
-    def test_huge_point_raises_alpha_out_of_range(self):
-        # mu**4 raised OverflowError here; the product form overflows to nan
-        with pytest.raises(Cycle4Error) as err:
-            alpha_for_left_point(-5.4e118 + 1e-12j)
-        assert type(err.value) is AlphaOutOfRange
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_wide_band_certified_or_no_convergence(self, route):
+        # the certificate is the one check: a target in a wide band, off the
+        # curve, gets the anchor of its hop's real part or NoConvergence
+        tol = Tolerance(eigen_residual=1e-8, boundary_band=1e-5)
+        outcomes = {"certified": 0, "missed": 0}
+        for p in trace_left_curve(200)[1:]:
+            for g in (-9e-6, -1e-6, -1e-8, 1e-8, 1e-6, 9e-6):
+                lam = off_left_curve(p.point, g)
+                if membership(lam, tol).status is not Status.BOUNDARY_CL:
+                    continue
+                try:
+                    result = route(lam, tol)
+                except NoConvergence:
+                    outcomes["missed"] += 1
+                    continue
+                assert result.method is Method.BOUNDARY_CL
+                assert result.residual == eigen_residual(result.matrix, lam) <= 1e-8
+                outcomes["certified"] += 1
+        assert min(outcomes.values()) > 0
 
 
 def relative_form(mu: complex) -> float:
@@ -98,7 +120,9 @@ class TestRayToLeftBoundary:
         assert abs(relative_form(mu)) < 1e-12
         assert 0.0 < mu.real <= 1.0 / 6.0 + 1e-9
         assert mu.imag > 0.0
-        assert tau == pytest.approx(1.0 - alpha_for_left_point(mu), abs=1e-15)
+        # the anchor with hop tau has mu in its spectrum, so tau is real there
+        assert abs(synthesis._anchor_hop(mu).imag) < 1e-12
+        assert eigen_residual(make_cycle_matrix(1.0 - tau, 0, 0, 0), mu) < 1e-12
 
     def test_near_one_example(self):
         mu, l, _ = synthesis._left_hit(0.9 + 0.05j)
@@ -120,8 +144,8 @@ class TestShrink:
     def test_identity_factor(self):
         # l = 1 leaves the anchor: the left curve's weights come back bit for bit
         for p in trace_left_curve(400):
-            alpha = alpha_for_left_point(p.point)
-            assert synthesis._shrunk_alpha(1.0, 1.0 - alpha) == (alpha, 0.0, 0.0, 0.0)
+            tau = synthesis._anchor_hop(p.point).real
+            assert synthesis._shrunk_alpha(1.0, tau) == (1.0 - tau, 0.0, 0.0, 0.0)
 
     def test_permutation_to_half(self):
         alpha = synthesis._shrunk_alpha(0.5, 1.0)

@@ -22,9 +22,13 @@ real/complex split is in doubt; so most spectra away from clustered roots
 settle in one step, which reaches full accuracy and confirms it, and the
 rest in two.  The kernel works on (re, im) float pairs with only
 ``+ - * /``, ``abs``, comparisons and the caller's ``sqrt``, all correctly
-rounded under IEEE 754, so ``sampling.bulk_spectra`` runs the same code on
-numpy arrays and gets the same bits.  A dense determinant expansion exists
-only as a test oracle.
+rounded under IEEE 754, so ``sampling.bulk_spectra`` runs ``_seeds`` and
+``_step`` on numpy arrays and gets the same bits.  p is real, so where
+the seeds are a real iterate and an exact conjugate pair (a pair clearly
+complex) ``spectrum`` steps them by ``_pair_step``: the pair's second
+correction is the first's conjugate, and the real iterate's terms in its
+zero imaginary part only add or multiply zeros, so dropping both changes
+no bit.  A dense determinant expansion exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -162,6 +166,33 @@ def _step(x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop):
     return sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done0 & done1 & done2
 
 
+def _pair_step(x0, x1, y1, a1, a2, a3, a4, hop):
+    """``_step`` on ``x0``, ``x1 + i y1`` and ``x1 - i y1``, bit for bit:
+    ``sx0, sx1, sy1, ok0, ok1, done``.  ``r02 = r01``, ``i01 + i02 = +0``,
+    the terms dropped from the real correction are zeros (NaN only where the
+    step is not finite anyway), and iterate 2's step is the conjugate."""
+    dx, dy = x0 - x1, -y1
+    n = dx * dx + dy * dy
+    r01, i01 = dx / n, -dy / n
+    dy = y1 + y1
+    n = dy * dy
+    r12, i12 = 0.0 / n, -dy / n
+    noise = _NOISE2 * (hop * hop)
+    u1, u2 = x0 - a1, x0 - a2
+    u3, u4 = x0 - a3, x0 - a4
+    left, right = u1 * u2, u3 * u4
+    cross = left * (u3 + u4) + (u1 + u2) * right
+    value = left * right - hop
+    w = x0 - 1.0
+    den = cross - value * ((r01 + r01) + w / (w * w))
+    sx0 = (value * den) / (den * den)
+    moved = sx0 * sx0
+    ok0 = moved < math.inf
+    done0 = ok0 & ((moved <= _NEAR2 * (x0 * x0)) | (value * value <= noise))
+    sx1, sy1, ok1, done1 = _correction(x1, y1, r12 - r01, i12 - i01, a1, a2, a3, a4, hop, noise)
+    return sx0, sx1, sy1, ok0, ok1, done0 & done1
+
+
 def _correction(x, y, ox, oy, a1, a2, a3, a4, hop, noise):
     """Aberth's step ``p / (p' - p * others)`` at ``z = x + i y``, where
     ``ox + i oy`` sums ``1 / (z - z_j)`` over the other iterates; the pinned
@@ -260,18 +291,31 @@ def spectrum(
     hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
     try:
         x0, y0, x1, y1, x2, y2 = _seeds(a1, a2, a3, a4, hop, min(a1, a2, a3, a4), math.sqrt)
-        for _ in range(_ABERTH_STEPS):
-            sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = _step(
-                x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)
-            # a root whose step is not finite stays where it is, unsettled
-            if ok0:
-                x0, y0 = x0 - sx0, y0 - sy0
-            if ok1:
-                x1, y1 = x1 - sx1, y1 - sy1
-            if ok2:
-                x2, y2 = x2 - sx2, y2 - sy2
-            if done:
-                break
+        if y0 == 0.0 and x1 == x2 and y2 == -y1:
+            # a real seed and a conjugate pair stay so under ``_step``: step
+            # them as such (a pair with y1 == 0 coincides on either path)
+            for _ in range(_ABERTH_STEPS):
+                sx0, sx1, sy1, ok0, ok1, done = _pair_step(x0, x1, y1, a1, a2, a3, a4, hop)
+                if ok0:
+                    x0 = x0 - sx0
+                if ok1:
+                    x1, y1 = x1 - sx1, y1 - sy1
+                if done:
+                    break
+            x2, y2 = x1, -y1
+        else:
+            for _ in range(_ABERTH_STEPS):
+                sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = _step(
+                    x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)
+                # a root whose step is not finite stays where it is, unsettled
+                if ok0:
+                    x0, y0 = x0 - sx0, y0 - sy0
+                if ok1:
+                    x1, y1 = x1 - sx1, y1 - sy1
+                if ok2:
+                    x2, y2 = x2 - sx2, y2 - sy2
+                if done:
+                    break
     except ZeroDivisionError:  # coincident iterates, the pinned root 1 among them
         raise SpectrumFailure(f"Aberth iterates of {m.alpha} coincide") from None
 

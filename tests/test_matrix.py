@@ -8,6 +8,7 @@ import pytest
 from conftest import clustered_rows, oracle_roots
 
 from cycle4 import (
+    Cycle4Error,
     CycleMatrix4,
     ParameterOutOfRange,
     SpectrumFailure,
@@ -331,6 +332,132 @@ class TestSeeds:
         roots = spectrum(make_cycle_matrix(*alpha))
         for want in oracle_roots(alpha):
             assert min(abs(complex(want) - got) for got in roots) < tol, alpha
+
+
+def _bits(values):
+    """Each value's bits, sign of zero included: ``float.hex`` of a float,
+    the bytes of an array (NaNs made canonical), a flag as itself."""
+    out = []
+    for v in values:
+        if isinstance(v, np.ndarray):
+            out.append(np.where(np.isnan(v), np.nan, v).tobytes() if v.dtype.kind == "f" else v.tobytes())
+        else:
+            out.append(v.hex() if isinstance(v, float) else v)
+    return out
+
+
+def _walk_pair(a1, a2, a3, a4, hop, seeds, move):
+    """Steps symmetric seeds by ``_step`` and by ``_pair_step`` side by side,
+    as ``spectrum`` moves them, asserting after every step that the steps,
+    flags and iterates agree bit for bit."""
+    x0, y0, x1, y1, x2, y2 = seeds
+    for _ in range(50):
+        sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = matrix._step(
+            x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)
+        pair = matrix._pair_step(x0, x1, y1, a1, a2, a3, a4, hop)
+        assert _bits(pair) == _bits((sx0, sx1, sy1, ok0, ok1, done))
+        # iterate 2's step is iterate 1's conjugate (a zero's sign aside),
+        # iterate 0's is real, and they keep the iterates so
+        assert _bits((sx2, ok2)) == _bits((sx1, ok1)) and np.all((sy2 == -sy1) | ~ok1)
+        assert np.all((sy0 == 0.0) | ~ok0)
+        x0, y0 = move(ok0, x0, sx0), move(ok0, y0, sy0)
+        x1, y1 = move(ok1, x1, sx1), move(ok1, y1, sy1)
+        x2, y2 = move(ok2, x2, sx2), move(ok2, y2, sy2)
+        assert _bits((y0, x2, y2)) == _bits((0.0 * x0 + 0.0, x1, -y1))
+        if np.all(done):
+            return
+
+
+def _pair_families():
+    """Parameter rows of several kinds, (name, (n, 4) array)."""
+    rng = np.random.default_rng(27)
+    one_minus = 1.0 - rng.random((3000, 4)) ** 16
+    specials = np.array([0.0, 0.5, _ONE, 0.25, 1e-300, 0.999999])
+    near_axis = []
+    for b in (10.0 ** -k for k in range(2, 10)):
+        for i in range(1, 20):
+            for build in (realize, realize_via_criterion):
+                try:
+                    near_axis.append(build(complex(i / 20, b)).matrix.alpha)
+                except Cycle4Error:
+                    continue
+    return [
+        ("near_axis", np.array(near_axis)),
+        ("uniform", rng.random((2000, 4))),
+        ("one_minus_u16", one_minus[(one_minus < 1.0).all(axis=1)]),
+        ("specials", specials[rng.integers(0, 6, (1000, 4))]),
+        ("anchors", np.array([(0.9975 * j / 399, 0.0, 0.0, 0.0) for j in range(400)])),
+        ("clustered", np.array([alpha for alpha, _ in clustered_rows()])),
+    ]
+
+
+class TestPairStep:
+    """``_pair_step`` is ``_step`` on a real iterate and a conjugate pair,
+    bit for bit, on floats and on arrays."""
+
+    @pytest.fixture(scope="class")
+    def families(self, grid_matrices):
+        return [("grid", np.array([m.alpha for m in grid_matrices])), *_pair_families()]
+
+    def test_floats(self, families):
+        counts = {}
+        for name, alphas in families:
+            counts[name] = 0
+            for row in alphas.tolist():
+                hop = (1.0 - row[0]) * (1.0 - row[1]) * (1.0 - row[2]) * (1.0 - row[3])
+                seeds = x0, y0, x1, y1, x2, y2 = matrix._seeds(*row, hop, min(row), math.sqrt)
+                if y0 == 0.0 and x1 == x2 and y2 == -y1:
+                    _walk_pair(*row, hop, seeds, lambda ok, x, s: x - s if ok else x)
+                    counts[name] += 1
+        assert counts["grid"] == len(families[0][1]) > 2000
+        assert min(counts.values()) > 0 and counts["uniform"] > 1500
+
+    def test_arrays(self, families):
+        for _, alphas in families:
+            a = alphas.T
+            hop = (1.0 - a[0]) * (1.0 - a[1]) * (1.0 - a[2]) * (1.0 - a[3])
+            x0, y0, x1, y1, x2, y2 = seeds = matrix._seeds(*a, hop, a.min(axis=0), np.sqrt)
+            pair = (y0 == 0.0) & (x1 == x2) & (y2 == -y1)
+            with np.errstate(all="ignore"):
+                _walk_pair(*a[:, pair], hop[pair], [z[pair] for z in seeds],
+                           lambda ok, x, s: np.where(ok, x - s, x))
+
+    def _count_kernels(self, monkeypatch):
+        calls = {"_step": 0, "_pair_step": 0}
+        for name in calls:
+            kernel = getattr(matrix, name)
+
+            def counted(*args, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(matrix, name, counted)
+        return calls
+
+    def test_grid_takes_the_pair_path(self, monkeypatch, grid_matrices):
+        calls = self._count_kernels(monkeypatch)
+        for m in grid_matrices:
+            spectrum(m)
+        assert calls["_step"] == 0 and calls["_pair_step"] >= len(grid_matrices)
+
+    @pytest.mark.parametrize("alpha", [_NEAR_DOUBLE[1], (0.9, 0.1, 0.9, 0.1)], ids=["spread", "real"])
+    def test_other_seeds_take_the_general_path(self, monkeypatch, alpha):
+        z0, z1, z2 = _seed_points(alpha)
+        # spread seeds fail the pair guard on y0; the real triple passes
+        # y2 == -y1 and fails only on x1 == x2
+        assert z0.imag != 0.0 or (z2.imag == -z1.imag and z1.real != z2.real)
+        calls = self._count_kernels(monkeypatch)
+        spectrum(make_cycle_matrix(*alpha))
+        assert calls["_pair_step"] == 0 and calls["_step"] > 0
+
+    @pytest.mark.parametrize("y2, path", [(-1e-170, "_pair_step"), (-2e-170, "_step")])
+    def test_coincident_symmetric_seeds_raise(self, monkeypatch, y2, path):
+        # |z0 - z1|^2 = 1e-340 underflows to 0
+        monkeypatch.setattr(matrix, "_seeds", lambda *_: (0.3, 0.0, 0.3, 1e-170, 0.3, y2))
+        calls = self._count_kernels(monkeypatch)
+        with pytest.raises(SpectrumFailure, match="coincide"):
+            spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))
+        assert calls == {"_step": 0, "_pair_step": 0, path: 1}
 
 
 class TestStepCount:

@@ -28,7 +28,9 @@ the seeds are a real iterate and an exact conjugate pair (a pair clearly
 complex) ``spectrum`` steps them by ``_pair_step``: the pair's second
 correction is the first's conjugate, and the real iterate's terms in its
 zero imaginary part only add or multiply zeros, so dropping both changes
-no bit.  A dense determinant expansion exists only as a test oracle.
+no bit; the finish then takes them as the real root and the pair, with no
+search for the least |Im|.  A dense determinant expansion exists only as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -302,7 +304,9 @@ def spectrum(
                     x1, y1 = x1 - sx1, y1 - sy1
                 if done:
                     break
-            x2, y2 = x1, -y1
+            # the selection below would give this: k0 = 0 <= k1 = k2, and
+            # 0.5 (x + x) = x, since a finite step keeps iterates far from overflow
+            real, u, v, pair_re, pair_im = x0, x1, x1, x1, abs(y1)
         else:
             for _ in range(_ABERTH_STEPS):
                 sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = _step(
@@ -316,33 +320,37 @@ def spectrum(
                     x2, y2 = x2 - sx2, y2 - sy2
                 if done:
                     break
+            # The root of least |Im| (the first such, as a stable sort takes
+            # it) is the real root; the other two form the pair.
+            k0, k1, k2 = abs(y0), abs(y1), abs(y2)
+            if k0 <= k1 and k0 <= k2:
+                real, u, v, ku, kv = x0, x1, x2, k1, k2
+            elif k1 <= k2:
+                real, u, v, ku, kv = x1, x0, x2, k0, k2
+            else:
+                real, u, v, ku, kv = x2, x0, x1, k0, k1
+            pair_re, pair_im = 0.5 * (u + v), 0.5 * (ku + kv)
     except ZeroDivisionError:  # coincident iterates, the pinned root 1 among them
         raise SpectrumFailure(f"Aberth iterates of {m.alpha} coincide") from None
 
-    # The root of least |Im| (the first such, as a stable sort takes it) is
-    # the real root; the other two form the pair.
-    k0, k1, k2 = abs(y0), abs(y1), abs(y2)
-    if k0 <= k1 and k0 <= k2:
-        real, u, v, ku, kv = x0, x1, x2, k1, k2
-    elif k1 <= k2:
-        real, u, v, ku, kv = x1, x0, x2, k0, k2
-    else:
-        real, u, v, ku, kv = x2, x0, x1, k0, k1
-    pair_im = 0.5 * (ku + kv)
+    # Defects are checked in the product order of ``eigen_residual``, so bit
+    # for bit equal to it: the real root's, then the snapped reals' or the
+    # pair's (at 1 it is exactly 0, and a conjugate's equals its partner's,
+    # as complex *, - and abs are exact under conjugation).  Floats and
+    # complexes keep separate expressions, which the interpreter specialises.
+    bound = tol.eigen_residual
+    if abs((real - a1) * (real - a2) * (real - a3) * (real - a4) - hop) > bound:
+        raise SpectrumFailure(f"root {complex(real)!r} of {m.alpha} violates the residual contract")
     if pair_im <= tol.boundary_band:
-        distinct = (real, u, v)
+        for r in (u, v):
+            if abs((r - a1) * (r - a2) * (r - a3) * (r - a4) - hop) > bound:
+                raise SpectrumFailure(f"root {complex(r)!r} of {m.alpha} violates the residual contract")
         roots = [(1.0, 0.0), (real, 0.0), (u, 0.0), (v, 0.0)]
     else:
-        pair_re = 0.5 * (u + v)
-        distinct = (real, complex(pair_re, pair_im))
+        z = complex(pair_re, pair_im)
+        if abs((z - a1) * (z - a2) * (z - a3) * (z - a4) - hop) > bound:
+            raise SpectrumFailure(f"root {z!r} of {m.alpha} violates the residual contract")
         roots = [(1.0, 0.0), (real, 0.0), (pair_re, -pair_im), (pair_re, pair_im)]
-    # Each distinct defect is checked once, in the product order of
-    # ``eigen_residual`` and so bit for bit equal to it (floats give a real
-    # root's): at 1 it is exactly 0, and a conjugate's equals its partner's,
-    # since complex *, - and abs are exact under conjugation.
-    for r in distinct:
-        if abs((r - a1) * (r - a2) * (r - a3) * (r - a4) - hop) > tol.eigen_residual:
-            raise SpectrumFailure(f"root {complex(r)!r} of {m.alpha} violates the residual contract")
     roots.sort()  # by (re, im), as the pairs compare
     return (complex(*roots[0]), complex(*roots[1]), complex(*roots[2]), complex(*roots[3]))
 

@@ -82,10 +82,10 @@ def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.n
 
 def _close_rows(x: np.ndarray, y: np.ndarray, band: float) -> np.ndarray:
     """(n, 4) rows ``{1, r, w, conj(w)}`` or four reals, sorted by (re, im),
-    from the (3, n) iterates ``x + i y``, chosen as ``matrix.spectrum``
-    chooses: the root of least |Im| (the first such) is the real root of the
-    cubic factor; the other two are symmetrised into an exact conjugate pair,
-    or both snapped onto the real axis when the pair lies within ``band``.
+    from the (3, n) iterates ``x + i y``, with ``matrix.spectrum``'s roots:
+    the root of least |Im| (the first such) is the real root of the cubic
+    factor; the other two are symmetrised into an exact conjugate pair, or
+    both snapped onto the real axis when the pair lies within ``band``.
     """
     k = np.abs(y)
     order = np.argsort(k, axis=0, kind="stable")

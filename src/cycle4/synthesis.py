@@ -29,6 +29,13 @@ class Method(str, Enum):
     CRITERION_SOLVER = "CriterionSolver"
 
 
+# bound once: each enum class lookup costs about 150 ns on 3.10/3.11, 20 ns on 3.12
+_OUTSIDE, _INSIDE_NONREAL = Status.OUTSIDE, Status.INSIDE_NONREAL
+_ON_CL, _ON_CR = Status.BOUNDARY_CL, Status.BOUNDARY_CR
+_REAL_INTERVAL, _BOUNDARY_CL, _BOUNDARY_CR = Method.REAL_INTERVAL, Method.BOUNDARY_CL, Method.BOUNDARY_CR
+_INTERIOR_SHRINK, _CRITERION_SOLVER = Method.INTERIOR_SHRINK, Method.CRITERION_SOLVER
+
+
 class Realization(namedtuple("Realization", "matrix lam method mu shrink_l residual")):
     """A realizing matrix plus the provenance of its construction: the
     target, the ``Method``, the left-curve point ``mu`` and the shrink
@@ -109,27 +116,27 @@ def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
     construction for strictly interior targets."""
     lam = complex(lam)
     status = membership(lam, tol).status
-    if status is Status.OUTSIDE:
+    if status is _OUTSIDE:
         raise OutsideRegion(f"{lam!r} is outside the spectral region")
     work = lam if lam.imag >= 0.0 else lam.conjugate()  # the matrix is real
     mu = None
-    if status is Status.INSIDE_NONREAL:
+    if status is _INSIDE_NONREAL:
         mu, l, tau = _left_hit(work)
         method = interior
-    elif status is Status.BOUNDARY_CL:
-        mu, l, tau, method = work, 1.0, min(_anchor_hop(work).real, 1.0), Method.BOUNDARY_CL
-    elif status is Status.BOUNDARY_CR:
+    elif status is _ON_CL:
+        mu, l, tau, method = work, 1.0, min(_anchor_hop(work).real, 1.0), _BOUNDARY_CL
+    elif status is _ON_CR:
         # inside the band Im may pass 1 (near i): clamp onto the plain cycle
-        l, tau, method = min(work.imag, 1.0), 1.0, Method.BOUNDARY_CR
+        l, tau, method = min(work.imag, 1.0), 1.0, _BOUNDARY_CR
     else:
         # the plain cycle shrunk by l has 1 - 2l = r in its spectrum; from
         # r = 1 - 2^-53 on its weight 1 - l rounds onto the excluded 1, so the
         # plain cycle itself serves, as it does for targets in the band past +-1
         r = min(max(work.real, -1.0), 1.0)
         l = 0.5 * (1.0 - r) if r < 1.0 - 2.0**-53 else 1.0
-        tau, method = 1.0, Method.REAL_INTERVAL
+        tau, method = 1.0, _REAL_INTERVAL
     alpha = _shrunk_alpha(l, tau)
-    if method is Method.CRITERION_SOLVER:
+    if method is _CRITERION_SOLVER:
         # the criterion puts the anchor last, mu unreported
         alpha, mu = alpha[1:] + alpha[:1], None
     try:
@@ -140,7 +147,7 @@ def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
     residual = eigen_residual(matrix, lam)
     if residual > tol.eigen_residual:
         raise NoConvergence(f"construction for {lam!r} missed the residual contract: {residual}")
-    shrink_l = l if method is Method.INTERIOR_SHRINK else None
+    shrink_l = l if method is _INTERIOR_SHRINK else None
     return Realization(matrix, lam, method, mu, shrink_l, residual)
 
 
@@ -153,7 +160,7 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
     AlphaOutOfRange when a weight rounds onto 1 near the real axis, and
     ValueError for a non-finite target.
     """
-    return _realize(lam, tol, Method.INTERIOR_SHRINK)
+    return _realize(lam, tol, _INTERIOR_SHRINK)
 
 
 def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
@@ -166,4 +173,4 @@ def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> R
     the criterion's path u_123 = (2 pi - u_4)/3; boundary and real targets
     get ``realize``'s own matrix.  Raises as ``realize`` does.
     """
-    return _realize(lam, tol, Method.CRITERION_SOLVER)
+    return _realize(lam, tol, _CRITERION_SOLVER)

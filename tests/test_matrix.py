@@ -459,6 +459,24 @@ class TestPairStep:
             spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))
         assert calls == {"_step": 0, "_pair_step": 0, path: 1}
 
+    # (0.3, 0.7, 0.1, 0.9) has the pair 0.5 +- 0.2236i: a band of 0.3 snaps
+    # it onto 0.5, where the defect is 0.0125
+    _SNAPPED = make_cycle_matrix(0.3, 0.7, 0.1, 0.9)
+
+    def test_snapped_pair_is_checked_at_its_real_part(self, monkeypatch):
+        calls = self._count_kernels(monkeypatch)
+        with pytest.raises(SpectrumFailure, match=r"^root \(0\.5\+0j\) of \(0\.3, 0\.7, 0\.1, 0\.9\) violates"):
+            spectrum(self._SNAPPED, Tolerance(1e-8, 0.3))
+        assert calls["_step"] == 0 and calls["_pair_step"] > 0
+
+    def test_snapped_pair_gives_four_reals(self, monkeypatch):
+        calls = self._count_kernels(monkeypatch)
+        roots = spectrum(self._SNAPPED, Tolerance(0.1, 0.3))
+        assert _bits([p for z in roots for p in (z.real, z.imag)]) == [
+            "-0x1.eea5800378aacp-58", "0x0.0p+0", "0x1.0000000000000p-1", "0x0.0p+0",
+            "0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
+        assert calls["_step"] == 0 and calls["_pair_step"] > 0
+
 
 class TestStepCount:
     """Two Aberth steps settle the spectra of the constructions, and one
@@ -522,6 +540,34 @@ def _root_parts(rows):
             yield r.imag
 
 
+def _text_digest(items) -> str:
+    """sha256 over ``float.hex`` of each float and ``repr`` of anything else."""
+    h = hashlib.sha256()
+    for x in items:
+        h.update((x.hex() if isinstance(x, float) else repr(x)).encode() + b",")
+    return h.hexdigest()
+
+
+# the residual bound and band pairs that the outcome pin runs at: the
+# defaults, a bound most roots miss, a band that snaps clear pairs and a
+# bound near the rounding floor
+_PIN_TOLERANCES = [Tolerance(1e-8, 1e-9), Tolerance(1e-30, 1e-9), Tolerance(1e-8, 0.3), Tolerance(1e-17, 1e-3)]
+
+
+def _outcomes(rows):
+    """``spectrum``'s roots, or its error's type and message, at each of the
+    ``_PIN_TOLERANCES``."""
+    for alpha in rows:
+        m = make_cycle_matrix(*alpha)
+        for tol in _PIN_TOLERANCES:
+            try:
+                for r in spectrum(m, tol):
+                    yield r.real
+                    yield r.imag
+            except Cycle4Error as err:
+                yield type(err).__name__, str(err)
+
+
 class TestBitPin:
     """Outputs pinned bit for bit.  A deliberate numeric change must update
     the digest it moves and say so in CHANGES.md."""
@@ -537,3 +583,16 @@ class TestBitPin:
     def test_both_routes_over_grid(self, grid_realizations):
         floats = [x for found in grid_realizations for x in (*found.matrix.alpha, found.residual)]
         assert _digest(floats) == "5abe1e54d4bac096c2fe4285e0c6d2561426a163a8cd3576646a892089ff1da0"
+
+    def test_spectrum_over_grid_constructions(self, grid_matrices):
+        assert _digest(_root_parts(m.alpha for m in grid_matrices)) == "ec377f66cdbfdce514f93526d9cf488743db8873778508058ff3e753bd7e7c21"
+
+    def test_spectrum_outcomes_at_four_tolerances(self):
+        specials = [0.0, 0.5, _ONE, 1e-300]
+        rows = [*np.random.default_rng(2028).random((2000, 4)).tolist(),
+                *([a, b, c, d] for a in specials for b in specials for c in specials for d in specials)]
+        assert _text_digest(_outcomes(rows)) == "286ea47baedf31d809e2b974113518a6230632bd57d7bbc06a0cdb437e3bb951"
+
+    def test_route_provenance_over_grid(self, grid_realizations):
+        items = [(found.method.value, found.mu, found.shrink_l) for found in grid_realizations]
+        assert _text_digest(items) == "e634f67d5c9710760ea4aae15db73b176ffaf89abe6a7106c55fc5a66144586c"

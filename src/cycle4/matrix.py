@@ -29,8 +29,10 @@ complex) ``spectrum`` steps them by ``_pair_step``: the pair's second
 correction is the first's conjugate, and the real iterate's terms in its
 zero imaginary part only add or multiply zeros, so dropping both changes
 no bit; the finish then takes them as the real root and the pair, with no
-search for the least |Im|.  A dense determinant expansion exists only as a
-test oracle.
+search for the least |Im|.  Unspread seeds on the wrong side of the split
+never settle, and a run from them that reaches the step cap starts again
+from spread ones.  A dense determinant expansion exists only as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ DEFAULT_TOLERANCE = Tolerance()
 # asymmetry as it closes in; once that falls below the rounding of the real
 # parts, a real pair never separates and the iterates wander.  The floor
 # keeps every spread seed at least 1e-8 off, and puts every pair closer
-# than about 6e-4 in doubt: on parameters 1 - u^16, u uniform, a floor of
+# than about 2e-6 in doubt: on parameters 1 - u^16, u uniform, a floor of
 # 1e-8 leaves rows unsettled after 50 steps, 1e-2 none.
 _SEED_SPREAD, _SEED_FLOOR = (1e-6, 2e-6, -3e-6), 1e-2
 # The split is in doubt when |disc| < _SPLIT_DOUBT * s^2, and a seed of a
@@ -94,16 +96,22 @@ _SEED_SPREAD, _SEED_FLOOR = (1e-6, 2e-6, -3e-6), 1e-2
 # root 1 is below that margin: a seed on a neighbouring root stalls the
 # step (without the test against 1, 5 of 10^5 rows 1 - u^16 reach the step
 # cap).  The discriminant is rounded by a few eps, 1e-12 of s^2 at the
-# floor.  Over 10^5 rows with parameters drawn from {0, 1/2, 1 - 2^-53} and
-# two per-row values, 9 rows reach the step cap at 1e-14 and none from
-# 1e-12 up; uniform rows take 1.371 steps on average at 1e-8, 1.377 at
-# 1e-3 and 1.404 at 1e-2.  1e-3 sits nine decades above the least safe
-# value tried, for 0.4 % more steps.
-_SPLIT_DOUBT = 1e-3
+# floor, and moves by (r - c) times the error of r, which six Newton steps
+# leave large where the roots cluster far inside hop^(1/4); seeds on the
+# wrong side then restart.  Rows restarted of 10^5 at 1e-16, 1e-14, 1e-12
+# to 1e-8, and 1e-4 up: parameters drawn from {0, 1/2, 1 - 2^-53} and two
+# per-row values, 1384, 21, 0, 0; drawn from {0, 1 - 2^-53, 10^-U(1, 9),
+# 1 - 10^-U(1, 15), U(0, 1)}, 1330, 172, 163, 0; uniform and 1 - u^16
+# rows, none.  Mean steps at 1e-3 and at 1e-8, restarts included: uniform
+# 1.373 and 1.368, 1 - u^16 3.153 and 2.708, the two pools 4.586 and
+# 4.562, 5.900 and 6.139.  At 1e-8 targets down to 1e-6 above the real
+# axis (|disc| / s^2 about 3e-8) take ``_pair_step``.
+_SPLIT_DOUBT = 1e-8
 _NEWTON_STEPS = 6  # for the real seed; with 5, a few grid matrices need a third Aberth step
-# Aberth step cap of ``spectrum`` and ``sampling.bulk_spectra``: constructions
-# settle in at most 2 steps, most in 1; random rows in at most 3, targets
-# near the real axis in 5, and (1 - 2^-53, 1 - 2^-53, 1 - 2^-53, 1/2) in 21.
+# Aberth step cap of a run in ``spectrum`` and ``sampling.bulk_spectra``:
+# constructions settle in at most 2 steps, most in 1; random rows in at most
+# 3, targets near the real axis in 5, and (1 - 2^-53, 1 - 2^-53, 1 - 2^-53,
+# 1/2) in 21.
 _ABERTH_STEPS = 200
 # An iterate has settled when its step is at most 4 ulp of it, or when |p|
 # is at the rounding-noise floor of the product form, 16 eps (|prod| + hop)
@@ -112,10 +120,11 @@ _EPS = 2.220446049250313e-16
 _NEAR2, _NOISE2 = (4.0 * _EPS) ** 2, (32.0 * _EPS) ** 2
 
 
-def _seeds(a1, a2, a3, a4, hop, low, sqrt):
+def _seeds(a1, a2, a3, a4, hop, low, sqrt, spread=False):
     """Starting iterates ``x0, y0, x1, y1, x2, y2`` for the three roots of
     ``p(lam) / (lam - 1)``, from ``hop = prod(1 - alpha_k)``, the least
-    parameter ``low`` and the backend's ``sqrt``."""
+    parameter ``low`` and the backend's ``sqrt``; spread whatever the doubt
+    where ``spread`` holds."""
     # Left of ``low``, p is convex and decreasing with one root; at
     # low - hop^(1/4) every factor is at least hop^(1/4), so p >= 0 there
     # and Newton's steps rise monotonically toward the root.
@@ -139,11 +148,11 @@ def _seeds(a1, a2, a3, a4, hop, low, sqrt):
     size = abs(disc)
     gap_re, gap_im = sqrt(0.5 * (size + disc)), sqrt(0.5 * (size - disc))
     s = sqrt((r - c) * (r - c) + size + _SEED_FLOOR * _SEED_FLOOR)
-    # spread only where the split is in doubt: bool arithmetic, so floats
-    # and arrays run one path
+    # spread only where asked or where the split is in doubt: bool
+    # arithmetic, so floats and arrays run one path
     margin = _SPLIT_DOUBT * s * s
     to_r, to_one = half + gap_re + rho, half - gap_re  # a real pair's seeds from r and from 1
-    s = s * ((size < margin) | (to_r * to_r < margin) | (to_one * to_one < margin))
+    s = s * (spread | (size < margin) | (to_r * to_r < margin) | (to_one * to_one < margin))
     s0, s1, s2 = _SEED_SPREAD[0] * s, _SEED_SPREAD[1] * s, _SEED_SPREAD[2] * s
     return r + s0, s0, c - gap_re + s1, s1 - gap_im, c + gap_re + s2, gap_im + s2
 
@@ -285,29 +294,38 @@ def spectrum(
 
     The set holds the exact root 1 and either three reals or a real root
     and an exact conjugate pair; roots within ``tol.boundary_band`` of the
-    real axis are snapped onto it.  At most ``_ABERTH_STEPS`` Aberth steps
-    are taken.  Raises SpectrumFailure if any root has an eigen-defect above
-    ``tol.eigen_residual``, or if two iterates coincide.
+    real axis are snapped onto it.  A run takes at most ``_ABERTH_STEPS``
+    Aberth steps; one from unspread seeds that does not settle is followed
+    by one from spread seeds.  Raises SpectrumFailure if any root has an
+    eigen-defect above ``tol.eigen_residual``, or if two iterates coincide.
     """
     a1, a2, a3, a4 = m.alpha
     hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
+    low = min(a1, a2, a3, a4)
     try:
-        x0, y0, x1, y1, x2, y2 = _seeds(a1, a2, a3, a4, hop, min(a1, a2, a3, a4), math.sqrt)
-        if y0 == 0.0 and x1 == x2 and y2 == -y1:
-            # a real seed and a conjugate pair stay so under ``_step``: step
-            # them as such (a pair with y1 == 0 coincides on either path)
-            for _ in range(_ABERTH_STEPS):
-                sx0, sx1, sy1, ok0, ok1, done = _pair_step(x0, x1, y1, a1, a2, a3, a4, hop)
-                if ok0:
-                    x0 = x0 - sx0
-                if ok1:
-                    x1, y1 = x1 - sx1, y1 - sy1
-                if done:
-                    break
-            # the selection below would give this: k0 = 0 <= k1 = k2, and
-            # 0.5 (x + x) = x, since a finite step keeps iterates far from overflow
-            real, u, v, pair_re, pair_im = x0, x1, x1, x1, abs(y1)
-        else:
+        # unspread seeds on the wrong side of the pair's real/complex split
+        # keep their symmetry and never settle: such a run ends at the step
+        # cap, and a second starts from spread seeds
+        for spread in (False, True):
+            x0, y0, x1, y1, x2, y2 = _seeds(a1, a2, a3, a4, hop, low, math.sqrt, spread)
+            unspread = y0 == 0.0
+            if unspread and x1 == x2 and y2 == -y1:
+                # a real seed and a conjugate pair stay so under ``_step``:
+                # step them as such (a pair with y1 == 0 coincides on either path)
+                for _ in range(_ABERTH_STEPS):
+                    sx0, sx1, sy1, ok0, ok1, done = _pair_step(x0, x1, y1, a1, a2, a3, a4, hop)
+                    if ok0:
+                        x0 = x0 - sx0
+                    if ok1:
+                        x1, y1 = x1 - sx1, y1 - sy1
+                    if done:
+                        break
+                else:
+                    continue  # unsettled: the pair may be real
+                # the selection below would give this: k0 = 0 <= k1 = k2, and
+                # 0.5 (x + x) = x, since a finite step keeps iterates far from overflow
+                real, u, v, pair_re, pair_im = x0, x1, x1, x1, abs(y1)
+                break
             for _ in range(_ABERTH_STEPS):
                 sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = _step(
                     x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)
@@ -320,6 +338,9 @@ def spectrum(
                     x2, y2 = x2 - sx2, y2 - sy2
                 if done:
                     break
+            else:
+                if unspread:
+                    continue  # unsettled: the pair may be complex
             # The root of least |Im| (the first such, as a stable sort takes
             # it) is the real root; the other two form the pair.
             k0, k1, k2 = abs(y0), abs(y1), abs(y2)
@@ -330,6 +351,7 @@ def spectrum(
             else:
                 real, u, v, ku, kv = x2, x0, x1, k0, k1
             pair_re, pair_im = 0.5 * (u + v), 0.5 * (ku + kv)
+            break
     except ZeroDivisionError:  # coincident iterates, the pinned root 1 among them
         raise SpectrumFailure(f"Aberth iterates of {m.alpha} coincide") from None
 

@@ -62,22 +62,36 @@ def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.n
     a = np.ascontiguousarray(alphas.T)
     hop = (1.0 - a[0]) * (1.0 - a[1]) * (1.0 - a[2]) * (1.0 - a[3])
     z = np.empty((6, hop.size))
-    idx = np.arange(hop.size)
     with np.errstate(all="ignore"):
-        # the live rows: iterates x0, y0, x1, y1, x2, y2, the parameters, hop
         live = np.vstack((*matrix._seeds(*a, hop, a.min(axis=0), np.sqrt), *a, hop))
-        for _ in range(matrix._ABERTH_STEPS):
-            *steps, ok0, ok1, ok2, done = matrix._step(*live)
-            # a root whose step is not finite stays where it is, unsettled
-            for coord, step, ok in zip(live, steps, (ok0, ok0, ok1, ok1, ok2, ok2)):
-                np.subtract(coord, step, out=coord, where=ok)
-            if done.any():
-                z[:, idx[done]] = live[:6, done]
-                idx, live = idx[~done], live[:, ~done]
-                if idx.size == 0:
-                    break
-    z[:, idx] = live[:6]
+        unspread = live[1] == 0.0
+        idx = _settle(live, np.arange(hop.size), z)
+        # as in ``matrix.spectrum``, rows unsettled from unspread seeds run
+        # again from spread ones
+        idx = idx[unspread[idx]]
+        if idx.size:
+            a, hop = a[:, idx], hop[idx]
+            _settle(np.vstack((*matrix._seeds(*a, hop, a.min(axis=0), np.sqrt, True), *a, hop)), idx, z)
     return _close_rows(z[0::2], z[1::2], tol.boundary_band)
+
+
+def _settle(live: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Aberth steps on the live rows (iterates x0, y0, x1, y1, x2, y2, the
+    parameters, hop) of result rows ``idx``: each row's iterates go to its
+    column of ``z`` once they settle, or after the step cap.  Returns the
+    rows that did not settle."""
+    for _ in range(matrix._ABERTH_STEPS):
+        *steps, ok0, ok1, ok2, done = matrix._step(*live)
+        # a root whose step is not finite stays where it is, unsettled
+        for coord, step, ok in zip(live, steps, (ok0, ok0, ok1, ok1, ok2, ok2)):
+            np.subtract(coord, step, out=coord, where=ok)
+        if done.any():
+            z[:, idx[done]] = live[:6, done]
+            idx, live = idx[~done], live[:, ~done]
+            if idx.size == 0:
+                break
+    z[:, idx] = live[:6]
+    return idx
 
 
 def _close_rows(x: np.ndarray, y: np.ndarray, band: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from cycle4.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # sha256 of `sample 100000 42`'s CSV, also checked by CI
-SAMPLE_100000_42_SHA256 = "b24b67b35510e310d841908aa38b1b23eb2e976c11d48c5a738e3fa28f78f0a1"
+SAMPLE_100000_42_SHA256 = "205d2b8b77af48b09f3b31afefd302e82882306c9efb1844c2dd94851610c143"
 
 
 def run(capsys, *argv):

@@ -192,8 +192,8 @@ class TestCharPoly:
 
 def _coincident_seeds(point):
     """A seed function that puts all three iterates on the real ``point``,
-    on either backend."""
-    return lambda a1, a2, a3, a4, hop, low, sqrt: (point + 0.0 * low, 0.0 * low) * 3
+    on either backend, spread or not."""
+    return lambda a1, a2, a3, a4, hop, low, sqrt, spread=False: (point + 0.0 * low, 0.0 * low) * 3
 
 
 class TestSpectrum:
@@ -246,14 +246,15 @@ class TestSpectrum:
     def test_non_finite_step_leaves_bulk_row_unsettled(self, monkeypatch):
         # Coincident seeds in the bulk kernel, on the root 0 of the matrix,
         # where |p| = 0 meets the noise test: every step of the row is
-        # non-finite, so the row runs to the cap instead of freezing.
+        # non-finite, so the row runs to the cap instead of freezing, and,
+        # its seeds unspread, to the cap again from the "spread" ones.
         monkeypatch.setattr(matrix, "_seeds", _coincident_seeds(0.0))
         steps = []
         step = matrix._step
         monkeypatch.setattr(matrix, "_step", lambda *z: steps.append(z[0].shape) or step(*z))
         monkeypatch.setattr(matrix, "_ABERTH_STEPS", 7)
         bulk_spectra(np.full((1, 4), 0.5))
-        assert steps == [(1,)] * 7
+        assert steps == [(1,)] * 14
 
     @pytest.mark.parametrize("steps", [1, 200])
     def test_guard_raises_iff_some_root_misses_the_bound(self, monkeypatch, steps):
@@ -290,6 +291,20 @@ def grid_realizations():
 @pytest.fixture(scope="module")
 def grid_matrices(grid_realizations):
     return [found.matrix for found in grid_realizations]
+
+
+def _count_kernels(monkeypatch) -> dict:
+    """Counts the calls of ``matrix._step`` and ``matrix._pair_step``."""
+    calls = {"_step": 0, "_pair_step": 0}
+    for name in calls:
+        kernel = getattr(matrix, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(matrix, name, counted)
+    return calls
 
 
 def _seed_points(alpha):
@@ -332,6 +347,83 @@ class TestSeeds:
         roots = spectrum(make_cycle_matrix(*alpha))
         for want in oracle_roots(alpha):
             assert min(abs(complex(want) - got) for got in roots) < tol, alpha
+
+
+def _pool_rows(n: int, seed: int) -> np.ndarray:
+    """(n, 4) rows whose parameters are drawn from {0, 1/2, 1 - 2^-53} and
+    two per-row uniform values."""
+    rng = np.random.default_rng(seed)
+    values = np.column_stack([np.zeros(n), np.full(n, 0.5), np.full(n, _ONE), rng.random((n, 2))])
+    return np.take_along_axis(values, rng.integers(0, 5, (n, 4)), axis=1)
+
+
+def _assert_oracle_roots(alpha, roots, tol=1e-15):
+    for want in oracle_roots(alpha):
+        assert min(abs(complex(want) - got) for got in roots) < tol, alpha
+
+
+class TestSplitMargin:
+    def test_pool_rows_restart_once(self, monkeypatch):
+        # unspread seeds on the wrong side of the pair's split never settle,
+        # and the row starts again from spread seeds after the step cap: of
+        # these 10^5 rows, 13 do at a margin of 1e-14 and 4,247 at 0; at the
+        # default one does, (1 - 2^-53, 0, 1.7e-5, 0), whose roots cluster
+        # near 0 (see ``TestRestart``).  Capping a run at 40 steps changes
+        # no bit.
+        rows = _pool_rows(100_000, 29)
+        restarted = []
+        seeds = matrix._seeds
+
+        def counted(*args):
+            if args[7:] == (True,):
+                restarted.extend(np.column_stack(args[:4]).tolist())
+            return seeds(*args)
+
+        monkeypatch.setattr(matrix, "_seeds", counted)
+        full = bulk_spectra(rows)
+        assert restarted == [[_ONE, 0.0, 1.713453326157577e-05, 0.0]]
+        monkeypatch.setattr(matrix, "_ABERTH_STEPS", 40)
+        assert np.array_equal(bulk_spectra(rows).view(np.uint64), full.view(np.uint64))
+
+
+# Three roots of each lie within 5e-5 of 0, far inside the Newton start
+# hop^(1/4) of 1e-4 or 2e-4: six Newton steps leave the real seed 3e-6 to
+# 4e-6 below its root, which flips the sign of the pair's discriminant, so
+# a conjugate pair is seeded for a real pair
+_TRAPPED_PAIRS = [
+    (_ONE, 0.0, 1.713453326157577e-05, 0.0),
+    (4.6741792001440835e-05, 3.062856733618976e-05, 0.9999999999999979, 0.0),
+    (2.959398136398325e-07, _ONE, 1.118555515060718e-05, 0.0),
+]
+
+
+class TestRestart:
+    """A run from unspread seeds that reaches the step cap starts again
+    from spread seeds: a conjugate pair seeded for a real pair, or real
+    seeds for a complex pair, never leave their symmetry."""
+
+    @pytest.mark.parametrize("alpha", _TRAPPED_PAIRS)
+    def test_pair_seeded_for_a_real_pair(self, monkeypatch, alpha):
+        z0, z1, z2 = _seed_points(alpha)
+        assert z0.imag == 0.0 and z1 == z2.conjugate() and z1.imag != 0.0
+        calls = _count_kernels(monkeypatch)
+        roots = spectrum(make_cycle_matrix(*alpha))
+        assert calls["_pair_step"] == matrix._ABERTH_STEPS and 0 < calls["_step"] < 40
+        assert all(z.imag == 0.0 for z in roots)
+        _assert_oracle_roots(alpha, roots)
+        assert np.array_equal(bulk_spectra(np.array([alpha])).view(np.uint64), np.array([roots]).view(np.uint64))
+
+    def test_real_seeds_for_a_complex_pair(self, monkeypatch):
+        # with no margin, the pair 0.824 +- 4.9e-9 i is seeded as two reals
+        alpha = (0.8240017986428428, 0.8240017986428428, 0.0, _ONE)
+        monkeypatch.setattr(matrix, "_SPLIT_DOUBT", 0.0)
+        assert all(z.imag == 0.0 for z in _seed_points(alpha))
+        calls = _count_kernels(monkeypatch)
+        roots = spectrum(make_cycle_matrix(*alpha))
+        assert calls["_pair_step"] == 0 and matrix._ABERTH_STEPS < calls["_step"] < matrix._ABERTH_STEPS + 40
+        assert roots[1].imag < 0.0 < roots[2].imag
+        _assert_oracle_roots(alpha, roots)
+        assert np.array_equal(bulk_spectra(np.array([alpha])).view(np.uint64), np.array([roots]).view(np.uint64))
 
 
 def _bits(values):
@@ -422,23 +514,23 @@ class TestPairStep:
                 _walk_pair(*a[:, pair], hop[pair], [z[pair] for z in seeds],
                            lambda ok, x, s: np.where(ok, x - s, x))
 
-    def _count_kernels(self, monkeypatch):
-        calls = {"_step": 0, "_pair_step": 0}
-        for name in calls:
-            kernel = getattr(matrix, name)
-
-            def counted(*args, name=name, kernel=kernel):
-                calls[name] += 1
-                return kernel(*args)
-
-            monkeypatch.setattr(matrix, name, counted)
-        return calls
-
     def test_grid_takes_the_pair_path(self, monkeypatch, grid_matrices):
-        calls = self._count_kernels(monkeypatch)
+        calls = _count_kernels(monkeypatch)
         for m in grid_matrices:
             spectrum(m)
         assert calls["_step"] == 0 and calls["_pair_step"] >= len(grid_matrices)
+
+    @pytest.mark.parametrize("b", [1e-4, 1e-5])
+    def test_near_axis_constructions_take_the_pair_path(self, monkeypatch, b):
+        # a target k/20 + ib puts the pair 2b apart: |disc| / s^2 is about
+        # b^2 / 1e-4, below the old margin 1e-3 and above the new 1e-8
+        built = [build(complex(k / 20, b)).matrix for k in range(1, 20)
+                 for build in (realize, realize_via_criterion)]
+        calls = _count_kernels(monkeypatch)
+        spectra = [spectrum(m) for m in built]
+        assert calls["_step"] == 0 and calls["_pair_step"] >= len(built)
+        for m, roots in zip(built, spectra):
+            _assert_oracle_roots(m.alpha, roots)
 
     @pytest.mark.parametrize("alpha", [_NEAR_DOUBLE[1], (0.9, 0.1, 0.9, 0.1)], ids=["spread", "real"])
     def test_other_seeds_take_the_general_path(self, monkeypatch, alpha):
@@ -446,7 +538,7 @@ class TestPairStep:
         # spread seeds fail the pair guard on y0; the real triple passes
         # y2 == -y1 and fails only on x1 == x2
         assert z0.imag != 0.0 or (z2.imag == -z1.imag and z1.real != z2.real)
-        calls = self._count_kernels(monkeypatch)
+        calls = _count_kernels(monkeypatch)
         spectrum(make_cycle_matrix(*alpha))
         assert calls["_pair_step"] == 0 and calls["_step"] > 0
 
@@ -454,7 +546,7 @@ class TestPairStep:
     def test_coincident_symmetric_seeds_raise(self, monkeypatch, y2, path):
         # |z0 - z1|^2 = 1e-340 underflows to 0
         monkeypatch.setattr(matrix, "_seeds", lambda *_: (0.3, 0.0, 0.3, 1e-170, 0.3, y2))
-        calls = self._count_kernels(monkeypatch)
+        calls = _count_kernels(monkeypatch)
         with pytest.raises(SpectrumFailure, match="coincide"):
             spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))
         assert calls == {"_step": 0, "_pair_step": 0, path: 1}
@@ -464,13 +556,13 @@ class TestPairStep:
     _SNAPPED = make_cycle_matrix(0.3, 0.7, 0.1, 0.9)
 
     def test_snapped_pair_is_checked_at_its_real_part(self, monkeypatch):
-        calls = self._count_kernels(monkeypatch)
+        calls = _count_kernels(monkeypatch)
         with pytest.raises(SpectrumFailure, match=r"^root \(0\.5\+0j\) of \(0\.3, 0\.7, 0\.1, 0\.9\) violates"):
             spectrum(self._SNAPPED, Tolerance(1e-8, 0.3))
         assert calls["_step"] == 0 and calls["_pair_step"] > 0
 
     def test_snapped_pair_gives_four_reals(self, monkeypatch):
-        calls = self._count_kernels(monkeypatch)
+        calls = _count_kernels(monkeypatch)
         roots = spectrum(self._SNAPPED, Tolerance(0.1, 0.3))
         assert _bits([p for z in roots for p in (z.real, z.imag)]) == [
             "-0x1.eea5800378aacp-58", "0x0.0p+0", "0x1.0000000000000p-1", "0x0.0p+0",
@@ -574,11 +666,11 @@ class TestBitPin:
 
     def test_spectrum_random_rows(self):
         rows = np.random.default_rng(2026).random((2000, 4))
-        assert _digest(_root_parts(rows)) == "f6f2fcb81939049aa5e6b88609aa091a1efb21ab061a85047458280c8a315966"
+        assert _digest(_root_parts(rows)) == "51693faf3160aab12e913f37753e5d4b1d2a579da77b77479564a04272671f45"
 
     def test_spectrum_clustered_rows(self):
         rows = [alpha for alpha, _ in clustered_rows()]
-        assert _digest(_root_parts(rows)) == "e5006586c6439e2f11cd4938f3b34ed9daebd06e868b777be7b558859a21e328"
+        assert _digest(_root_parts(rows)) == "5fd00651107d37ece3282806606e812ef2eb7e18e5d44a40c0d8bbf63e3132f0"
 
     def test_both_routes_over_grid(self, grid_realizations):
         floats = [x for found in grid_realizations for x in (*found.matrix.alpha, found.residual)]
@@ -591,7 +683,7 @@ class TestBitPin:
         specials = [0.0, 0.5, _ONE, 1e-300]
         rows = [*np.random.default_rng(2028).random((2000, 4)).tolist(),
                 *([a, b, c, d] for a in specials for b in specials for c in specials for d in specials)]
-        assert _text_digest(_outcomes(rows)) == "286ea47baedf31d809e2b974113518a6230632bd57d7bbc06a0cdb437e3bb951"
+        assert _text_digest(_outcomes(rows)) == "a66847eda7a3ec4db42b7ce7e4e85b3bd7620ef6a5e9721c11d3a85a42b59eda"
 
     def test_route_provenance_over_grid(self, grid_realizations):
         items = [(found.method.value, found.mu, found.shrink_l) for found in grid_realizations]

@@ -256,10 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol(p: argparse.ArgumentParser, residual: bool = True) -> None:
+    def add_tol(p: argparse.ArgumentParser, residual: bool = True, band: bool = True) -> None:
         if residual:  # check and sample read only the band
             p.add_argument("--tol-residual", type=_finite_positive, help="eigen-residual tolerance (default 1e-8)")
-        p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
+        if band:  # spectrum reads only the residual
+            p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
         p.set_defaults(tol_residual=DEFAULT_TOLERANCE.eigen_residual, tol_band=DEFAULT_TOLERANCE.boundary_band)
 
     p = sub.add_parser("check", help="classify a point against the region")
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a2", type=_finite)
     p.add_argument("a3", type=_finite)
     p.add_argument("a4", type=_finite)
-    add_tol(p)
+    add_tol(p, band=False)
 
     p = sub.add_parser(
         "sample",

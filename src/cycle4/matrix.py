@@ -31,8 +31,7 @@ zero imaginary part only add or multiply zeros, so dropping both changes
 no bit; the finish then takes them as the real root and the pair, with no
 search for the least |Im|.  Unspread seeds on the wrong side of the split
 never settle, and a run from them that reaches the step cap starts again
-from spread ones.  A dense determinant expansion exists only as a test
-oracle.
+from spread ones.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class Tolerance(namedtuple("Tolerance", "eigen_residual boundary_band")):
         from ``prod(1 - alpha_k)`` while ``lam`` still counts as an
         eigenvalue.
     boundary_band: half-width of the band within which a constraint value
-        counts as "on the boundary" (also the real-axis snapping band).
+        counts as "on the boundary".
 
     Both must be finite positive numbers; bools are rejected.  Every
     construction path checks this: the constructor, ``_make`` and
@@ -118,6 +117,11 @@ _ABERTH_STEPS = 200
 # = 32 eps hop to first order; both tests compare squares.
 _EPS = 2.220446049250313e-16
 _NEAR2, _NOISE2 = (4.0 * _EPS) ** 2, (32.0 * _EPS) ** 2
+# ``spectrum`` and ``sampling.bulk_spectra`` take a pair whose imaginary part
+# is at most this as two real roots.  It is the kernel's own, not the
+# caller's boundary band: a band of 0.3 would snap the pair 0.5 +- 0.2236i
+# of (0.3, 0.7, 0.1, 0.9) onto 0.5, which is no eigenvalue.
+_SNAP = 1e-9
 
 
 def _seeds(a1, a2, a3, a4, hop, low, sqrt, spread=False):
@@ -258,16 +262,6 @@ class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def dense(self) -> list[list[float]]:
-        """Dense 4x4 entry layout."""
-        a1, a2, a3, a4 = self.alpha
-        return [
-            [a1, 1.0 - a1, 0.0, 0.0],
-            [0.0, a2, 1.0 - a2, 0.0],
-            [0.0, 0.0, a3, 1.0 - a3],
-            [1.0 - a4, 0.0, 0.0, a4],
-        ]
-
 
 def make_cycle_matrix(a1: float, a2: float, a3: float, a4: float) -> CycleMatrix4:
     """Validated construction; raises ParameterOutOfRange for any parameter
@@ -293,11 +287,12 @@ def spectrum(
     """All four eigenvalues, sorted lexicographically by (re, im).
 
     The set holds the exact root 1 and either three reals or a real root
-    and an exact conjugate pair; roots within ``tol.boundary_band`` of the
-    real axis are snapped onto it.  A run takes at most ``_ABERTH_STEPS``
-    Aberth steps; one from unspread seeds that does not settle is followed
-    by one from spread seeds.  Raises SpectrumFailure if any root has an
-    eigen-defect above ``tol.eigen_residual``, or if two iterates coincide.
+    and an exact conjugate pair; a pair within ``_SNAP`` of the real axis,
+    whatever ``tol.boundary_band``, is snapped onto it.  A run takes at
+    most ``_ABERTH_STEPS`` Aberth steps; one from unspread seeds that does
+    not settle is followed by one from spread seeds.  Raises
+    SpectrumFailure if any root has an eigen-defect above
+    ``tol.eigen_residual``, or if two iterates coincide.
     """
     a1, a2, a3, a4 = m.alpha
     hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
@@ -363,7 +358,7 @@ def spectrum(
     bound = tol.eigen_residual
     if abs((real - a1) * (real - a2) * (real - a3) * (real - a4) - hop) > bound:
         raise SpectrumFailure(f"root {complex(real)!r} of {m.alpha} violates the residual contract")
-    if pair_im <= tol.boundary_band:
+    if pair_im <= _SNAP:
         for r in (u, v):
             if abs((r - a1) * (r - a2) * (r - a3) * (r - a4) - hop) > bound:
                 raise SpectrumFailure(f"root {complex(r)!r} of {m.alpha} violates the residual contract")

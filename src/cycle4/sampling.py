@@ -47,12 +47,13 @@ def sample_parameters(n: int, seed: int, start: int = 0) -> np.ndarray:
     return np.random.Generator(bit_generator).random((n, 4))
 
 
-def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+def bulk_spectra(alphas: np.ndarray) -> np.ndarray:
     """(n, 4) eigenvalues for each parameter row, sorted by (re, im).
 
-    Row i is ``matrix.spectrum(row i, tol)`` bit for bit, without its
-    residual guard; a row freezes once its own iterates settle.  Raises
-    ValueError unless the parameters form an (n, 4) array in [0, 1).
+    Row i is ``matrix.spectrum(row i)`` bit for bit, without its residual
+    guard, and snaps at the same ``matrix._SNAP``; a row freezes once its
+    own iterates settle.  Raises ValueError unless the parameters form an
+    (n, 4) array in [0, 1).
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 2 or alphas.shape[1] != 4:
@@ -72,7 +73,7 @@ def bulk_spectra(alphas: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.n
         if idx.size:
             a, hop = a[:, idx], hop[idx]
             _settle(np.vstack((*matrix._seeds(*a, hop, a.min(axis=0), np.sqrt, True), *a, hop)), idx, z)
-    return _close_rows(z[0::2], z[1::2], tol.boundary_band)
+    return _close_rows(z[0::2], z[1::2])
 
 
 def _settle(live: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -94,19 +95,19 @@ def _settle(live: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _close_rows(x: np.ndarray, y: np.ndarray, band: float) -> np.ndarray:
+def _close_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(n, 4) rows ``{1, r, w, conj(w)}`` or four reals, sorted by (re, im),
     from the (3, n) iterates ``x + i y``, with ``matrix.spectrum``'s roots:
     the root of least |Im| (the first such) is the real root of the cubic
     factor; the other two are symmetrised into an exact conjugate pair, or
-    both snapped onto the real axis when the pair lies within ``band``.
+    both snapped onto the real axis when the pair lies within ``matrix._SNAP``.
     """
     k = np.abs(y)
     order = np.argsort(k, axis=0, kind="stable")
     real, u, v = np.take_along_axis(x, order, axis=0)
     _, ku, kv = np.take_along_axis(k, order, axis=0)
     pair_im = 0.5 * (ku + kv)
-    snap = pair_im <= band
+    snap = pair_im <= matrix._SNAP
     out = np.zeros((x.shape[1], 4), dtype=complex)
     out[:, 0], out[:, 1] = 1.0, real
     out[:, 2:].real = np.where(snap, (u, v), 0.5 * (u + v)).T
@@ -139,8 +140,8 @@ def sample_records(
     n: int, seed: int, tol: Tolerance = DEFAULT_TOLERANCE, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sampled rows start .. start + n - 1 as arrays: parameters (n, 4),
-    eigenvalues (n, 4), verdict codes (n, 4)."""
+    eigenvalues (n, 4), verdict codes (n, 4) at ``tol.boundary_band``."""
     alphas = sample_parameters(n, seed, start)
-    eigenvalues = bulk_spectra(alphas, tol)
+    eigenvalues = bulk_spectra(alphas)
     codes = classify_points(eigenvalues.real, eigenvalues.imag, tol.boundary_band)
     return alphas, eigenvalues, codes

@@ -436,8 +436,8 @@ class TestSample:
         target = sampling.sample_parameters(700, 8)[450]
         solve = sampling.bulk_spectra
 
-        def moved(alphas, tol):
-            eigenvalues = solve(alphas, tol)
+        def moved(alphas):
+            eigenvalues = solve(alphas)
             eigenvalues[(alphas == target).all(axis=1), 2] = point
             return eigenvalues
 
@@ -448,6 +448,19 @@ class TestSample:
         counts = dict(part.split("=") for part in captured.out.split()[1:])
         assert counts["Outside"] == str(1 - (len(options) > 0))
         assert captured.err == (f"outside at band 1e-07: {outside}\n" if outside else "")
+
+    def test_band_moves_no_eigenvalue(self, capsys, tmp_path):
+        # the pairs of rows 440, 1320, 2404 and 2717 lie within 0.01 of the
+        # real axis: that band moves verdicts, never eigenvalues
+        outs, columns = [], []
+        for options in ([], ["--tol-band", "0.01"]):
+            out_path = tmp_path / "s.csv"
+            code, out = run(capsys, "sample", "3000", "42", str(out_path), *options)
+            assert code == 0
+            outs.append(out)
+            columns.append([line.split(",")[5:7] for line in out_path.read_text().splitlines()])
+        assert columns[0] == columns[1]
+        assert outs[0] != outs[1]
 
 
 class TestTrace:
@@ -750,6 +763,13 @@ class TestUsage:
         assert err.value.code == 2
         assert "unrecognized arguments: --tol-residual" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
+
+    def test_spectrum_takes_no_band(self, capsys):
+        # spectra snap at the kernel's own constant; the band is the region's
+        with pytest.raises(SystemExit) as err:
+            main(["spectrum", "0.3", "0.7", "0.1", "0.9", "--tol-band", "1e-9"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --tol-band" in capsys.readouterr().err
 
     @pytest.mark.parametrize("params", [("nan", "0.5", "0.5", "0.5"), ("0.5", "0.5", "inf", "0.5"),
                                         ("0.5", "0.5", "0.5", "-inf"), ("0.5", "abc", "0.5", "0.5")])

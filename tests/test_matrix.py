@@ -41,6 +41,17 @@ def _poly_mul(p, q):
     return out
 
 
+def dense(m):
+    """The 4x4 matrix of ``m``, entry by entry."""
+    a1, a2, a3, a4 = m.alpha
+    return [
+        [a1, 1.0 - a1, 0.0, 0.0],
+        [0.0, a2, 1.0 - a2, 0.0],
+        [0.0, 0.0, a3, 1.0 - a3],
+        [1.0 - a4, 0.0, 0.0, a4],
+    ]
+
+
 def exact_char_poly(dense):
     """Coefficients of det(lam I - dense), lowest power first, by the
     Leibniz expansion over the 24 permutations in exact rationals."""
@@ -96,7 +107,7 @@ class TestTolerance:
 class TestConstruction:
     def test_permutation_pattern(self):
         m = make_cycle_matrix(0, 0, 0, 0)
-        assert m.dense() == [
+        assert dense(m) == [
             [0.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
@@ -105,7 +116,7 @@ class TestConstruction:
 
     def test_rows_sum_to_one(self):
         m = make_cycle_matrix(0.5, 0.5, 0.5, 0.5)
-        for row in m.dense():
+        for row in dense(m):
             assert sum(row) == 1.0
             assert all(entry >= 0.0 for entry in row)
 
@@ -171,8 +182,7 @@ class TestCharPoly:
     def test_exact_oracle_on_known_matrix(self):
         # all alpha = 1/2: det(lam I - D) = (lam - 1/2)^4 - 1/16
         half = Fraction(1, 2)
-        dense = make_cycle_matrix(0.5, 0.5, 0.5, 0.5).dense()
-        assert exact_char_poly(dense) == [0, -half, Fraction(3, 2), -2, 1]
+        assert exact_char_poly(dense(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))) == [0, -half, Fraction(3, 2), -2, 1]
 
     def test_matches_exact_determinant_expansion(self):
         # the product form the spectrum kernel evaluates is the determinant
@@ -187,7 +197,7 @@ class TestCharPoly:
                 product = _poly_mul(product, [-Fraction(a), Fraction(1)])
                 hop *= Fraction(1.0 - a)
             product[0] -= hop
-            assert exact_char_poly(m.dense()) == product
+            assert exact_char_poly(dense(m)) == product
 
 
 def _coincident_seeds(point):
@@ -551,19 +561,21 @@ class TestPairStep:
             spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))
         assert calls == {"_step": 0, "_pair_step": 0, path: 1}
 
-    # (0.3, 0.7, 0.1, 0.9) has the pair 0.5 +- 0.2236i: a band of 0.3 snaps
-    # it onto 0.5, where the defect is 0.0125
+    # (0.3, 0.7, 0.1, 0.9) has the pair 0.5 +- 0.2236i: a snap threshold
+    # of 0.3 puts it on 0.5, where the defect is 0.0125
     _SNAPPED = make_cycle_matrix(0.3, 0.7, 0.1, 0.9)
 
     def test_snapped_pair_is_checked_at_its_real_part(self, monkeypatch):
+        monkeypatch.setattr(matrix, "_SNAP", 0.3)
         calls = _count_kernels(monkeypatch)
         with pytest.raises(SpectrumFailure, match=r"^root \(0\.5\+0j\) of \(0\.3, 0\.7, 0\.1, 0\.9\) violates"):
-            spectrum(self._SNAPPED, Tolerance(1e-8, 0.3))
+            spectrum(self._SNAPPED)
         assert calls["_step"] == 0 and calls["_pair_step"] > 0
 
     def test_snapped_pair_gives_four_reals(self, monkeypatch):
+        monkeypatch.setattr(matrix, "_SNAP", 0.3)
         calls = _count_kernels(monkeypatch)
-        roots = spectrum(self._SNAPPED, Tolerance(0.1, 0.3))
+        roots = spectrum(self._SNAPPED, Tolerance(0.1))
         assert _bits([p for z in roots for p in (z.real, z.imag)]) == [
             "-0x1.eea5800378aacp-58", "0x0.0p+0", "0x1.0000000000000p-1", "0x0.0p+0",
             "0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
@@ -604,6 +616,34 @@ class TestStepCount:
         assert trace_left_curve(400) == uncapped
 
 
+class TestSnap:
+    """Spectra snap at ``matrix._SNAP``, whatever the caller's band:
+    ``spectrum`` at every band of ``_BANDS`` and ``bulk_spectra`` give the
+    default band's roots, bit for bit."""
+
+    _BANDS = (1e-16, 1e-12, 1e-3, 0.3)
+
+    def _assert_band_free(self, rows):
+        rows = [tuple(alpha) for alpha in rows]
+        default = np.array([spectrum(make_cycle_matrix(*alpha)) for alpha in rows]).view(np.uint64)
+        for band in self._BANDS:
+            tol = Tolerance(1e-8, band)
+            at_band = np.array([spectrum(make_cycle_matrix(*alpha), tol) for alpha in rows])
+            assert np.array_equal(at_band.view(np.uint64), default), band
+        assert np.array_equal(bulk_spectra(np.array(rows)).view(np.uint64), default)
+
+    def test_grid_constructions(self, grid_matrices):
+        self._assert_band_free(m.alpha for m in grid_matrices)
+
+    def test_random_rows(self):
+        self._assert_band_free(np.random.default_rng(2026).random((2000, 4)).tolist())
+
+    def test_clustered_rows(self):
+        rows = [alpha for alpha, _ in clustered_rows()]
+        assert len(rows) == 38
+        self._assert_band_free(rows)
+
+
 class TestEigenResidual:
     def test_cr_point_exact(self):
         m = make_cycle_matrix(0.5, 0.5, 0.5, 0.5)
@@ -640,10 +680,9 @@ def _text_digest(items) -> str:
     return h.hexdigest()
 
 
-# the residual bound and band pairs that the outcome pin runs at: the
-# defaults, a bound most roots miss, a band that snaps clear pairs and a
-# bound near the rounding floor
-_PIN_TOLERANCES = [Tolerance(1e-8, 1e-9), Tolerance(1e-30, 1e-9), Tolerance(1e-8, 0.3), Tolerance(1e-17, 1e-3)]
+# the residual bounds that the outcome pin runs at: the default, a bound
+# most roots miss and a bound near the rounding floor
+_PIN_TOLERANCES = [Tolerance(1e-8), Tolerance(1e-30), Tolerance(1e-17)]
 
 
 def _outcomes(rows):
@@ -679,11 +718,11 @@ class TestBitPin:
     def test_spectrum_over_grid_constructions(self, grid_matrices):
         assert _digest(_root_parts(m.alpha for m in grid_matrices)) == "ec377f66cdbfdce514f93526d9cf488743db8873778508058ff3e753bd7e7c21"
 
-    def test_spectrum_outcomes_at_four_tolerances(self):
+    def test_spectrum_outcomes_at_three_residual_bounds(self):
         specials = [0.0, 0.5, _ONE, 1e-300]
         rows = [*np.random.default_rng(2028).random((2000, 4)).tolist(),
                 *([a, b, c, d] for a in specials for b in specials for c in specials for d in specials)]
-        assert _text_digest(_outcomes(rows)) == "a66847eda7a3ec4db42b7ce7e4e85b3bd7620ef6a5e9721c11d3a85a42b59eda"
+        assert _text_digest(_outcomes(rows)) == "694aedd3ee0d319ed8c15cdf558c39517498f45fc239b8a6838683b27c4cc089"
 
     def test_route_provenance_over_grid(self, grid_realizations):
         items = [(found.method.value, found.mu, found.shrink_l) for found in grid_realizations]

@@ -130,9 +130,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .matrix import eigen_residual, make_cycle_matrix, spectrum
 
-    tol = _tolerance(args)
     matrix = make_cycle_matrix(args.a1, args.a2, args.a3, args.a4)
-    eigenvalues = spectrum(matrix, tol)
+    eigenvalues = spectrum(matrix)
     payload = {
         "alpha": list(matrix.alpha),
         "eigenvalues": [[lam.real, lam.imag] for lam in eigenvalues],
@@ -256,23 +255,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol(p: argparse.ArgumentParser, residual: bool = True, band: bool = True) -> None:
-        if residual:  # check and sample read only the band
-            p.add_argument("--tol-residual", type=_finite_positive, help="eigen-residual tolerance (default 1e-8)")
-        if band:  # spectrum reads only the residual
-            p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
+    def add_tol(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
         p.set_defaults(tol_residual=DEFAULT_TOLERANCE.eigen_residual, tol_band=DEFAULT_TOLERANCE.boundary_band)
 
     p = sub.add_parser("check", help="classify a point against the region")
     p.add_argument("re", type=_finite)
     p.add_argument("im", type=_finite)
     p.add_argument("--out", default=None, help=f"optional verdict CSV ({_VERDICT_HEADER})")
-    add_tol(p, residual=False)
+    add_tol(p)
 
     p = sub.add_parser("realize", help="construct a matrix with the point in its spectrum")
     p.add_argument("re", type=_finite)
     p.add_argument("im", type=_finite)
     p.add_argument("--method", choices=("auto", "criterion"), default="auto")
+    # only realize certifies a target; add_tol sets this option's default too
+    p.add_argument("--tol-residual", type=_finite_positive, help="certified eigen-residual bound (default 1e-8)")
     add_tol(p)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the matrix with the given parameters")
@@ -280,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a2", type=_finite)
     p.add_argument("a3", type=_finite)
     p.add_argument("a4", type=_finite)
-    add_tol(p, band=False)
 
     p = sub.add_parser(
         "sample",
@@ -290,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("seed", type=int)
     p.add_argument("out")
-    add_tol(p, residual=False)
+    add_tol(p)
 
     p = sub.add_parser(
         "trace",

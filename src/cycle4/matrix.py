@@ -43,12 +43,12 @@ from .errors import ParameterOutOfRange, SpectrumFailure
 
 
 class Tolerance(namedtuple("Tolerance", "eigen_residual boundary_band")):
-    """Numerical policy shared by solvers and classifiers.
+    """Numerical policy of the region and its constructions.
 
-    eigen_residual: largest accepted defect in the multiplicative
-        eigenvalue identity, i.e. how far ``prod(lam - alpha_k)`` may sit
-        from ``prod(1 - alpha_k)`` while ``lam`` still counts as an
-        eigenvalue.
+    eigen_residual: ``realize``'s certificate bound, the largest accepted
+        defect in the multiplicative eigenvalue identity at the target of a
+        construction: how far ``prod(lam - alpha_k)`` may sit from
+        ``prod(1 - alpha_k)``.
     boundary_band: half-width of the band within which a constraint value
         counts as "on the boundary".
 
@@ -122,6 +122,10 @@ _NEAR2, _NOISE2 = (4.0 * _EPS) ** 2, (32.0 * _EPS) ** 2
 # caller's boundary band: a band of 0.3 would snap the pair 0.5 +- 0.2236i
 # of (0.3, 0.7, 0.1, 0.9) onto 0.5, which is no eigenvalue.
 _SNAP = 1e-9
+# ``spectrum`` raises where a root's defect exceeds this.  It is the kernel's
+# own, not ``Tolerance.eigen_residual``: a spectrum has no target to certify,
+# and a tighter bound could only refuse correct roots at the rounding floor.
+_GUARD = 1e-8
 
 
 def _seeds(a1, a2, a3, a4, hop, low, sqrt, spread=False):
@@ -272,8 +276,8 @@ def make_cycle_matrix(a1: float, a2: float, a3: float, a4: float) -> CycleMatrix
 def eigen_residual(m: CycleMatrix4, lam: complex) -> float:
     """Absolute defect |prod(lam - alpha_k) - prod(1 - alpha_k)|.
 
-    Zero exactly when ``lam`` is an eigenvalue; used everywhere as the
-    membership certificate for claimed eigenvalues.
+    Zero exactly when ``lam`` is an eigenvalue; ``realize`` certifies its
+    constructions with it.
     """
     a1, a2, a3, a4 = m.alpha
     lam = complex(lam)
@@ -281,18 +285,15 @@ def eigen_residual(m: CycleMatrix4, lam: complex) -> float:
     return abs((lam - a1) * (lam - a2) * (lam - a3) * (lam - a4) - hop)
 
 
-def spectrum(
-    m: CycleMatrix4, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[complex, complex, complex, complex]:
+def spectrum(m: CycleMatrix4) -> tuple[complex, complex, complex, complex]:
     """All four eigenvalues, sorted lexicographically by (re, im).
 
     The set holds the exact root 1 and either three reals or a real root
-    and an exact conjugate pair; a pair within ``_SNAP`` of the real axis,
-    whatever ``tol.boundary_band``, is snapped onto it.  A run takes at
-    most ``_ABERTH_STEPS`` Aberth steps; one from unspread seeds that does
-    not settle is followed by one from spread seeds.  Raises
-    SpectrumFailure if any root has an eigen-defect above
-    ``tol.eigen_residual``, or if two iterates coincide.
+    and an exact conjugate pair; a pair within ``_SNAP`` of the real axis
+    is snapped onto it.  A run takes at most ``_ABERTH_STEPS`` Aberth
+    steps; one from unspread seeds that does not settle is followed by one
+    from spread seeds.  Raises SpectrumFailure if any root has an
+    eigen-defect above ``_GUARD``, or if two iterates coincide.
     """
     a1, a2, a3, a4 = m.alpha
     hop = (1.0 - a1) * (1.0 - a2) * (1.0 - a3) * (1.0 - a4)
@@ -355,17 +356,16 @@ def spectrum(
     # pair's (at 1 it is exactly 0, and a conjugate's equals its partner's,
     # as complex *, - and abs are exact under conjugation).  Floats and
     # complexes keep separate expressions, which the interpreter specialises.
-    bound = tol.eigen_residual
-    if abs((real - a1) * (real - a2) * (real - a3) * (real - a4) - hop) > bound:
+    if abs((real - a1) * (real - a2) * (real - a3) * (real - a4) - hop) > _GUARD:
         raise SpectrumFailure(f"root {complex(real)!r} of {m.alpha} violates the residual contract")
     if pair_im <= _SNAP:
         for r in (u, v):
-            if abs((r - a1) * (r - a2) * (r - a3) * (r - a4) - hop) > bound:
+            if abs((r - a1) * (r - a2) * (r - a3) * (r - a4) - hop) > _GUARD:
                 raise SpectrumFailure(f"root {complex(r)!r} of {m.alpha} violates the residual contract")
         roots = [(1.0, 0.0), (real, 0.0), (u, 0.0), (v, 0.0)]
     else:
         z = complex(pair_re, pair_im)
-        if abs((z - a1) * (z - a2) * (z - a3) * (z - a4) - hop) > bound:
+        if abs((z - a1) * (z - a2) * (z - a3) * (z - a4) - hop) > _GUARD:
             raise SpectrumFailure(f"root {z!r} of {m.alpha} violates the residual contract")
         roots = [(1.0, 0.0), (real, 0.0), (pair_re, -pair_im), (pair_re, pair_im)]
     roots.sort()  # by (re, im), as the pairs compare

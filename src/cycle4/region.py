@@ -142,12 +142,13 @@ def left_branch_root(anchor_alpha: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
     lam^4 - alpha lam^3 + alpha - 1 is the characteristic polynomial of the
     anchor matrix (alpha, 0, 0, 0).  Its spectrum holds at most one root
     with Im above the band (the rest are real or conjugates); this returns
-    the root of greatest Im and raises SpectrumFailure if it is not above,
-    and ArgumentOutOfRange when ``anchor_alpha`` lies outside [0, 1).
+    the root of greatest Im and raises SpectrumFailure if it is not above
+    or if a root misses ``matrix._GUARD`` (``tol`` sets only the band), and
+    ArgumentOutOfRange when ``anchor_alpha`` lies outside [0, 1).
     """
     if not 0.0 <= anchor_alpha < 1.0:
         raise ArgumentOutOfRange(f"left anchor weight {anchor_alpha!r} outside [0, 1)")
-    root = max(spectrum(CycleMatrix4((anchor_alpha, 0.0, 0.0, 0.0)), tol), key=lambda r: r.imag)
+    root = max(spectrum(CycleMatrix4((anchor_alpha, 0.0, 0.0, 0.0))), key=lambda r: r.imag)
     if root.imag <= tol.boundary_band:
         raise SpectrumFailure(f"no upper-half-plane root at alpha={anchor_alpha}")
     return root
@@ -158,7 +159,8 @@ def trace_left_curve(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> list[TracePo
     weight alpha on a uniform grid over [0, 1 - 1/n].
 
     Every returned point satisfies |left_boundary_form| < 1e-9 and has real
-    part in [0, 1/6] up to the band; violations raise SpectrumFailure.
+    part in [0, 1/6] up to the band; violations, and roots that miss
+    ``matrix._GUARD``, raise SpectrumFailure.
     Raises ArgumentOutOfRange unless n is an integer of at least 2.
     """
     if not (hasattr(n, "__index__") and n >= 2):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cycle4 import _sample_csv, cli, region, synthesis
+from cycle4 import _sample_csv, cli, matrix, region, synthesis
 from cycle4.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -253,6 +253,13 @@ class TestSpectrum:
     def test_invalid_parameter_exits_4(self, capsys):
         code, _ = run(capsys, "spectrum", "0.5", "1.0", "0.5", "0.5")
         assert code == 4
+
+    def test_guard_failure_exits_4(self, capsys, monkeypatch):
+        # the pair's defect 3.9e-18 is the rounding floor, above a guard of 1e-30
+        monkeypatch.setattr(matrix, "_GUARD", 1e-30)
+        assert main(["spectrum", "0.3", "0.7", "0.1", "0.9"]) == 4
+        assert capsys.readouterr().err == (
+            "error: root (0.5+0.22360679774997896j) of (0.3, 0.7, 0.1, 0.9) violates the residual contract\n")
 
 
 class TestSample:
@@ -753,10 +760,11 @@ class TestUsage:
         assert err.value.code == 2
         assert "expected a finite positive number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["check 0.2 0.3", "sample 3 5 never.csv"], ids=["check", "sample"])
+    @pytest.mark.parametrize("command", ["check 0.2 0.3", "sample 3 5 never.csv", "spectrum 0.3 0.7 0.1 0.9",
+                                         "trace CL 3 never.csv"], ids=["check", "sample", "spectrum", "trace"])
     def test_residual_tolerance_only_where_read(self, capsys, tmp_path, monkeypatch, command):
-        # check and sample read only the band; the residual is realize's,
-        # spectrum's and trace's
+        # the residual bound certifies realize's constructions alone; spectra
+        # are guarded at the kernel's own matrix._GUARD
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:
             main([*command.split(), "--tol-residual", "1e-3"])

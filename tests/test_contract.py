@@ -69,7 +69,7 @@ CONTRACT = {
     "modulus_threshold": ((), st.tuples(SPECIAL, SPECIAL)),
     "realize": (REALIZE, st.tuples(POINT, TOLERANCE)),
     "realize_via_criterion": (REALIZE, st.tuples(POINT, TOLERANCE)),
-    "spectrum": ((SpectrumFailure,), st.tuples(MATRIX, TOLERANCE)),
+    "spectrum": ((SpectrumFailure,), st.tuples(MATRIX)),
     "trace_left_curve": ((ArgumentOutOfRange, SpectrumFailure), st.tuples(COUNT, TOLERANCE)),
     "trace_right_segment": ((ArgumentOutOfRange,), st.tuples(COUNT)),
     "verify_identity_suite": ((), st.tuples()),

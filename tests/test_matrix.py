@@ -273,16 +273,16 @@ class TestSpectrum:
         raised = 0
         for alpha in rng.random((300, 4)):
             m = make_cycle_matrix(*alpha)
-            loose = Tolerance(eigen_residual=1e300)
-            worst = max(eigen_residual(m, r) for r in spectrum(m, loose))
+            monkeypatch.setattr(matrix, "_GUARD", 1e300)
+            worst = max(eigen_residual(m, r) for r in spectrum(m))
             for bound in (1e-8, 1e-16, 3e-17):
-                tight = Tolerance(eigen_residual=bound)
+                monkeypatch.setattr(matrix, "_GUARD", bound)
                 if worst > bound:
                     raised += 1
                     with pytest.raises(SpectrumFailure):
-                        spectrum(m, tight)
+                        spectrum(m)
                 else:
-                    spectrum(m, tight)
+                    spectrum(m)
         assert 30 < raised < 600  # both outcomes occur
 
 
@@ -574,8 +574,9 @@ class TestPairStep:
 
     def test_snapped_pair_gives_four_reals(self, monkeypatch):
         monkeypatch.setattr(matrix, "_SNAP", 0.3)
+        monkeypatch.setattr(matrix, "_GUARD", 0.1)
         calls = _count_kernels(monkeypatch)
-        roots = spectrum(self._SNAPPED, Tolerance(0.1))
+        roots = spectrum(self._SNAPPED)
         assert _bits([p for z in roots for p in (z.real, z.imag)]) == [
             "-0x1.eea5800378aacp-58", "0x0.0p+0", "0x1.0000000000000p-1", "0x0.0p+0",
             "0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
@@ -617,31 +618,24 @@ class TestStepCount:
 
 
 class TestSnap:
-    """Spectra snap at ``matrix._SNAP``, whatever the caller's band:
-    ``spectrum`` at every band of ``_BANDS`` and ``bulk_spectra`` give the
-    default band's roots, bit for bit."""
+    """``bulk_spectra`` snaps at the same ``matrix._SNAP`` as ``spectrum``
+    and gives its roots, bit for bit."""
 
-    _BANDS = (1e-16, 1e-12, 1e-3, 0.3)
-
-    def _assert_band_free(self, rows):
+    def _assert_bulk_equal(self, rows):
         rows = [tuple(alpha) for alpha in rows]
-        default = np.array([spectrum(make_cycle_matrix(*alpha)) for alpha in rows]).view(np.uint64)
-        for band in self._BANDS:
-            tol = Tolerance(1e-8, band)
-            at_band = np.array([spectrum(make_cycle_matrix(*alpha), tol) for alpha in rows])
-            assert np.array_equal(at_band.view(np.uint64), default), band
-        assert np.array_equal(bulk_spectra(np.array(rows)).view(np.uint64), default)
+        scalar = np.array([spectrum(make_cycle_matrix(*alpha)) for alpha in rows]).view(np.uint64)
+        assert np.array_equal(bulk_spectra(np.array(rows)).view(np.uint64), scalar)
 
     def test_grid_constructions(self, grid_matrices):
-        self._assert_band_free(m.alpha for m in grid_matrices)
+        self._assert_bulk_equal(m.alpha for m in grid_matrices)
 
     def test_random_rows(self):
-        self._assert_band_free(np.random.default_rng(2026).random((2000, 4)).tolist())
+        self._assert_bulk_equal(np.random.default_rng(2026).random((2000, 4)).tolist())
 
     def test_clustered_rows(self):
         rows = [alpha for alpha, _ in clustered_rows()]
         assert len(rows) == 38
-        self._assert_band_free(rows)
+        self._assert_bulk_equal(rows)
 
 
 class TestEigenResidual:
@@ -680,19 +674,20 @@ def _text_digest(items) -> str:
     return h.hexdigest()
 
 
-# the residual bounds that the outcome pin runs at: the default, a bound
-# most roots miss and a bound near the rounding floor
-_PIN_TOLERANCES = [Tolerance(1e-8), Tolerance(1e-30), Tolerance(1e-17)]
+# the guard bounds that the outcome pin runs at: the default, a bound most
+# roots miss and a bound near the rounding floor
+_PIN_GUARDS = (1e-8, 1e-30, 1e-17)
 
 
-def _outcomes(rows):
-    """``spectrum``'s roots, or its error's type and message, at each of the
-    ``_PIN_TOLERANCES``."""
+def _outcomes(rows, monkeypatch):
+    """``spectrum``'s roots, or its error's type and message, with
+    ``matrix._GUARD`` at each of the ``_PIN_GUARDS``."""
     for alpha in rows:
         m = make_cycle_matrix(*alpha)
-        for tol in _PIN_TOLERANCES:
+        for guard in _PIN_GUARDS:
+            monkeypatch.setattr(matrix, "_GUARD", guard)
             try:
-                for r in spectrum(m, tol):
+                for r in spectrum(m):
                     yield r.real
                     yield r.imag
             except Cycle4Error as err:
@@ -718,11 +713,11 @@ class TestBitPin:
     def test_spectrum_over_grid_constructions(self, grid_matrices):
         assert _digest(_root_parts(m.alpha for m in grid_matrices)) == "ec377f66cdbfdce514f93526d9cf488743db8873778508058ff3e753bd7e7c21"
 
-    def test_spectrum_outcomes_at_three_residual_bounds(self):
+    def test_spectrum_outcomes_at_three_residual_bounds(self, monkeypatch):
         specials = [0.0, 0.5, _ONE, 1e-300]
         rows = [*np.random.default_rng(2028).random((2000, 4)).tolist(),
                 *([a, b, c, d] for a in specials for b in specials for c in specials for d in specials)]
-        assert _text_digest(_outcomes(rows)) == "694aedd3ee0d319ed8c15cdf558c39517498f45fc239b8a6838683b27c4cc089"
+        assert _text_digest(_outcomes(rows, monkeypatch)) == "694aedd3ee0d319ed8c15cdf558c39517498f45fc239b8a6838683b27c4cc089"
 
     def test_route_provenance_over_grid(self, grid_realizations):
         items = [(found.method.value, found.mu, found.shrink_l) for found in grid_realizations]

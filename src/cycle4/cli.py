@@ -72,7 +72,7 @@ def _finite_positive(text: str) -> float:
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
-    return Tolerance(args.tol_residual, args.tol_band)
+    return Tolerance(args.tol_band)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -178,10 +178,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from .region import left_boundary_form, trace_left_curve, trace_right_segment
 
-    tol = _tolerance(args)
     # Each curve is traced at most once; the SVG reuses the CSV's points.
     right = trace_right_segment(args.n)
-    left = trace_left_curve(args.n, tol) if args.curve != "CR" else None
+    left = trace_left_curve(args.n) if args.curve != "CR" else None
     points = right if args.curve == "CR" else left if args.curve == "CL" else right + left
     rows = [
         f"{p.curve},{_g17(p.param)},{_g17(p.point.real)},{_g17(p.point.imag)},{_g17(p.boundary_form)}"
@@ -195,7 +194,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         from .figure import render_region_svg
 
         if left is None:
-            left = trace_left_curve(args.n, tol)
+            left = trace_left_curve(args.n)
         _write_text(args.svg, render_region_svg(right, left))
     return EXIT_OK
 
@@ -256,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tol(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol-band", type=_finite_positive, help="boundary band half-width (default 1e-9)")
-        p.set_defaults(tol_residual=DEFAULT_TOLERANCE.eigen_residual, tol_band=DEFAULT_TOLERANCE.boundary_band)
+        # the band decides verdicts only, so only the commands that print them take it
+        p.add_argument("--tol-band", type=_finite_positive, default=DEFAULT_TOLERANCE.boundary_band,
+                       help="boundary band half-width (default 1e-9)")
 
     p = sub.add_parser("check", help="classify a point against the region")
     p.add_argument("re", type=_finite)
@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("re", type=_finite)
     p.add_argument("im", type=_finite)
     p.add_argument("--method", choices=("auto", "criterion"), default="auto")
-    # only realize certifies a target; add_tol sets this option's default too
-    p.add_argument("--tol-residual", type=_finite_positive, help="certified eigen-residual bound (default 1e-8)")
     add_tol(p)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the matrix with the given parameters")
@@ -298,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("out")
     p.add_argument("--svg", default=None, help="also render the closed region as SVG")
-    add_tol(p)
 
     p = sub.add_parser("psi", help="criterion diagnostics for an upper-half-plane point")
     p.add_argument("re", type=_finite)

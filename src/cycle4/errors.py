@@ -38,7 +38,7 @@ class ArgumentOutOfRange(Cycle4Error):
 
 
 class NoConvergence(Cycle4Error):
-    """A construction missed its eigen-residual certificate."""
+    """A construction's eigen-defect at its target exceeds ``matrix._GUARD``."""
 
 
 class AlphaOutOfRange(Cycle4Error):

@@ -42,30 +42,25 @@ from collections import namedtuple
 from .errors import ParameterOutOfRange, SpectrumFailure
 
 
-class Tolerance(namedtuple("Tolerance", "eigen_residual boundary_band")):
-    """Numerical policy of the region and its constructions.
+class Tolerance(namedtuple("Tolerance", "boundary_band")):
+    """Numerical policy of the region: ``boundary_band`` is the half-width
+    of the band within which a constraint value counts as "on the
+    boundary".  It decides verdicts only; no tolerance moves an eigenvalue
+    or a certificate, which hold at ``_SNAP`` and ``_GUARD``.
 
-    eigen_residual: ``realize``'s certificate bound, the largest accepted
-        defect in the multiplicative eigenvalue identity at the target of a
-        construction: how far ``prod(lam - alpha_k)`` may sit from
-        ``prod(1 - alpha_k)``.
-    boundary_band: half-width of the band within which a constraint value
-        counts as "on the boundary".
-
-    Both must be finite positive numbers; bools are rejected.  Every
+    The band must be a finite positive number; bools are rejected.  Every
     construction path checks this: the constructor, ``_make`` and
     ``_replace``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, eigen_residual=1e-8, boundary_band=1e-9):
-        for name, value in (("eigen_residual", eigen_residual), ("boundary_band", boundary_band)):
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and 0 < value < math.inf
-            ):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-        return super().__new__(cls, eigen_residual, boundary_band)
+    def __new__(cls, boundary_band=1e-9):
+        if isinstance(boundary_band, bool) or not (
+            isinstance(boundary_band, (int, float)) and 0 < boundary_band < math.inf
+        ):
+            raise ValueError(f"boundary_band must be finite and strictly positive, got {boundary_band!r}")
+        return super().__new__(cls, boundary_band)
 
     @classmethod
     def _make(cls, iterable):
@@ -122,9 +117,9 @@ _NEAR2, _NOISE2 = (4.0 * _EPS) ** 2, (32.0 * _EPS) ** 2
 # caller's boundary band: a band of 0.3 would snap the pair 0.5 +- 0.2236i
 # of (0.3, 0.7, 0.1, 0.9) onto 0.5, which is no eigenvalue.
 _SNAP = 1e-9
-# ``spectrum`` raises where a root's defect exceeds this.  It is the kernel's
-# own, not ``Tolerance.eigen_residual``: a spectrum has no target to certify,
-# and a tighter bound could only refuse correct roots at the rounding floor.
+# The one eigen-defect bound: ``spectrum`` guards its roots and ``realize``
+# certifies its constructions at it.  It belongs to the matrix, not to a
+# caller: a tighter bound could only refuse correct roots at the rounding floor.
 _GUARD = 1e-8
 
 

@@ -135,31 +135,32 @@ def trace_right_segment(n: int) -> list[TracePoint]:
     return points
 
 
-def left_branch_root(anchor_alpha: float, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
+def left_branch_root(anchor_alpha: float) -> complex:
     """Unique upper-half-plane nonreal eigenvalue of the left boundary
     matrix with self-loop weight ``anchor_alpha``.
 
     lam^4 - alpha lam^3 + alpha - 1 is the characteristic polynomial of the
     anchor matrix (alpha, 0, 0, 0).  Its spectrum holds at most one root
-    with Im above the band (the rest are real or conjugates); this returns
-    the root of greatest Im and raises SpectrumFailure if it is not above
-    or if a root misses ``matrix._GUARD`` (``tol`` sets only the band), and
-    ArgumentOutOfRange when ``anchor_alpha`` lies outside [0, 1).
+    with positive Im (the rest are real, ``spectrum``'s snapped ones among
+    them, or conjugates); this returns the root of greatest Im and raises
+    SpectrumFailure if its Im is not positive or if a root misses
+    ``matrix._GUARD``, and ArgumentOutOfRange for a bool or a value outside
+    [0, 1).
     """
-    if not 0.0 <= anchor_alpha < 1.0:
+    if isinstance(anchor_alpha, bool) or not 0.0 <= anchor_alpha < 1.0:
         raise ArgumentOutOfRange(f"left anchor weight {anchor_alpha!r} outside [0, 1)")
     root = max(spectrum(CycleMatrix4((anchor_alpha, 0.0, 0.0, 0.0))), key=lambda r: r.imag)
-    if root.imag <= tol.boundary_band:
+    if root.imag <= 0.0:
         raise SpectrumFailure(f"no upper-half-plane root at alpha={anchor_alpha}")
     return root
 
 
-def trace_left_curve(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> list[TracePoint]:
+def trace_left_curve(n: int) -> list[TracePoint]:
     """n points of the curved left boundary, parametrised by the anchor
     weight alpha on a uniform grid over [0, 1 - 1/n].
 
     Every returned point satisfies |left_boundary_form| < 1e-9 and has real
-    part in [0, 1/6] up to the band; violations, and roots that miss
+    part in [0, 1/6] up to 1e-9; violations, and roots that miss
     ``matrix._GUARD``, raise SpectrumFailure.
     Raises ArgumentOutOfRange unless n is an integer of at least 2.
     """
@@ -169,11 +170,11 @@ def trace_left_curve(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> list[TracePo
     points = []
     for j in range(n):
         alpha = top * j / (n - 1)
-        lam = left_branch_root(alpha, tol=tol)
+        lam = left_branch_root(alpha)
         g = left_boundary_form(lam.real, lam.imag)
         if abs(g) >= 1e-9:
             raise SpectrumFailure(f"traced point {lam!r} misses the curve: form={g}")
-        if not -tol.boundary_band <= lam.real <= 1.0 / 6.0 + tol.boundary_band:
+        if not -1e-9 <= lam.real <= 1.0 / 6.0 + 1e-9:
             raise SpectrumFailure(f"traced point {lam!r} outside the left strip")
         points.append(TracePoint("CL", alpha, lam, g))
     return points

@@ -2,12 +2,12 @@
 
 Both routes run one pipeline: membership picks the construction, a lower
 half-plane target takes its conjugate's matrix, and one eigen-defect check
-certifies the result.  Each matrix shrinks an anchor A with hop weights
-(tau, 1, 1, 1) to (1-l) I + l A: the plain cycle (tau = 1) for the real
-interval and right segment, the left curve's own anchor for its points, and
-for interior targets the anchor at the ray's hit on the left curve, found by
-Newton's method in c = cot(arg mu).  ``realize`` puts the anchor first and
-``realize_via_criterion`` last, as the criterion does.
+at ``matrix._GUARD`` certifies the result.  Each matrix shrinks an anchor A
+with hop weights (tau, 1, 1, 1) to (1-l) I + l A: the plain cycle (tau = 1)
+for the real interval and right segment, the left curve's own anchor for its
+points, and for interior targets the anchor at the ray's hit on the left
+curve, found by Newton's method in c = cot(arg mu).  ``realize`` puts the
+anchor first and ``realize_via_criterion`` last, as the criterion does.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from collections import namedtuple
 from enum import Enum
 from math import inf, sqrt
 
+from . import matrix as _matrix
 from .errors import AlphaOutOfRange, NoConvergence, OutsideRegion, ParameterOutOfRange
 from .matrix import DEFAULT_TOLERANCE, CycleMatrix4, Tolerance, eigen_residual
 from .region import Status, membership
@@ -145,7 +146,7 @@ def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
         # near the real axis a shrunk weight rounds onto the excluded 1
         raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
     residual = eigen_residual(matrix, lam)
-    if residual > tol.eigen_residual:
+    if residual > _matrix._GUARD:  # ``spectrum``'s bound, read per call so one patch moves both
         raise NoConvergence(f"construction for {lam!r} missed the residual contract: {residual}")
     shrink_l = l if method is _INTERIOR_SHRINK else None
     return Realization(matrix, lam, method, mu, shrink_l, residual)
@@ -155,8 +156,9 @@ def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
     """Realizing matrix for any point of the spectral region; interior
     points get the ray hit on the left curve shrunk back onto them.
 
-    Raises OutsideRegion for points outside the region, NoConvergence when
-    the matrix misses the ``tol.eigen_residual`` certificate,
+    ``tol`` sets the band of the membership verdict only.  Raises
+    OutsideRegion for points outside the region, NoConvergence when the
+    matrix's eigen-defect at ``lam`` exceeds ``matrix._GUARD``,
     AlphaOutOfRange when a weight rounds onto 1 near the real axis, and
     ValueError for a non-finite target.
     """

@@ -161,10 +161,11 @@ class TestRealize:
         assert payload["residual"] < 1e-8
 
     @pytest.mark.parametrize("method", ["auto", "criterion"])
-    def test_residual_miss_is_a_construction_failure(self, capsys, method):
-        # an interior point whose construction misses a tolerance tighter
-        # than double precision is no outside-region verdict
-        code = main(["realize", "0.2", "0.3", "--tol-residual", "1e-17", "--method", method])
+    def test_residual_miss_is_a_construction_failure(self, capsys, monkeypatch, method):
+        # an interior point whose construction misses a bound tighter than
+        # double precision is no outside-region verdict
+        monkeypatch.setattr(matrix, "_GUARD", 1e-17)
+        code = main(["realize", "0.2", "0.3", "--method", method])
         assert code == 4
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -749,7 +750,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("command, option, value", [
         pytest.param("check", "--tol-band", "inf", id="--tol-band-inf"),
-        pytest.param("realize", "--tol-residual", "nan", id="--tol-residual-nan"),
+        pytest.param("realize", "--tol-band", "nan", id="--tol-residual-nan"),
         pytest.param("check", "--tol-band", "0", id="--tol-band-0"),
         pytest.param("check", "--tol-band", "x", id="--tol-band-x"),
     ])
@@ -761,10 +762,11 @@ class TestUsage:
         assert "expected a finite positive number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check 0.2 0.3", "sample 3 5 never.csv", "spectrum 0.3 0.7 0.1 0.9",
-                                         "trace CL 3 never.csv"], ids=["check", "sample", "spectrum", "trace"])
+                                         "trace CL 3 never.csv", "realize 0.2 0.3"],
+                             ids=["check", "sample", "spectrum", "trace", "realize"])
     def test_residual_tolerance_only_where_read(self, capsys, tmp_path, monkeypatch, command):
-        # the residual bound certifies realize's constructions alone; spectra
-        # are guarded at the kernel's own matrix._GUARD
+        # no command takes a residual bound: spectra are guarded and
+        # constructions certified at the one matrix._GUARD
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:
             main([*command.split(), "--tol-residual", "1e-3"])
@@ -772,12 +774,17 @@ class TestUsage:
         assert "unrecognized arguments: --tol-residual" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
 
-    def test_spectrum_takes_no_band(self, capsys):
-        # spectra snap at the kernel's own constant; the band is the region's
+    @pytest.mark.parametrize("command", ["spectrum 0.3 0.7 0.1 0.9", "trace CL 3 never.csv"],
+                             ids=["spectrum", "trace"])
+    def test_band_only_where_read(self, capsys, tmp_path, monkeypatch, command):
+        # spectra snap at the kernel's own constant, and a trace prints no
+        # verdict; the band is the region's, taken by the verdict commands
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:
-            main(["spectrum", "0.3", "0.7", "0.1", "0.9", "--tol-band", "1e-9"])
+            main([*command.split(), "--tol-band", "1e-9"])
         assert err.value.code == 2
         assert "unrecognized arguments: --tol-band" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize("params", [("nan", "0.5", "0.5", "0.5"), ("0.5", "0.5", "inf", "0.5"),
                                         ("0.5", "0.5", "0.5", "-inf"), ("0.5", "abc", "0.5", "0.5")])

@@ -75,19 +75,18 @@ def exact_char_poly(dense):
 class TestTolerance:
     def test_defaults(self):
         tol = Tolerance()
-        assert tol.eigen_residual == 1e-8
         assert tol.boundary_band == 1e-9
-        assert Tolerance._fields == ("eigen_residual", "boundary_band")
+        assert Tolerance._fields == ("boundary_band",)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"eigen_residual": 0.0},
+            {"boundary_band": 0.0},
             {"boundary_band": -1e-9},
-            {"eigen_residual": float("nan")},
+            {"boundary_band": float("nan")},
             {"boundary_band": "1e-9"},
             {"boundary_band": float("inf")},
-            {"eigen_residual": True},
+            {"boundary_band": None},
             {"boundary_band": True},
         ],
     )
@@ -99,9 +98,9 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance()._replace(boundary_band=0)
         with pytest.raises(ValueError):
-            Tolerance._make((0.0, 1e-9))
-        tol = Tolerance._make((1e-6, 1e-7))._replace(boundary_band=1e-5)
-        assert type(tol) is Tolerance and tol == Tolerance(1e-6, 1e-5)
+            Tolerance._make((0.0,))
+        tol = Tolerance._make((1e-7,))._replace(boundary_band=1e-5)
+        assert type(tol) is Tolerance and tol == Tolerance(1e-5)
 
 
 class TestConstruction:

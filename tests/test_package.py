@@ -190,5 +190,4 @@ class TestRecords:
     def test_repr(self):
         matrix = cycle4.make_cycle_matrix(0.5, 0, 0.25, 0)
         assert repr(matrix) == "CycleMatrix4(alpha=(0.5, 0.0, 0.25, 0.0))"
-        assert repr(cycle4.Tolerance()) == (
-            "Tolerance(eigen_residual=1e-08, boundary_band=1e-09)")
+        assert repr(cycle4.Tolerance()) == "Tolerance(boundary_band=1e-09)"

@@ -198,7 +198,3 @@ class TestTraceLeftCurve:
             with pytest.raises(ArgumentOutOfRange):
                 trace_left_curve(n)
         assert trace_left_curve(np.int64(5)) == trace_left_curve(5)
-
-    def test_residual_bound_moves_nothing(self):
-        # the tolerance sets the band only; spectra are guarded at matrix._GUARD
-        assert trace_left_curve(50, Tolerance(1e-30)) == trace_left_curve(50)

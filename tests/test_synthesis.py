@@ -11,6 +11,7 @@ from cycle4 import (
     Method,
     NoConvergence,
     OutsideRegion,
+    SpectrumFailure,
     Status,
     Tolerance,
     eigen_residual,
@@ -24,7 +25,7 @@ from cycle4 import (
     trace_left_curve,
     trace_right_segment,
 )
-from cycle4 import synthesis
+from cycle4 import matrix, synthesis
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -71,7 +72,7 @@ class TestLeftAnchorWeight:
     def test_wide_band_certified_or_no_convergence(self, route):
         # the certificate is the one check: a target in a wide band, off the
         # curve, gets the anchor of its hop's real part or NoConvergence
-        tol = Tolerance(eigen_residual=1e-8, boundary_band=1e-5)
+        tol = Tolerance(boundary_band=1e-5)
         outcomes = {"certified": 0, "missed": 0}
         for p in trace_left_curve(200)[1:]:
             for g in (-9e-6, -1e-6, -1e-8, 1e-8, 1e-6, 9e-6):
@@ -254,10 +255,21 @@ class TestRealize:
         with pytest.raises(OutsideRegion):
             realize(2.0 + 0j)
 
-    def test_residual_miss_raises_no_convergence(self):
-        # 0.2+0.3j is interior; only the contract is out of reach
+    def test_residual_miss_raises_no_convergence(self, monkeypatch):
+        # 0.2+0.3j is interior; only a bound below its defect is out of reach
+        monkeypatch.setattr(matrix, "_GUARD", 1e-17)
         with pytest.raises(NoConvergence, match="missed the residual contract"):
-            realize(0.2 + 0.3j, Tolerance(eigen_residual=1e-17))
+            realize(0.2 + 0.3j)
+
+    def test_one_bound_guards_spectra_and_certifies_constructions(self, monkeypatch):
+        # matrix._GUARD is read at call time by both: one patch below the
+        # defects 5.6e-17 of this construction and 3.9e-18 of this pair
+        # refuses both
+        monkeypatch.setattr(matrix, "_GUARD", 1e-18)
+        with pytest.raises(NoConvergence, match="missed the residual contract"):
+            realize(0.2 + 0.3j)
+        with pytest.raises(SpectrumFailure, match="violates the residual contract"):
+            spectrum(make_cycle_matrix(0.3, 0.7, 0.1, 0.9))
 
     def test_json_shape(self):
         data = realize(0.2 + 0.3j).to_dict()
@@ -351,11 +363,14 @@ class TestCrossConstruction:
 
     @pytest.mark.parametrize("route", [realize, realize_via_criterion])
     @pytest.mark.parametrize("lam", [0.3 + 9e-8j, 0.5 + 0.5000000005j])
-    def test_defect_equal_to_tolerance_accepted(self, route, lam):
-        # ``Tolerance.eigen_residual`` is the largest accepted defect
-        defect = route(lam, Tolerance(eigen_residual=1.0, boundary_band=1e-7)).residual
+    def test_defect_equal_to_tolerance_accepted(self, monkeypatch, route, lam):
+        # ``matrix._GUARD`` is the largest accepted defect
+        tol = Tolerance(boundary_band=1e-7)
+        monkeypatch.setattr(matrix, "_GUARD", 1.0)
+        defect = route(lam, tol).residual
         assert defect > 0.0
-        found = route(lam, Tolerance(eigen_residual=defect, boundary_band=1e-7))
+        monkeypatch.setattr(matrix, "_GUARD", defect)
+        found = route(lam, tol)
         assert found.residual == defect
 
     def test_interior_points_have_positive_real_part(self):
@@ -474,4 +489,4 @@ class TestRobustness:
             result = route(lam, tol)
         except (Cycle4Error, ValueError):
             return
-        assert result.residual == eigen_residual(result.matrix, lam) <= tol.eigen_residual
+        assert result.residual == eigen_residual(result.matrix, lam) <= matrix._GUARD

@@ -29,9 +29,11 @@ complex) ``spectrum`` steps them by ``_pair_step``: the pair's second
 correction is the first's conjugate, and the real iterate's terms in its
 zero imaginary part only add or multiply zeros, so dropping both changes
 no bit; the finish then takes them as the real root and the pair, with no
-search for the least |Im|.  Unspread seeds on the wrong side of the split
-never settle, and a run from them that reaches the step cap starts again
-from spread ones.
+search for the least |Im|.  A pair between the real root and 1, as every
+nonreal spectrum probed has it, returns in the sort's order with no sort;
+only four reals, and ties or NaN, are sorted.  Unspread seeds on the wrong
+side of the split never settle, and a run from them that reaches the step
+cap starts again from spread ones.
 """
 
 from __future__ import annotations
@@ -362,6 +364,11 @@ def spectrum(m: CycleMatrix4) -> tuple[complex, complex, complex, complex]:
         z = complex(pair_re, pair_im)
         if abs((z - a1) * (z - a2) * (z - a3) * (z - a4) - hop) > _GUARD:
             raise SpectrumFailure(f"root {z!r} of {m.alpha} violates the residual contract")
+        if real < pair_re < 1.0:
+            # the sort's order, as -pair_im < 0 < pair_im, and its bits:
+            # complex(real) is complex(real, 0.0), and z.conjugate() is
+            # complex(pair_re, -pair_im); the rest build the list and sort it
+            return complex(real), z.conjugate(), z, 1 + 0j
         roots = [(1.0, 0.0), (real, 0.0), (pair_re, -pair_im), (pair_re, pair_im)]
     roots.sort()  # by (re, im), as the pairs compare
     return (complex(*roots[0]), complex(*roots[1]), complex(*roots[2]), complex(*roots[3]))

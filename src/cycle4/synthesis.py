@@ -71,16 +71,10 @@ def _quartic(x, y):
     return 6 * y * y, -8 * x * y, 3 * (x * x + y * y), (y - x) * (y + x)
 
 
-def _quartic_at(q, c: float) -> tuple[float, float]:
-    # Q(c) and Q'(c), nested
-    q4, q3, q2, q0 = q
-    return ((q4 * c + q3) * c + q2) * c * c + q0, ((4 * q4 * c + 3 * q3) * c + 2 * q2) * c
-
-
-def _left_hit(lam: complex) -> tuple[complex, float, float]:
+def _left_hit(lam: complex) -> tuple[complex, float, float, int]:
     """The ray from 1 through a strictly interior ``lam`` meets the left
-    curve at mu with lam = (1 - l) + l mu; returns (mu, l, tau), tau the
-    anchor hop of mu.
+    curve at mu with lam = (1 - l) + l mu; returns (mu, l, tau, n), tau the
+    anchor hop of mu and n the number of evaluations of Q.
 
     With z = lam - 1 = x + iy, put z + l = y (c + i): then c = cot(arg mu),
     l = y c - x is a sum of positive terms and mu = y (c + i) / l cancels
@@ -92,17 +86,19 @@ def _left_hit(lam: complex) -> tuple[complex, float, float]:
     keeps every iterate positive.  It runs while c falls and Q(c) > 0: a
     strictly falling float sequence stops, so there is no tolerance and no
     cap, and Q(0) = q0 <= 0 stops it before a division by a zero slope.
+    Q and, where a step follows, Q' are evaluated nested, in the loop.
     """
     x, y = lam.real - 1.0, lam.imag
-    q = _quartic(x, y)
-    c, step = inf, sqrt(-q[3] / q[2])
+    q4, q3, q2, q0 = _quartic(x, y)
+    c, step, evaluations = inf, sqrt(-q0 / q2), 0
     while step < c:
         c = step
-        value, slope = _quartic_at(q, c)
-        step = c - value / slope if value > 0.0 else c
+        evaluations += 1
+        value = ((q4 * c + q3) * c + q2) * c * c + q0
+        step = c - value / (((4 * q4 * c + 3 * q3) * c + 2 * q2) * c) if value > 0.0 else c
     l = y * c - x
     mu = complex(y * c / l, y / l)
-    return mu, l, _anchor_hop(mu).real
+    return mu, l, _anchor_hop(mu).real, evaluations
 
 
 def _shrunk_alpha(l: float, tau: float) -> tuple[float, float, float, float]:
@@ -122,7 +118,7 @@ def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
     work = lam if lam.imag >= 0.0 else lam.conjugate()  # the matrix is real
     mu = None
     if status is _INSIDE_NONREAL:
-        mu, l, tau = _left_hit(work)
+        mu, l, tau, _ = _left_hit(work)
         method = interior
     elif status is _ON_CL:
         mu, l, tau, method = work, 1.0, min(_anchor_hop(work).real, 1.0), _BOUNDARY_CL

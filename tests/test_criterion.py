@@ -465,7 +465,7 @@ class TestCriterionPath:
     def test_near_axis(self, a, b):
         lam = complex(a, b)
         # the solver's own weights; storing them as alpha = 1 - t rounds
-        _, l, tau = synthesis._left_hit(lam)
+        _, l, tau, _ = synthesis._left_hit(lam)
         assert relative_defect(make_context(lam), (l, l, l, l * tau)) <= 1e-8
         result = realize_via_criterion(lam)
         assert result.residual <= 1e-8

@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 from conftest import clustered_rows, oracle_roots
+from hypothesis import given, settings, strategies as st
 
 from cycle4 import (
     Cycle4Error,
@@ -635,6 +636,38 @@ class TestSnap:
         rows = [alpha for alpha, _ in clustered_rows()]
         assert len(rows) == 38
         self._assert_bulk_equal(rows)
+
+
+def _sorted_hex(alpha) -> tuple[list, list]:
+    """``spectrum``'s roots of ``alpha`` and the same roots sorted by
+    (re, im), as ``float.hex`` pairs."""
+    roots = spectrum(make_cycle_matrix(*alpha))
+    got = [(z.real.hex(), z.imag.hex()) for z in roots]
+    want = [(re.hex(), im.hex()) for re, im in sorted((z.real, z.imag) for z in roots)]
+    return got, want
+
+
+class TestOrder:
+    """``spectrum`` returns its roots in the order, and with the bits, that
+    sorting their (re, im) pairs gives; its pair path returns them without
+    a sort."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(*[st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                 st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53, 1e-300]))] * 4))
+    def test_rows(self, alpha):
+        try:
+            got, want = _sorted_hex(alpha)
+        except SpectrumFailure:
+            return
+        assert got == want
+
+    def test_left_curve_anchors(self):
+        # every anchor (alpha, 0, 0, 0) holds a nonreal pair: the pair path
+        for alpha in [(point.param, 0.0, 0.0, 0.0) for point in trace_left_curve(400)]:
+            got, want = _sorted_hex(alpha)
+            assert got == want, alpha
+            assert float.fromhex(got[2][1]) > 0.0
 
 
 class TestEigenResidual:

@@ -28,19 +28,6 @@ from cycle4 import (
 from cycle4 import matrix, synthesis
 
 
-def count_calls(monkeypatch, module, name) -> list:
-    """Replace module.name by a wrapper that records each call's arguments."""
-    calls = []
-    wrapped = getattr(module, name)
-
-    def counting(*args):
-        calls.append(args)
-        return wrapped(*args)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 ROUTES = [realize, realize_via_criterion]
 
 
@@ -116,7 +103,7 @@ class TestRayToLeftBoundary:
         assert calls == []
 
     def test_interior_example(self):
-        mu, l, tau = synthesis._left_hit(0.2 + 0.3j)
+        mu, l, tau, _ = synthesis._left_hit(0.2 + 0.3j)
         assert 0.8 < l < 1.0
         assert abs(relative_form(mu)) < 1e-12
         assert 0.0 < mu.real <= 1.0 / 6.0 + 1e-9
@@ -126,14 +113,14 @@ class TestRayToLeftBoundary:
         assert eigen_residual(make_cycle_matrix(1.0 - tau, 0, 0, 0), mu) < 1e-12
 
     def test_near_one_example(self):
-        mu, l, _ = synthesis._left_hit(0.9 + 0.05j)
+        mu, l, _, _ = synthesis._left_hit(0.9 + 0.05j)
         assert 0.1 < l < 1.0
         assert abs(relative_form(mu)) < 1e-12
 
     def test_hit_point_is_on_ray(self):
         rng = np.random.default_rng(6)
         for lam in sample_inside_nonreal(rng, 40):
-            mu, l, tau = synthesis._left_hit(lam)
+            mu, l, tau, _ = synthesis._left_hit(lam)
             assert abs(mu - (1.0 + (lam - 1.0) / l)) < 1e-12
             assert 0.0 < l <= 1.0 and 0.0 < tau <= 1.0
 
@@ -381,54 +368,64 @@ class TestCrossConstruction:
 
 
 class TestSearchCost:
-    """Newton evaluations of the one interior solve, counted at
-    ``synthesis._quartic_at``, which evaluates Q and Q' once per step."""
+    """Newton evaluations of the one interior solve, as the fourth value of
+    ``synthesis._left_hit``, which evaluates Q once per step."""
 
     @staticmethod
     def evaluations(monkeypatch) -> list:
-        return count_calls(monkeypatch, synthesis, "_quartic_at")
+        """Wrap ``_left_hit`` to record the count of each solve."""
+        counts = []
+        solve = synthesis._left_hit
+
+        def counting(lam):
+            hit = solve(lam)
+            counts.append(hit[3])
+            return hit
+
+        monkeypatch.setattr(synthesis, "_left_hit", counting)
+        return counts
 
     @staticmethod
-    def evaluations_over_grid(calls, route, method) -> tuple[int, int]:
+    def evaluations_over_grid(counts, route, method) -> tuple[int, int]:
         fewest, worst = 8, 0
         for lam in interior_grid():
-            calls.clear()
+            counts.clear()
             assert route(lam).method is method
-            fewest, worst = min(fewest, len(calls)), max(worst, len(calls))
+            (n,) = counts  # one solve per interior target
+            fewest, worst = min(fewest, n), max(worst, n)
         return fewest, worst
 
     def test_path_evaluations_per_solve(self, monkeypatch):
-        calls = self.evaluations(monkeypatch)
-        fewest, worst = self.evaluations_over_grid(calls, realize_via_criterion,
+        counts = self.evaluations(monkeypatch)
+        fewest, worst = self.evaluations_over_grid(counts, realize_via_criterion,
                                                    Method.CRITERION_SOLVER)
         assert 1 <= fewest and worst <= 8  # an uncounted evaluation would read 0
 
     def test_form_calls_per_interior_realize(self, monkeypatch):
-        calls = self.evaluations(monkeypatch)
-        fewest, worst = self.evaluations_over_grid(calls, realize, Method.INTERIOR_SHRINK)
+        counts = self.evaluations(monkeypatch)
+        fewest, worst = self.evaluations_over_grid(counts, realize, Method.INTERIOR_SHRINK)
         assert 1 <= fewest and worst <= 8
 
-    def test_edge_targets(self, monkeypatch):
+    def test_edge_targets(self):
         # strictly interior, though the default band may class some as
         # boundary: 1e-15 under the right segment, b = 1e-200, next to i
         targets = [complex(a, 1.0 - a - 1e-15) for a in np.linspace(0.05, 0.95, 19)]
         targets += [complex(a, 1e-200) for a in np.linspace(0.05, 0.95, 19)]
         targets += [complex(a, 1.0 - a - a * a / 4.0) for a in (1e-2, 1e-3, 1e-4)]
-        calls = self.evaluations(monkeypatch)
         for lam in targets:
-            calls.clear()
-            mu, l, tau = synthesis._left_hit(lam)
-            assert 1 <= len(calls) <= 8
+            mu, l, tau, n = synthesis._left_hit(lam)
+            assert 1 <= n <= 8
             assert 0.0 < l <= 1.0 and mu.imag > 0.0 and 0.0 <= tau <= 1.0
 
     @staticmethod
     def route_step_bound(monkeypatch, route):
-        calls = TestSearchCost.evaluations(monkeypatch)
+        counts = TestSearchCost.evaluations(monkeypatch)
         for lam, bound in ((0.2 + 0.3j, 6), (0.9 + 0.05j, 7)):
-            calls.clear()
+            counts.clear()
             result = route(lam)
             assert result.residual == eigen_residual(result.matrix, lam) <= 1e-8
-            assert 1 <= len(calls) <= bound
+            (n,) = counts
+            assert 1 <= n <= bound
 
     def test_ray_obeys_iteration_cap(self, monkeypatch):
         self.route_step_bound(monkeypatch, realize)

@@ -17,8 +17,7 @@ _EXPORTS = {
     "errors": "AlphaOutOfRange ArgumentOutOfRange Cycle4Error NoConvergence OutsideRegion "
     "ParameterOutOfRange SpectrumFailure",
     "identities": "IdentityResult verify_identity_suite",
-    "matrix": "DEFAULT_TOLERANCE CycleMatrix4 Tolerance eigen_residual make_cycle_matrix "
-    "spectrum",
+    "matrix": "CycleMatrix4 eigen_residual spectrum",
     "region": "RegionVerdict Status left_boundary_form left_branch_root membership "
     "modulus_threshold trace_left_curve trace_right_segment",
     "synthesis": "Method Realization realize realize_via_criterion",

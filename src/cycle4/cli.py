@@ -7,7 +7,8 @@ byte-identical stdout and output files.  JSON output is strict: a
 non-finite number prints as the string "inf", "-inf" or "nan".
 
 At module level this imports only the standard library, ``errors`` and
-``matrix``; each ``cmd_*`` imports the modules it runs, so ``check`` never
+``region`` (with ``matrix``), for the band's default ``region._BAND``; each
+``cmd_*`` imports the functions it runs when it runs, so ``check`` never
 loads the criterion, synthesis, identity or sampling code, nor numpy.
 """
 
@@ -21,7 +22,7 @@ import re
 import sys
 
 from .errors import Cycle4Error
-from .matrix import DEFAULT_TOLERANCE, Tolerance
+from .region import _BAND
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,12 +68,8 @@ def _finite(text: str) -> float:
 
 
 def _finite_positive(text: str) -> float:
-    """argparse type of the tolerance options: a finite float above 0."""
+    """argparse type of the band option: a finite float above 0."""
     return _number(text, 0.0, "finite positive")
-
-
-def _tolerance(args: argparse.Namespace) -> Tolerance:
-    return Tolerance(args.tol_band)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -91,9 +88,8 @@ def _print_json(record: dict) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     from .region import Status, membership
 
-    tol = _tolerance(args)
     lam = complex(args.re, args.im)
-    verdict = membership(lam, tol)
+    verdict = membership(lam, args.tol_band)
     _print_json({"re": lam.real, "im": lam.imag, **verdict._asdict()})
     if args.out:
         row = ",".join(
@@ -115,22 +111,21 @@ def cmd_realize(args: argparse.Namespace) -> int:
     from .errors import OutsideRegion
     from .region import membership
 
-    tol = _tolerance(args)
     lam = complex(args.re, args.im)
     route = synthesis.realize_via_criterion if args.method == "criterion" else synthesis.realize
     try:
-        result = route(lam, tol)
+        result = route(lam, args.tol_band)
     except OutsideRegion:  # the route classified lam; classify again only to print why
-        _print_json({"re": lam.real, "im": lam.imag, **membership(lam, tol)._asdict()})
+        _print_json({"re": lam.real, "im": lam.imag, **membership(lam, args.tol_band)._asdict()})
         return EXIT_OUTSIDE
     _print_json(result.to_dict())
     return EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    from .matrix import eigen_residual, make_cycle_matrix, spectrum
+    from .matrix import CycleMatrix4, eigen_residual, spectrum
 
-    matrix = make_cycle_matrix(args.a1, args.a2, args.a3, args.a4)
+    matrix = CycleMatrix4((args.a1, args.a2, args.a3, args.a4))
     eigenvalues = spectrum(matrix)
     payload = {
         "alpha": list(matrix.alpha),
@@ -147,7 +142,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     from . import _sample_csv, sampling
     from .region import Status
 
-    tol = _tolerance(args)
     names = [status.value for status in Status]
     outside = names.index(Status.OUTSIDE.value)
     counts = np.zeros(len(names), dtype=np.int64)
@@ -156,7 +150,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         handle.write(_SAMPLE_HEADER.encode() + b"\n")
         for block in range(0, args.n, _SAMPLE_BLOCK):
             rows = min(_SAMPLE_BLOCK, args.n - block)
-            alphas, eigenvalues, codes = sampling.sample_records(rows, args.seed, tol, block)
+            alphas, eigenvalues, codes = sampling.sample_records(rows, args.seed, args.tol_band, block)
             for start in range(0, rows, _SAMPLE_CHUNK):
                 chunk = slice(start, start + _SAMPLE_CHUNK)
                 handle.write(_sample_csv.lines(block + start, alphas[chunk], eigenvalues[chunk], codes[chunk]))
@@ -164,7 +158,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             # The pass/fail gate re-checks at the wide necessity band.  The
             # region only grows with the band, so at a narrower band only
             # the points already Outside can be Outside at the wide one.
-            suspects = (codes == outside) | (tol.boundary_band > _GATE_BAND)
+            suspects = (codes == outside) | (args.tol_band > _GATE_BAND)
             wide = sampling.classify_points(eigenvalues.real[suspects], eigenvalues.imag[suspects], _GATE_BAND)
             n_outside += int((wide == outside).sum())
 
@@ -256,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tol(p: argparse.ArgumentParser) -> None:
         # the band decides verdicts only, so only the commands that print them take it
-        p.add_argument("--tol-band", type=_finite_positive, default=DEFAULT_TOLERANCE.boundary_band,
+        p.add_argument("--tol-band", type=_finite_positive, default=_BAND,
                        help="boundary band half-width (default 1e-9)")
 
     p = sub.add_parser("check", help="classify a point against the region")

@@ -57,13 +57,13 @@ class Regime(str, Enum):
     TIGHT = "Tight"
 
 
-class CriterionContext(namedtuple("CriterionContext", "lam z lower_arg upper_arg regime peak_arg")):
+class CriterionContext(namedtuple("CriterionContext", "lam lower_arg upper_arg regime peak_arg")):
     """Per-target quantities of the angle parametrisation.
 
-    z is lam - 1.  lower_arg is Arg(lam) (the angle realised by shift
-    t = 1), upper_arg is Arg(lam - 1) (the open supremum as t -> 0).
-    peak_arg is 2*pi - 3*lower_arg, defined only in the tight regime where
-    it bounds the feasible box, else None.
+    lower_arg is Arg(lam) (the angle realised by shift t = 1), upper_arg
+    is Arg(lam - 1) (the open supremum as t -> 0).  peak_arg is
+    2*pi - 3*lower_arg, defined only in the tight regime where it bounds
+    the feasible box, else None.
     """
 
     __slots__ = ()
@@ -86,13 +86,12 @@ def make_context(lam: complex) -> CriterionContext:
         raise ArgumentOutOfRange(f"{lam!r} lies in the lower half-plane; conjugate first")
     if lam.real >= 1.0:
         raise ArgumentOutOfRange(f"real part {lam.real} >= 1")
-    z = lam - 1.0
     lower = math.atan2(lam.imag, lam.real)
-    upper = math.atan2(z.imag, z.real)
+    upper = math.atan2(lam.imag, lam.real - 1.0)
     a, b = Fraction(lam.real), Fraction(lam.imag)
     if a < 0 or (3 * b * b >= a * a and modulus_threshold(a, b) > 0):
-        return CriterionContext(lam, z, lower, upper, Regime.TIGHT, _TWO_PI - 3.0 * lower)
-    return CriterionContext(lam, z, lower, upper, Regime.UNBOUNDED, None)
+        return CriterionContext(lam, lower, upper, Regime.TIGHT, _TWO_PI - 3.0 * lower)
+    return CriterionContext(lam, lower, upper, Regime.UNBOUNDED, None)
 
 
 def criterion_max(ctx: CriterionContext) -> float:

@@ -33,7 +33,8 @@ search for the least |Im|.  A pair between the real root and 1, as every
 nonreal spectrum probed has it, returns in the sort's order with no sort;
 only four reals, and ties or NaN, are sorted.  Unspread seeds on the wrong
 side of the split never settle, and a run from them that reaches the step
-cap starts again from spread ones.
+cap starts again from spread ones.  The kernel's margins are its own
+constants; the boundary band of the region's verdicts is ``region``'s.
 """
 
 from __future__ import annotations
@@ -42,34 +43,6 @@ import math
 from collections import namedtuple
 
 from .errors import ParameterOutOfRange, SpectrumFailure
-
-
-class Tolerance(namedtuple("Tolerance", "boundary_band")):
-    """Numerical policy of the region: ``boundary_band`` is the half-width
-    of the band within which a constraint value counts as "on the
-    boundary".  It decides verdicts only; no tolerance moves an eigenvalue
-    or a certificate, which hold at ``_SNAP`` and ``_GUARD``.
-
-    The band must be a finite positive number; bools are rejected.  Every
-    construction path checks this: the constructor, ``_make`` and
-    ``_replace``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, boundary_band=1e-9):
-        if isinstance(boundary_band, bool) or not (
-            isinstance(boundary_band, (int, float)) and 0 < boundary_band < math.inf
-        ):
-            raise ValueError(f"boundary_band must be finite and strictly positive, got {boundary_band!r}")
-        return super().__new__(cls, boundary_band)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-DEFAULT_TOLERANCE = Tolerance()
 
 
 # Where the real/complex split of the pair is in doubt, each seed moves by
@@ -262,12 +235,6 @@ class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-def make_cycle_matrix(a1: float, a2: float, a3: float, a4: float) -> CycleMatrix4:
-    """Validated construction; raises ParameterOutOfRange for any parameter
-    outside [0, 1), and for bools."""
-    return CycleMatrix4((a1, a2, a3, a4))
 
 
 def eigen_residual(m: CycleMatrix4, lam: complex) -> float:

@@ -9,7 +9,8 @@ right segment ``lam = 1 - x + ix`` (where ``a + b = 1``) and the curved
 left branch joining i to 0 (where the quartic form below vanishes).
 
 ``_rules`` writes the classification once, for ``membership`` on one point
-and ``sampling.classify_points`` on arrays.
+and ``sampling.classify_points`` on arrays.  Both take the boundary band as
+a number, default ``_BAND``, and check it with ``_check_band``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import ArgumentOutOfRange, SpectrumFailure
-from .matrix import DEFAULT_TOLERANCE, CycleMatrix4, Tolerance, spectrum
+from .matrix import CycleMatrix4, spectrum
+
+# Half-width of the band within which a constraint value counts as "on the
+# boundary": the default of every classifier and constructor.
+_BAND = 1e-9
 
 
 def left_boundary_form(a, b):
@@ -66,6 +71,15 @@ class RegionVerdict(namedtuple("RegionVerdict", "status a_check right_check g_ch
     __slots__ = ()
 
 
+def _check_band(band) -> None:
+    """Raise ValueError unless ``band`` is a finite positive int or float;
+    bools are rejected."""
+    if type(band) is float and 0.0 < band < math.inf:  # membership checks on every realize
+        return
+    if isinstance(band, bool) or not (isinstance(band, (int, float)) and 0 < band < math.inf):
+        raise ValueError(f"boundary_band must be finite and strictly positive, got {band!r}")
+
+
 def _rules(a, b, right, g, band):
     """Region conditions in order of precedence, one per ``_RULE_STATUS``
     entry: a point takes the status of the first that holds, else Outside.
@@ -91,15 +105,16 @@ _RULE_STATUS = (Status.BOUNDARY_REAL_ENDPOINT, Status.INSIDE_REAL_INTERVAL, Stat
                 Status.BOUNDARY_CR, Status.BOUNDARY_CL, Status.INSIDE_NONREAL)
 
 
-def membership(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionVerdict:
+def membership(lam: complex, band: float = _BAND) -> RegionVerdict:
     """Classify ``lam`` against the spectral region.
 
-    Deterministic in ``lam`` and ``tol.boundary_band``; invariant under
-    conjugation.  Real points (|Im| below the band) are judged against
-    [-1, 1]; nonreal points against the three region constraints, with
-    boundary bands applied to the constraint values (see ``_rules``).
-    Raises ValueError for a non-finite ``lam``.
+    Deterministic in ``lam`` and ``band``; invariant under conjugation.
+    Real points (|Im| below the band) are judged against [-1, 1]; nonreal
+    points against the three region constraints, with the band applied to
+    the constraint values (see ``_rules``).  Raises ValueError for a
+    non-finite ``lam`` and for a band ``_check_band`` refuses.
     """
+    _check_band(band)
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise ValueError(f"non-finite point {lam!r}")
@@ -109,7 +124,7 @@ def membership(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionVerdic
     g = left_boundary_form(a, b)
     if g != g:  # s*s - b*b = inf - inf: b*b overflowed, so the form is above the float range
         g = math.inf
-    hit = _rules(a, b, right, g, tol.boundary_band)
+    hit = _rules(a, b, right, g, band)
     status = _RULE_STATUS[hit.index(True)] if True in hit else Status.OUTSIDE
     return RegionVerdict(status, a, right, g)
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrix
-from .matrix import DEFAULT_TOLERANCE, Tolerance
-from .region import _RULE_STATUS, Status, _rules, left_boundary_form
+from .region import _BAND, _RULE_STATUS, Status, _check_band, _rules, left_boundary_form
 
 _RULE_CODES = [np.int8(tuple(Status).index(status)) for status in _RULE_STATUS]
 _OUTSIDE_CODE = np.int8(tuple(Status).index(Status.OUTSIDE))
@@ -121,7 +120,9 @@ def classify_points(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
 
     NaN and infinite points are ``Outside``.  The region grows with the
     band: a point ``Outside`` at one band is ``Outside`` at every smaller one.
+    Raises ValueError for a band ``membership`` refuses.
     """
+    _check_band(band)
     a = np.array(re, dtype=float)  # a compact copy: ``.real`` of a complex array is strided
     b = np.abs(np.asarray(im, dtype=float))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -137,11 +138,11 @@ def classify_points(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
 
 
 def sample_records(
-    n: int, seed: int, tol: Tolerance = DEFAULT_TOLERANCE, start: int = 0
+    n: int, seed: int, band: float = _BAND, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sampled rows start .. start + n - 1 as arrays: parameters (n, 4),
-    eigenvalues (n, 4), verdict codes (n, 4) at ``tol.boundary_band``."""
+    eigenvalues (n, 4), verdict codes (n, 4) at ``band``."""
     alphas = sample_parameters(n, seed, start)
     eigenvalues = bulk_spectra(alphas)
-    codes = classify_points(eigenvalues.real, eigenvalues.imag, tol.boundary_band)
+    codes = classify_points(eigenvalues.real, eigenvalues.imag, band)
     return alphas, eigenvalues, codes

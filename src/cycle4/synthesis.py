@@ -18,8 +18,8 @@ from math import inf, sqrt
 
 from . import matrix as _matrix
 from .errors import AlphaOutOfRange, NoConvergence, OutsideRegion, ParameterOutOfRange
-from .matrix import DEFAULT_TOLERANCE, CycleMatrix4, Tolerance, eigen_residual
-from .region import Status, membership
+from .matrix import CycleMatrix4, eigen_residual
+from .region import _BAND, Status, membership
 
 
 class Method(str, Enum):
@@ -108,11 +108,11 @@ def _shrunk_alpha(l: float, tau: float) -> tuple[float, float, float, float]:
     return (1.0 - l * tau, w, w, w)
 
 
-def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
+def _realize(lam: complex, band: float, interior: Method) -> Realization:
     """The pipeline of both routes; ``interior`` names the route's
     construction for strictly interior targets."""
     lam = complex(lam)
-    status = membership(lam, tol).status
+    status = membership(lam, band).status
     if status is _OUTSIDE:
         raise OutsideRegion(f"{lam!r} is outside the spectral region")
     work = lam if lam.imag >= 0.0 else lam.conjugate()  # the matrix is real
@@ -148,20 +148,20 @@ def _realize(lam: complex, tol: Tolerance, interior: Method) -> Realization:
     return Realization(matrix, lam, method, mu, shrink_l, residual)
 
 
-def realize(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
+def realize(lam: complex, band: float = _BAND) -> Realization:
     """Realizing matrix for any point of the spectral region; interior
     points get the ray hit on the left curve shrunk back onto them.
 
-    ``tol`` sets the band of the membership verdict only.  Raises
+    ``band`` is the boundary band of the membership verdict only.  Raises
     OutsideRegion for points outside the region, NoConvergence when the
     matrix's eigen-defect at ``lam`` exceeds ``matrix._GUARD``,
     AlphaOutOfRange when a weight rounds onto 1 near the real axis, and
-    ValueError for a non-finite target.
+    ValueError for a non-finite target or a band ``membership`` refuses.
     """
-    return _realize(lam, tol, _INTERIOR_SHRINK)
+    return _realize(lam, band, _INTERIOR_SHRINK)
 
 
-def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Realization:
+def realize_via_criterion(lam: complex, band: float = _BAND) -> Realization:
     """``realize`` with the criterion's weights for interior points.
 
     The shrunk anchor (1 - l tau, 1 - l, 1 - l, 1 - l) solves the paper's
@@ -171,4 +171,4 @@ def realize_via_criterion(lam: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> R
     the criterion's path u_123 = (2 pi - u_4)/3; boundary and real targets
     get ``realize``'s own matrix.  Raises as ``realize`` does.
     """
-    return _realize(lam, tol, _CRITERION_SOLVER)
+    return _realize(lam, band, _CRITERION_SOLVER)

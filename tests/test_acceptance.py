@@ -32,13 +32,13 @@ from conftest import (
     weight,
 )
 from cycle4 import (
+    CycleMatrix4,
     Status,
     criterion_max,
     eigen_residual,
     left_boundary_form,
     left_branch_root,
     make_context,
-    make_cycle_matrix,
     membership,
     modulus_threshold,
     realize,
@@ -158,7 +158,7 @@ def test_criterion_4_boundary_exactness():
     worst = 0.0
     for k in range(1, 11):
         x = k / 10
-        matrix = make_cycle_matrix(1 - x, 1 - x, 1 - x, 1 - x)
+        matrix = CycleMatrix4((1 - x, 1 - x, 1 - x, 1 - x))
         got = spectrum(matrix)
         want = sorted(
             [1 + 0j, complex(1 - 2 * x, 0), complex(1 - x, x), complex(1 - x, -x)],
@@ -175,7 +175,7 @@ def test_criterion_4_boundary_exactness():
     # accuracy)
     for v in (1 + 0j, complex(1, 0), complex(1, -0.0)):
         assert abs((v - 1.0) ** 4 - 0.0) == 0.0
-    cluster = spectrum(make_cycle_matrix(*(1 - 1e-12,) * 4))
+    cluster = spectrum(CycleMatrix4((1 - 1e-12,) * 4))
     assert all(abs(r - 1.0) < 1e-3 for r in cluster)
 
     # left curve: 100 anchors over [0, 0.99]
@@ -199,9 +199,9 @@ def test_criterion_5_criterion_bounds():
     jensen_margin = math.inf
     for lam in sample_inside_nonreal(rng, 20):
         ctx = make_context(lam)
-        floor = 4.0 * log_ratio(ctx.z, weight(ctx.z, math.pi / 2))
+        floor = 4.0 * log_ratio(ctx.lam - 1, weight(ctx.lam - 1, math.pi / 2))
         for angles in sample_feasible_angles(rng, ctx, 1000):
-            jensen_margin = min(jensen_margin, angle_sum(ctx.z, angles) - floor)
+            jensen_margin = min(jensen_margin, angle_sum(ctx.lam - 1, angles) - floor)
     assert jensen_margin >= -1e-9
 
     # tight-regime ceiling
@@ -210,7 +210,7 @@ def test_criterion_5_criterion_bounds():
         ctx = make_context(lam)
         ceiling = criterion_max(ctx)
         for angles in sample_feasible_angles(rng, ctx, 1000):
-            tight_margin = min(tight_margin, ceiling - angle_sum(ctx.z, angles))
+            tight_margin = min(tight_margin, ceiling - angle_sum(ctx.lam - 1, angles))
     assert tight_margin >= -1e-9
 
     # closed form of the tight maximum
@@ -240,10 +240,10 @@ def test_criterion_6_convexity_second_derivative():
             h = min(1e-3, 0.02 * (ctx.upper_arg - u), 0.2 * (u - ctx.lower_arg))
             if h <= 0.0:
                 continue
-            f = [log_ratio(ctx.z, weight(ctx.z, u + k * h)) for k in (-2, -1, 0, 1, 2)]
+            f = [log_ratio(ctx.lam - 1, weight(ctx.lam - 1, u + k * h)) for k in (-2, -1, 0, 1, 2)]
             fd = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-            t = weight(ctx.z, u)
-            closed = (ctx.z.real**2 + ctx.z.imag**2) / (t * t * math.sin(u) ** 2)
+            t = weight(ctx.lam - 1, u)
+            closed = ((ctx.lam - 1).real**2 + (ctx.lam - 1).imag**2) / (t * t * math.sin(u) ** 2)
             assert closed > 0.0
             worst = max(worst, abs(fd - closed) / closed)
     assert worst < 1e-4

@@ -36,7 +36,6 @@ POINT = st.builds(complex, SPECIAL, SPECIAL)
 PARAMETER = specials(lambda x: 0.0 <= x < 1.0)
 MATRIX = st.tuples(PARAMETER, PARAMETER, PARAMETER, PARAMETER).map(cycle4.CycleMatrix4)
 POSITIVE = specials(lambda x: 0.0 < x < math.inf)
-TOLERANCE = st.builds(cycle4.Tolerance, POSITIVE)
 CONTEXT = st.builds(complex, specials(lambda a: -math.inf < a < 1.0), POSITIVE).map(
     cycle4.make_context)
 COUNT = st.one_of(st.integers(-1, 4), SPECIAL)
@@ -58,17 +57,15 @@ CONTRACT = {
     "Regime": ((ValueError,), st.tuples(SPECIAL)),
     "RegionVerdict": ((), fields(cycle4.RegionVerdict)),
     "Status": ((ValueError,), st.tuples(SPECIAL)),
-    "Tolerance": ((ValueError,), st.tuples(SPECIAL)),
     "criterion_max": ((ArgumentOutOfRange,), st.tuples(CONTEXT)),
     "eigen_residual": ((), st.tuples(MATRIX, POINT)),
     "left_boundary_form": ((), st.tuples(SPECIAL, SPECIAL)),
     "left_branch_root": ((ArgumentOutOfRange, SpectrumFailure), st.tuples(SPECIAL)),
     "make_context": ((ValueError, ArgumentOutOfRange), st.tuples(POINT)),
-    "make_cycle_matrix": ((ParameterOutOfRange,), st.tuples(SPECIAL, SPECIAL, SPECIAL, SPECIAL)),
-    "membership": ((ValueError,), st.tuples(POINT, TOLERANCE)),
+    "membership": ((ValueError,), st.tuples(POINT, SPECIAL)),
     "modulus_threshold": ((), st.tuples(SPECIAL, SPECIAL)),
-    "realize": (REALIZE, st.tuples(POINT, TOLERANCE)),
-    "realize_via_criterion": (REALIZE, st.tuples(POINT, TOLERANCE)),
+    "realize": (REALIZE, st.tuples(POINT, SPECIAL)),
+    "realize_via_criterion": (REALIZE, st.tuples(POINT, SPECIAL)),
     "spectrum": ((SpectrumFailure,), st.tuples(MATRIX)),
     "trace_left_curve": ((ArgumentOutOfRange, SpectrumFailure), st.tuples(COUNT)),
     "trace_right_segment": ((ArgumentOutOfRange,), st.tuples(COUNT)),

@@ -134,22 +134,22 @@ class TestShiftAngleMaps:
     def test_shift_at_lower_arg_is_one(self):
         for lam in (0.2 + 0.3j, 0.7 + 0.2j, 0.05 + 0.9j):
             ctx = make_context(lam)
-            assert weight(ctx.z, ctx.lower_arg) == pytest.approx(1.0, abs=1e-12)
+            assert weight(ctx.lam - 1, ctx.lower_arg) == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_point_half_pi(self):
         ctx = make_context(1j)
-        assert weight(ctx.z, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+        assert weight(ctx.lam - 1, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_pi_gives_one_minus_a(self):
         ctx = make_context(0.2 + 0.3j)
-        assert weight(ctx.z, math.pi / 2) == pytest.approx(0.8, abs=1e-15)
+        assert weight(ctx.lam - 1, math.pi / 2) == pytest.approx(0.8, abs=1e-15)
 
     def test_shift_vanishes_toward_upper_arg(self):
         ctx = make_context(0.2 + 0.3j)
         previous = 1.0
         for frac in (0.5, 0.9, 0.99, 0.9999):
             u = ctx.lower_arg + frac * (ctx.upper_arg - ctx.lower_arg)
-            t = weight(ctx.z, u)
+            t = weight(ctx.lam - 1, u)
             assert 0.0 < t < previous
             previous = t
         assert previous < 1e-3
@@ -160,14 +160,14 @@ class TestShiftAngleMaps:
         # (a - 1) + 1 recombines to a only up to one ulp
         assert angle_for_shift(ctx, 1.0) == pytest.approx(ctx.lower_arg, abs=1e-14)
         u = angle_for_shift(ctx, 0.37)
-        assert weight(ctx.z, u) == pytest.approx(0.37, abs=1e-12)
+        assert weight(ctx.lam - 1, u) == pytest.approx(0.37, abs=1e-12)
 
     def test_angle_increases_as_shift_shrinks(self):
         ctx = make_context(0.3 + 0.4j)
         angles = [angle_for_shift(ctx, t) for t in (1.0, 0.5, 0.1, 0.01, 1e-6)]
         assert all(x < y for x, y in zip(angles, angles[1:]))
         assert angles[-1] < ctx.upper_arg
-        shifts = [weight(ctx.z, u) for u in angles]
+        shifts = [weight(ctx.lam - 1, u) for u in angles]
         assert all(x > y for x, y in zip(shifts, shifts[1:]))
 
 
@@ -180,9 +180,9 @@ class TestLogModulusRatio:
             ctx = make_context(lam)
             for frac in np.linspace(0.0, 0.999, 40):
                 u = ctx.lower_arg + frac * (ctx.upper_arg - ctx.lower_arg)
-                t = weight(ctx.z, u)
-                cosecant = math.log(ctx.z.imag / math.sin(u)) - math.log(t)
-                assert log_ratio(ctx.z, t) == pytest.approx(cosecant, abs=1e-12)
+                t = weight(ctx.lam - 1, u)
+                cosecant = math.log((ctx.lam - 1).imag / math.sin(u)) - math.log(t)
+                assert log_ratio(ctx.lam - 1, t) == pytest.approx(cosecant, abs=1e-12)
 
     def test_value_at_lower_arg(self):
         ctx = make_context(0.2 + 0.3j)
@@ -212,12 +212,12 @@ class TestCriterionSum:
     def test_barycenter_value(self):
         ctx = make_context(0.2 + 0.3j)
         barycenter = (math.pi / 2,) * 4
-        assert angle_sum(ctx.z, barycenter) == pytest.approx(4 * math.log(0.375), abs=1e-12)
+        assert angle_sum(ctx.lam - 1, barycenter) == pytest.approx(4 * math.log(0.375), abs=1e-12)
 
     def test_tight_peak_matches_maximum(self):
         ctx = make_context(0.05 + 0.1j)
         peak = (ctx.peak_arg, ctx.lower_arg, ctx.lower_arg, ctx.lower_arg)
-        assert angle_sum(ctx.z, peak) == pytest.approx(criterion_max(ctx), abs=1e-10)
+        assert angle_sum(ctx.lam - 1, peak) == pytest.approx(criterion_max(ctx), abs=1e-10)
 
 
 class TestCriterionMax:
@@ -341,7 +341,7 @@ class TestBounds:
             ctx = make_context(lam)
             floor = 4.0 * F(ctx, math.pi / 2)
             for u in sample_feasible_angles(rng, ctx, 200):
-                assert angle_sum(ctx.z, u) >= floor - 1e-9
+                assert angle_sum(ctx.lam - 1, u) >= floor - 1e-9
 
     def test_tight_upper_bound(self):
         rng = np.random.default_rng(32)
@@ -349,7 +349,7 @@ class TestBounds:
             ctx = make_context(lam)
             ceiling = criterion_max(ctx)
             for u in sample_feasible_angles(rng, ctx, 200):
-                assert angle_sum(ctx.z, u) <= ceiling + 1e-9
+                assert angle_sum(ctx.lam - 1, u) <= ceiling + 1e-9
 
     def test_negative_form_implies_tight(self):
         rng = np.random.default_rng(33)
@@ -405,7 +405,7 @@ class TestSolveCriterion:
             shifts = [1.0 - a for a in realize_via_criterion(lam).matrix.alpha]
             angles = [angle_for_shift(ctx, t) for t in shifts]
             assert abs(sum(angles) - TWO_PI) < 1e-9
-            assert abs(sum(log_ratio(ctx.z, t) for t in shifts)) < 1e-9
+            assert abs(sum(log_ratio(ctx.lam - 1, t) for t in shifts)) < 1e-9
 
     def test_grid_weights_solve_the_criterion(self):
         # the paper's criterion on every interior grid matrix: the angles
@@ -417,7 +417,7 @@ class TestSolveCriterion:
             shifts = [1.0 - a for a in realize_via_criterion(lam).matrix.alpha]
             angles = [angle_for_shift(ctx, t) for t in shifts]
             worst_sum = max(worst_sum, abs(math.fsum(angles) - TWO_PI))
-            criterion = math.fsum(log_ratio(ctx.z, t) for t in shifts)
+            criterion = math.fsum(log_ratio(ctx.lam - 1, t) for t in shifts)
             worst_criterion = max(worst_criterion, abs(criterion))
         assert worst_sum <= 1e-9
         assert worst_criterion <= 1e-8
@@ -425,19 +425,19 @@ class TestSolveCriterion:
 
 def angle_for_shift(ctx, t: float) -> float:
     """Arg(z + t), the angle whose shift is t."""
-    return math.atan2(ctx.z.imag, ctx.z.real + t)
+    return math.atan2((ctx.lam - 1).imag, (ctx.lam - 1).real + t)
 
 
 def F(ctx, u: float) -> float:
     """The log-modulus ratio at the angle u."""
-    return log_ratio(ctx.z, weight(ctx.z, u))
+    return log_ratio(ctx.lam - 1, weight(ctx.lam - 1, u))
 
 
 def relative_defect(ctx, shifts) -> float:
     """|prod(z + t_k) / prod(t_k) - 1| of the multiplicative identity."""
     left, right = 1.0 + 0.0j, 1.0
     for t in shifts:
-        left *= ctx.z + t
+        left *= (ctx.lam - 1) + t
         right *= t
     return abs(left / right - 1.0)
 

@@ -14,17 +14,15 @@ from cycle4 import (
     ParameterOutOfRange,
     SpectrumFailure,
     Status,
-    Tolerance,
     eigen_residual,
-    make_cycle_matrix,
     membership,
     realize,
     realize_via_criterion,
     spectrum,
     trace_left_curve,
 )
-from cycle4 import matrix
-from cycle4.sampling import bulk_spectra
+from cycle4 import matrix, region
+from cycle4.sampling import bulk_spectra, classify_points, sample_records
 
 
 def sorted_close(actual, expected, tol):
@@ -74,39 +72,47 @@ def exact_char_poly(dense):
 
 
 class TestTolerance:
+    """The boundary band: a plain number, checked by ``region`` wherever a
+    verdict is drawn, and no parameter of the spectrum kernel."""
+
     def test_defaults(self):
-        tol = Tolerance()
-        assert tol.boundary_band == 1e-9
-        assert Tolerance._fields == ("boundary_band",)
+        assert region._BAND == 1e-9
+        for function in (membership, realize, realize_via_criterion):
+            assert function.__defaults__ == (region._BAND,)
+        assert sample_records.__defaults__ == (region._BAND, 0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"boundary_band": 0.0},
-            {"boundary_band": -1e-9},
-            {"boundary_band": float("nan")},
-            {"boundary_band": "1e-9"},
-            {"boundary_band": float("inf")},
-            {"boundary_band": None},
-            {"boundary_band": True},
+            {"band": 0.0},
+            {"band": -1e-9},
+            {"band": float("nan")},
+            {"band": "1e-9"},
+            {"band": float("inf")},
+            {"band": None},
+            {"band": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            Tolerance(**kwargs)
+        # a bad band would draw silent verdicts on these points: at NaN all
+        # Outside, at 0 the real 0.5 nonreal, at inf the outside 2.0 on the
+        # boundary
+        points = np.array([0.5, 0.2, 2.0]), np.array([0.0, 0.3, 0.0])
+        for call in (lambda: membership(0.5, **kwargs), lambda: realize(0.2 + 0.3j, **kwargs),
+                     lambda: realize_via_criterion(0.2 + 0.3j, **kwargs),
+                     lambda: classify_points(*points, **kwargs), lambda: sample_records(1, 42, **kwargs)):
+            with pytest.raises(ValueError, match="boundary_band must be finite and strictly positive"):
+                call()
 
-    def test_make_and_replace_validate(self):
-        with pytest.raises(ValueError):
-            Tolerance()._replace(boundary_band=0)
-        with pytest.raises(ValueError):
-            Tolerance._make((0.0,))
-        tol = Tolerance._make((1e-7,))._replace(boundary_band=1e-5)
-        assert type(tol) is Tolerance and tol == Tolerance(1e-5)
+    @pytest.mark.parametrize("band", [1, np.float64(1e-9)])
+    def test_accepts_positive_ints_and_float_subclasses(self, band):
+        code = classify_points(np.array([0.2]), np.array([0.3]), band)[0]
+        assert tuple(Status)[code] is membership(0.2 + 0.3j, band).status
 
 
 class TestConstruction:
     def test_permutation_pattern(self):
-        m = make_cycle_matrix(0, 0, 0, 0)
+        m = CycleMatrix4((0, 0, 0, 0))
         assert dense(m) == [
             [0.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, 0.0],
@@ -115,21 +121,21 @@ class TestConstruction:
         ]
 
     def test_rows_sum_to_one(self):
-        m = make_cycle_matrix(0.5, 0.5, 0.5, 0.5)
+        m = CycleMatrix4((0.5, 0.5, 0.5, 0.5))
         for row in dense(m):
             assert sum(row) == 1.0
             assert all(entry >= 0.0 for entry in row)
 
     def test_rejects_one_with_index(self):
         with pytest.raises(ParameterOutOfRange) as err:
-            make_cycle_matrix(0.2, 1.0, 0, 0)
+            CycleMatrix4((0.2, 1.0, 0, 0))
         assert err.value.index == 2
         assert err.value.value == 1.0
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, float("nan"), float("inf"), float("-inf")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ParameterOutOfRange):
-            make_cycle_matrix(bad, 0.5, 0.5, 0.5)
+            CycleMatrix4((bad, 0.5, 0.5, 0.5))
 
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("bad", [False, True])
@@ -137,22 +143,22 @@ class TestConstruction:
         alpha = [0.5] * 4
         alpha[k - 1] = bad
         with pytest.raises(ParameterOutOfRange) as err:
-            make_cycle_matrix(*alpha)
+            CycleMatrix4(alpha)
         assert err.value.index == k
         assert err.value.value is bad
 
     def test_numeric_types_stored_as_exact_floats(self):
-        m = make_cycle_matrix(np.float64(0.1), 0, np.float64(0.3), 0.4)
+        m = CycleMatrix4((np.float64(0.1), 0, np.float64(0.3), 0.4))
         assert m.alpha == (0.1, 0.0, 0.3, 0.4)
         assert all(type(a) is float for a in m.alpha)
-        assert make_cycle_matrix(0.1, 0.2, 0.3, 0.4).alpha == (0.1, 0.2, 0.3, 0.4)
+        assert CycleMatrix4((0.1, 0.2, 0.3, 0.4)).alpha == (0.1, 0.2, 0.3, 0.4)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_rejects_bool_among_numpy_floats(self, k):
         alpha = [np.float64(0.5)] * 4
         alpha[k - 1] = True
         with pytest.raises(ParameterOutOfRange) as err:
-            make_cycle_matrix(*alpha)
+            CycleMatrix4(alpha)
         assert err.value.index == k
         assert err.value.value is True
 
@@ -172,7 +178,7 @@ class TestConstruction:
         with pytest.raises(ParameterOutOfRange):
             CycleMatrix4._make([(2.0, 0, 0, 0)])
         with pytest.raises(ParameterOutOfRange):
-            make_cycle_matrix(0.1, 0.2, 0.3, 0.4)._replace(alpha=(0.5, 1.0, 0.5, 0.5))
+            CycleMatrix4((0.1, 0.2, 0.3, 0.4))._replace(alpha=(0.5, 1.0, 0.5, 0.5))
         m = CycleMatrix4._make([(0, 0.25, 0.5, 0.75)])
         assert type(m) is CycleMatrix4 and m.alpha == (0.0, 0.25, 0.5, 0.75)
         assert all(type(a) is float for a in m.alpha)
@@ -182,7 +188,7 @@ class TestCharPoly:
     def test_exact_oracle_on_known_matrix(self):
         # all alpha = 1/2: det(lam I - D) = (lam - 1/2)^4 - 1/16
         half = Fraction(1, 2)
-        assert exact_char_poly(dense(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))) == [0, -half, Fraction(3, 2), -2, 1]
+        assert exact_char_poly(dense(CycleMatrix4((0.5, 0.5, 0.5, 0.5)))) == [0, -half, Fraction(3, 2), -2, 1]
 
     def test_matches_exact_determinant_expansion(self):
         # the product form the spectrum kernel evaluates is the determinant
@@ -190,7 +196,7 @@ class TestCharPoly:
         # stores them (1.0 - a rounded to double)
         rng = np.random.default_rng(17)
         for _ in range(60):
-            m = make_cycle_matrix(*rng.random(4))
+            m = CycleMatrix4(rng.random(4))
             product = [Fraction(1)]
             hop = Fraction(1)
             for a in m.alpha:
@@ -208,15 +214,15 @@ def _coincident_seeds(point):
 
 class TestSpectrum:
     def test_equal_half_parameters(self):
-        roots = spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))
+        roots = spectrum(CycleMatrix4((0.5, 0.5, 0.5, 0.5)))
         sorted_close(roots, [0, 0.5 - 0.5j, 0.5 + 0.5j, 1], 1e-12)
 
     def test_permutation(self):
-        roots = spectrum(make_cycle_matrix(0, 0, 0, 0))
+        roots = spectrum(CycleMatrix4((0, 0, 0, 0)))
         sorted_close(roots, [-1, -1j, 1j, 1], 1e-14)
 
     def test_random_instance_certificates(self):
-        m = make_cycle_matrix(0.3, 0.7, 0.1, 0.9)
+        m = CycleMatrix4((0.3, 0.7, 0.1, 0.9))
         roots = spectrum(m)
         for r in roots:
             assert eigen_residual(m, r) < 1e-8
@@ -226,7 +232,7 @@ class TestSpectrum:
     def test_bulk_invariants_1000(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
-            m = make_cycle_matrix(*rng.random(4))
+            m = CycleMatrix4(rng.random(4))
             roots = spectrum(m)
             assert 1.0 in roots
             assert max(abs(r) for r in roots) <= 1.0 + 1e-9
@@ -237,21 +243,21 @@ class TestSpectrum:
         rng = np.random.default_rng(123)
         for _ in range(300):
             alpha = rng.random(4)
-            m = make_cycle_matrix(*alpha)
+            m = CycleMatrix4(alpha)
             total = sum(spectrum(m))
             assert abs(total.real - alpha.sum()) < 1e-8
             assert abs(total.imag) < 1e-8
 
     def test_root_zero_is_exact(self):
         # p(0) = 0.5^4 - 0.5^4 exactly, and the seeds find that root
-        assert spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))[0] == 0.0
+        assert spectrum(CycleMatrix4((0.5, 0.5, 0.5, 0.5)))[0] == 0.0
 
     def test_coincident_iterates_raise(self, monkeypatch):
         # All three seeds forced onto one point: the roots would stay
         # unrefined there, and their defect (about 1e-12) passes the guard.
         monkeypatch.setattr(matrix, "_seeds", _coincident_seeds(0.999))
         with pytest.raises(SpectrumFailure, match="coincide"):
-            spectrum(make_cycle_matrix(0.999, 0.999, 0.999, 0.999))
+            spectrum(CycleMatrix4((0.999, 0.999, 0.999, 0.999)))
 
     def test_non_finite_step_leaves_bulk_row_unsettled(self, monkeypatch):
         # Coincident seeds in the bulk kernel, on the root 0 of the matrix,
@@ -272,7 +278,7 @@ class TestSpectrum:
         rng = np.random.default_rng(17)
         raised = 0
         for alpha in rng.random((300, 4)):
-            m = make_cycle_matrix(*alpha)
+            m = CycleMatrix4(alpha)
             monkeypatch.setattr(matrix, "_GUARD", 1e300)
             worst = max(eigen_residual(m, r) for r in spectrum(m))
             for bound in (1e-8, 1e-16, 3e-17):
@@ -354,7 +360,7 @@ class TestSeeds:
         # seeds apart from each other and from 1, and roots on the oracle's
         # (a double root to about sqrt(eps))
         assert len({*_seed_points(alpha), 1.0}) == 4
-        roots = spectrum(make_cycle_matrix(*alpha))
+        roots = spectrum(CycleMatrix4(alpha))
         for want in oracle_roots(alpha):
             assert min(abs(complex(want) - got) for got in roots) < tol, alpha
 
@@ -417,7 +423,7 @@ class TestRestart:
         z0, z1, z2 = _seed_points(alpha)
         assert z0.imag == 0.0 and z1 == z2.conjugate() and z1.imag != 0.0
         calls = _count_kernels(monkeypatch)
-        roots = spectrum(make_cycle_matrix(*alpha))
+        roots = spectrum(CycleMatrix4(alpha))
         assert calls["_pair_step"] == matrix._ABERTH_STEPS and 0 < calls["_step"] < 40
         assert all(z.imag == 0.0 for z in roots)
         _assert_oracle_roots(alpha, roots)
@@ -429,7 +435,7 @@ class TestRestart:
         monkeypatch.setattr(matrix, "_SPLIT_DOUBT", 0.0)
         assert all(z.imag == 0.0 for z in _seed_points(alpha))
         calls = _count_kernels(monkeypatch)
-        roots = spectrum(make_cycle_matrix(*alpha))
+        roots = spectrum(CycleMatrix4(alpha))
         assert calls["_pair_step"] == 0 and matrix._ABERTH_STEPS < calls["_step"] < matrix._ABERTH_STEPS + 40
         assert roots[1].imag < 0.0 < roots[2].imag
         _assert_oracle_roots(alpha, roots)
@@ -549,7 +555,7 @@ class TestPairStep:
         # y2 == -y1 and fails only on x1 == x2
         assert z0.imag != 0.0 or (z2.imag == -z1.imag and z1.real != z2.real)
         calls = _count_kernels(monkeypatch)
-        spectrum(make_cycle_matrix(*alpha))
+        spectrum(CycleMatrix4(alpha))
         assert calls["_pair_step"] == 0 and calls["_step"] > 0
 
     @pytest.mark.parametrize("y2, path", [(-1e-170, "_pair_step"), (-2e-170, "_step")])
@@ -558,12 +564,12 @@ class TestPairStep:
         monkeypatch.setattr(matrix, "_seeds", lambda *_: (0.3, 0.0, 0.3, 1e-170, 0.3, y2))
         calls = _count_kernels(monkeypatch)
         with pytest.raises(SpectrumFailure, match="coincide"):
-            spectrum(make_cycle_matrix(0.5, 0.5, 0.5, 0.5))
+            spectrum(CycleMatrix4((0.5, 0.5, 0.5, 0.5)))
         assert calls == {"_step": 0, "_pair_step": 0, path: 1}
 
     # (0.3, 0.7, 0.1, 0.9) has the pair 0.5 +- 0.2236i: a snap threshold
     # of 0.3 puts it on 0.5, where the defect is 0.0125
-    _SNAPPED = make_cycle_matrix(0.3, 0.7, 0.1, 0.9)
+    _SNAPPED = CycleMatrix4((0.3, 0.7, 0.1, 0.9))
 
     def test_snapped_pair_is_checked_at_its_real_part(self, monkeypatch):
         monkeypatch.setattr(matrix, "_SNAP", 0.3)
@@ -623,7 +629,7 @@ class TestSnap:
 
     def _assert_bulk_equal(self, rows):
         rows = [tuple(alpha) for alpha in rows]
-        scalar = np.array([spectrum(make_cycle_matrix(*alpha)) for alpha in rows]).view(np.uint64)
+        scalar = np.array([spectrum(CycleMatrix4(alpha)) for alpha in rows]).view(np.uint64)
         assert np.array_equal(bulk_spectra(np.array(rows)).view(np.uint64), scalar)
 
     def test_grid_constructions(self, grid_matrices):
@@ -641,7 +647,7 @@ class TestSnap:
 def _sorted_hex(alpha) -> tuple[list, list]:
     """``spectrum``'s roots of ``alpha`` and the same roots sorted by
     (re, im), as ``float.hex`` pairs."""
-    roots = spectrum(make_cycle_matrix(*alpha))
+    roots = spectrum(CycleMatrix4(alpha))
     got = [(z.real.hex(), z.imag.hex()) for z in roots]
     want = [(re.hex(), im.hex()) for re, im in sorted((z.real, z.imag) for z in roots)]
     return got, want
@@ -672,14 +678,14 @@ class TestOrder:
 
 class TestEigenResidual:
     def test_cr_point_exact(self):
-        m = make_cycle_matrix(0.5, 0.5, 0.5, 0.5)
+        m = CycleMatrix4((0.5, 0.5, 0.5, 0.5))
         assert eigen_residual(m, 0.5 + 0.5j) < 1e-12
 
     def test_permutation_at_i(self):
-        assert eigen_residual(make_cycle_matrix(0, 0, 0, 0), 1j) == 0.0
+        assert eigen_residual(CycleMatrix4((0, 0, 0, 0)), 1j) == 0.0
 
     def test_off_spectrum_value(self):
-        m = make_cycle_matrix(0.5, 0.5, 0.5, 0.5)
+        m = CycleMatrix4((0.5, 0.5, 0.5, 0.5))
         assert eigen_residual(m, 0.9) == pytest.approx(abs(0.4**4 - 0.5**4), abs=1e-10)
 
 
@@ -693,7 +699,7 @@ def _digest(floats) -> str:
 
 def _root_parts(rows):
     for alpha in rows:
-        for r in spectrum(make_cycle_matrix(*alpha)):
+        for r in spectrum(CycleMatrix4(alpha)):
             yield r.real
             yield r.imag
 
@@ -715,7 +721,7 @@ def _outcomes(rows, monkeypatch):
     """``spectrum``'s roots, or its error's type and message, with
     ``matrix._GUARD`` at each of the ``_PIN_GUARDS``."""
     for alpha in rows:
-        m = make_cycle_matrix(*alpha)
+        m = CycleMatrix4(alpha)
         for guard in _PIN_GUARDS:
             monkeypatch.setattr(matrix, "_GUARD", guard)
             try:

@@ -23,8 +23,7 @@ EXPORTS = {
     "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "Cycle4Error", "NoConvergence",
                "OutsideRegion", "ParameterOutOfRange", "SpectrumFailure"],
     "identities": ["IdentityResult", "verify_identity_suite"],
-    "matrix": ["CycleMatrix4", "DEFAULT_TOLERANCE", "Tolerance", "eigen_residual",
-               "make_cycle_matrix", "spectrum"],
+    "matrix": ["CycleMatrix4", "eigen_residual", "spectrum"],
     "region": ["RegionVerdict", "Status", "left_boundary_form", "left_branch_root", "membership",
                "modulus_threshold", "trace_left_curve", "trace_right_segment"],
     "synthesis": ["Method", "Realization", "realize", "realize_via_criterion"],
@@ -75,7 +74,8 @@ class TestExports:
     def test_unknown_name_raises_attribute_error(self):
         for name in ("no_such_name", "principal_arg", "ZeroArgument", "shrink", "ShrinkOutOfRange",
                      "scalar", "LowerHalfPlane", "NonrealRequired", "FeasibilityViolation",
-                     "InfeasiblePoint", "shift_for_angle", "log_modulus_ratio", "criterion_sum"):
+                     "InfeasiblePoint", "shift_for_angle", "log_modulus_ratio", "criterion_sum",
+                     "Tolerance", "DEFAULT_TOLERANCE", "make_cycle_matrix"):
             with pytest.raises(AttributeError):
                 getattr(cycle4, name)
             assert not hasattr(cycle4, name)
@@ -147,8 +147,7 @@ class TestLazyLoading:
 
 # One instance of each result record, built on first use.
 RECORDS = {
-    "Tolerance": lambda: cycle4.Tolerance(),
-    "CycleMatrix4": lambda: cycle4.make_cycle_matrix(0.1, 0.2, 0.3, 0.4),
+    "CycleMatrix4": lambda: cycle4.CycleMatrix4((0.1, 0.2, 0.3, 0.4)),
     "RegionVerdict": lambda: cycle4.membership(0.2 + 0.3j),
     "TracePoint": lambda: cycle4.trace_left_curve(5)[2],
     "Realization": lambda: cycle4.realize(0.2 + 0.3j),
@@ -188,6 +187,5 @@ class TestRecords:
         assert (copy.index, copy.value) == (1, 2.0)
 
     def test_repr(self):
-        matrix = cycle4.make_cycle_matrix(0.5, 0, 0.25, 0)
+        matrix = cycle4.CycleMatrix4((0.5, 0, 0.25, 0))
         assert repr(matrix) == "CycleMatrix4(alpha=(0.5, 0.0, 0.25, 0.0))"
-        assert repr(cycle4.Tolerance()) == "Tolerance(boundary_band=1e-09)"

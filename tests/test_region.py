@@ -5,12 +5,11 @@ from hypothesis import given, strategies as st
 
 from cycle4 import (
     ArgumentOutOfRange,
+    CycleMatrix4,
     Status,
-    Tolerance,
     eigen_residual,
     left_boundary_form,
     left_branch_root,
-    make_cycle_matrix,
     membership,
     modulus_threshold,
     trace_left_curve,
@@ -93,7 +92,7 @@ class TestMembership:
     def test_band_widening_promotes_boundary(self):
         near_cr = complex(0.5 + 3e-8, 0.5)
         assert membership(near_cr).status is Status.OUTSIDE
-        assert membership(near_cr, Tolerance(boundary_band=1e-7)).status is Status.BOUNDARY_CR
+        assert membership(near_cr, 1e-7).status is Status.BOUNDARY_CR
 
     @given(
         st.floats(min_value=-2, max_value=2),
@@ -185,7 +184,7 @@ class TestTraceLeftCurve:
 
     def test_mid_anchor_is_eigenvalue(self):
         lam = left_branch_root(0.5)
-        assert eigen_residual(make_cycle_matrix(0.5, 0, 0, 0), lam) < 1e-12
+        assert eigen_residual(CycleMatrix4((0.5, 0, 0, 0)), lam) < 1e-12
 
     def test_anchor_grid_covers_interval(self):
         points = trace_left_curve(100)

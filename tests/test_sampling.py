@@ -3,14 +3,14 @@ import pytest
 from conftest import clustered_rows, off_left_curve, oracle_roots
 
 from cycle4 import (
+    CycleMatrix4,
     Status,
-    Tolerance,
-    make_cycle_matrix,
     membership,
     spectrum,
     trace_left_curve,
 )
 from cycle4 import matrix
+from cycle4.region import _BAND as BAND
 from cycle4.sampling import (
     bulk_spectra,
     classify_points,
@@ -72,7 +72,7 @@ def _assert_match_oracle(rows, spectra) -> None:
 class TestBulkSolvers:
     def test_roots_equal_scalar_bit_for_bit(self):
         rows = np.vstack([sample_parameters(100000, 42), [alpha for alpha, _ in clustered_rows()]])
-        scalar = np.array([spectrum(make_cycle_matrix(*alpha)) for alpha in rows])
+        scalar = np.array([spectrum(CycleMatrix4(alpha)) for alpha in rows])
         assert np.array_equal(bulk_spectra(rows).view(np.uint64), scalar.view(np.uint64))
 
     def test_clustered_spectra_match_oracle(self):
@@ -81,7 +81,7 @@ class TestBulkSolvers:
 
     def test_clustered_scalar_spectra_match_oracle(self):
         rows = clustered_rows()
-        _assert_match_oracle(rows, [spectrum(make_cycle_matrix(*alpha)) for alpha, _ in rows])
+        _assert_match_oracle(rows, [spectrum(CycleMatrix4(alpha)) for alpha, _ in rows])
 
     def test_rows_are_conjugation_closed(self):
         _, eigenvalues, _ = sample_records(100000, 42)
@@ -111,9 +111,6 @@ class TestBulkSolvers:
         rows[1, 2] = bad
         with pytest.raises(ValueError, match="outside"):
             bulk_spectra(rows)
-
-
-BAND = Tolerance().boundary_band
 
 
 def _band_edge_points() -> list[complex]:

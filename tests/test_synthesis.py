@@ -8,16 +8,15 @@ from conftest import interior_grid, off_left_curve, oracle_roots, sample_inside_
 from cycle4 import (
     AlphaOutOfRange,
     Cycle4Error,
+    CycleMatrix4,
     Method,
     NoConvergence,
     OutsideRegion,
     SpectrumFailure,
     Status,
-    Tolerance,
     eigen_residual,
     left_boundary_form,
     left_branch_root,
-    make_cycle_matrix,
     membership,
     realize,
     realize_via_criterion,
@@ -25,7 +24,7 @@ from cycle4 import (
     trace_left_curve,
     trace_right_segment,
 )
-from cycle4 import matrix, synthesis
+from cycle4 import matrix, region, synthesis
 
 
 ROUTES = [realize, realize_via_criterion]
@@ -59,15 +58,15 @@ class TestLeftAnchorWeight:
     def test_wide_band_certified_or_no_convergence(self, route):
         # the certificate is the one check: a target in a wide band, off the
         # curve, gets the anchor of its hop's real part or NoConvergence
-        tol = Tolerance(boundary_band=1e-5)
+        band = 1e-5
         outcomes = {"certified": 0, "missed": 0}
         for p in trace_left_curve(200)[1:]:
             for g in (-9e-6, -1e-6, -1e-8, 1e-8, 1e-6, 9e-6):
                 lam = off_left_curve(p.point, g)
-                if membership(lam, tol).status is not Status.BOUNDARY_CL:
+                if membership(lam, band).status is not Status.BOUNDARY_CL:
                     continue
                 try:
-                    result = route(lam, tol)
+                    result = route(lam, band)
                 except NoConvergence:
                     outcomes["missed"] += 1
                     continue
@@ -110,7 +109,7 @@ class TestRayToLeftBoundary:
         assert mu.imag > 0.0
         # the anchor with hop tau has mu in its spectrum, so tau is real there
         assert abs(synthesis._anchor_hop(mu).imag) < 1e-12
-        assert eigen_residual(make_cycle_matrix(1.0 - tau, 0, 0, 0), mu) < 1e-12
+        assert eigen_residual(CycleMatrix4((1.0 - tau, 0, 0, 0)), mu) < 1e-12
 
     def test_near_one_example(self):
         mu, l, _, _ = synthesis._left_hit(0.9 + 0.05j)
@@ -138,16 +137,16 @@ class TestShrink:
     def test_permutation_to_half(self):
         alpha = synthesis._shrunk_alpha(0.5, 1.0)
         assert alpha == (0.5, 0.5, 0.5, 0.5)
-        assert min(abs(r - (0.5 + 0.5j)) for r in spectrum(make_cycle_matrix(*alpha))) < 1e-10
+        assert min(abs(r - (0.5 + 0.5j)) for r in spectrum(CycleMatrix4(alpha))) < 1e-10
 
     def test_spectrum_maps_affinely(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             tau = rng.uniform(0.0, 1.0)
             l = rng.uniform(0.05, 1.0)
-            shrunk = make_cycle_matrix(*synthesis._shrunk_alpha(l, tau))
+            shrunk = CycleMatrix4(synthesis._shrunk_alpha(l, tau))
             mapped = sorted(
-                ((1.0 - l) + l * r for r in spectrum(make_cycle_matrix(1.0 - tau, 0, 0, 0))),
+                ((1.0 - l) + l * r for r in spectrum(CycleMatrix4((1.0 - tau, 0, 0, 0)))),
                 key=lambda z: (z.real, z.imag),
             )
             for got, want in zip(spectrum(shrunk), mapped):
@@ -256,7 +255,7 @@ class TestRealize:
         with pytest.raises(NoConvergence, match="missed the residual contract"):
             realize(0.2 + 0.3j)
         with pytest.raises(SpectrumFailure, match="violates the residual contract"):
-            spectrum(make_cycle_matrix(0.3, 0.7, 0.1, 0.9))
+            spectrum(CycleMatrix4((0.3, 0.7, 0.1, 0.9)))
 
     def test_json_shape(self):
         data = realize(0.2 + 0.3j).to_dict()
@@ -299,7 +298,7 @@ class TestCrossConstruction:
     @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
     def test_both_routes_realize_right_segment_band(self, a):
         # just past a + b = 1, inside the band membership applies
-        lam = complex(a, 1.0 - a + Tolerance().boundary_band / 2)
+        lam = complex(a, 1.0 - a + region._BAND / 2)
         assert membership(lam).status is Status.BOUNDARY_CR
         direct = realize(lam)
         via = realize_via_criterion(lam)
@@ -352,12 +351,12 @@ class TestCrossConstruction:
     @pytest.mark.parametrize("lam", [0.3 + 9e-8j, 0.5 + 0.5000000005j])
     def test_defect_equal_to_tolerance_accepted(self, monkeypatch, route, lam):
         # ``matrix._GUARD`` is the largest accepted defect
-        tol = Tolerance(boundary_band=1e-7)
+        band = 1e-7
         monkeypatch.setattr(matrix, "_GUARD", 1.0)
-        defect = route(lam, tol).residual
+        defect = route(lam, band).residual
         assert defect > 0.0
         monkeypatch.setattr(matrix, "_GUARD", defect)
-        found = route(lam, tol)
+        found = route(lam, band)
         assert found.residual == defect
 
     def test_interior_points_have_positive_real_part(self):
@@ -481,9 +480,9 @@ class TestRobustness:
             b = min(b, 1e-3)
         elif kind == "segment":
             b = 1.0 - a - ulps * math.ulp(1.0 - a)
-        lam, tol = complex(a, b), Tolerance(boundary_band=band)
+        lam = complex(a, b)
         try:
-            result = route(lam, tol)
+            result = route(lam, band)
         except (Cycle4Error, ValueError):
             return
         assert result.residual == eigen_residual(result.matrix, lam) <= matrix._GUARD

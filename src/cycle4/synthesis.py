@@ -17,7 +17,7 @@ from enum import Enum
 from math import inf, sqrt
 
 from . import matrix as _matrix
-from .errors import AlphaOutOfRange, NoConvergence, OutsideRegion, ParameterOutOfRange
+from .errors import AlphaOutOfRange, NoConvergence, OutsideRegion
 from .matrix import CycleMatrix4, eigen_residual
 from .region import _BAND, Status, membership
 
@@ -133,14 +133,15 @@ def _realize(lam: complex, band: float, interior: Method) -> Realization:
         l = 0.5 * (1.0 - r) if r < 1.0 - 2.0**-53 else 1.0
         tau, method = 1.0, _REAL_INTERVAL
     alpha = _shrunk_alpha(l, tau)
+    # near the real axis tau ~ b^3, so the anchor's weight 1 - l tau rounds
+    # onto the excluded 1.  Both distinct weights are floats: this is
+    # CycleMatrix4's own range test, so the constructor below cannot raise
+    if not (0.0 <= alpha[0] < 1.0 and 0.0 <= alpha[1] < 1.0):
+        raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1")
     if method is _CRITERION_SOLVER:
         # the criterion puts the anchor last, mu unreported
         alpha, mu = alpha[1:] + alpha[:1], None
-    try:
-        matrix = CycleMatrix4(alpha)
-    except ParameterOutOfRange as err:
-        # near the real axis a shrunk weight rounds onto the excluded 1
-        raise AlphaOutOfRange(f"shrunk weight for {lam!r} collapses onto 1") from err
+    matrix = CycleMatrix4(alpha)
     residual = eigen_residual(matrix, lam)
     if residual > _matrix._GUARD:  # ``spectrum``'s bound, read per call so one patch moves both
         raise NoConvergence(f"construction for {lam!r} missed the residual contract: {residual}")

@@ -334,6 +334,31 @@ class TestCriterionMaxAccuracy:
             pass
 
 
+def oracle_closed_max(lam: complex) -> mpmath.mpf:
+    """log(|lam|^6 / T(a, b)) in 60-digit arithmetic on the binary values of
+    lam: the closed form, for targets whose angles 60 digits cannot resolve."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(lam.real), mpmath.mpf(lam.imag)
+        return mpmath.log((a * a + b * b) ** 3 / (4 * a**3 - 3 * a * a - 4 * a * b * b + b * b))
+
+
+class TestLogBranches:
+    """``criterion._log`` outside its common path, against the closed form."""
+
+    def test_scaled_ratio_above_two_to_the_thousand(self):
+        # |lam|^6 / T ~ b^4 / 0.6 leaves the floats: log of a scaled mantissa
+        value = criterion_max(make_context(0.1 + 1e200j))
+        assert value == 1842.5789000190023
+        assert abs(value - oracle_closed_max(0.1 + 1e200j)) <= 4e-16 * value
+
+    def test_ratio_just_below_one(self):
+        # just past the left curve (form -1.5e-11): log1p of the exact ratio - 1
+        lam = 0.05 + 0.09355095214853487j
+        value, oracle = criterion_max(make_context(lam)), oracle_closed_max(lam)
+        assert -1e-5 < value < 0.0
+        assert abs(value - oracle) <= 4e-16 * abs(oracle)
+
+
 class TestBounds:
     def test_jensen_lower_bound(self):
         rng = np.random.default_rng(31)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from cycle4 import (
     ArgumentOutOfRange,
     CycleMatrix4,
+    SpectrumFailure,
     Status,
     eigen_residual,
     left_boundary_form,
@@ -15,6 +16,7 @@ from cycle4 import (
     trace_left_curve,
     trace_right_segment,
 )
+from cycle4 import region
 
 
 class TestForms:
@@ -181,6 +183,12 @@ class TestTraceLeftCurve:
         points = trace_left_curve(200)
         assert abs(points[-1].point) < abs(points[0].point)
         assert abs(left_branch_root(0.9999)) < 0.05
+
+    def test_no_upper_root_raises(self, monkeypatch):
+        # a spectrum of four reals leaves no root with positive Im
+        monkeypatch.setattr(region, "spectrum", lambda m: (0j, 0.25 + 0j, 0.5 + 0j, 1 + 0j))
+        with pytest.raises(SpectrumFailure, match="no upper-half-plane root"):
+            left_branch_root(0.5)
 
     def test_mid_anchor_is_eigenvalue(self):
         lam = left_branch_root(0.5)

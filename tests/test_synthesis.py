@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,6 +293,58 @@ class TestRealize:
             r = realize(p.point)
             assert r.residual < 1e-8
             assert r.method in (Method.BOUNDARY_CL, Method.BOUNDARY_CR)
+
+
+class TestRefusal:
+    """A construction whose shrunk weight collapses onto 1 is refused by the
+    weights' own range test, before any matrix is built."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("lam, band", [
+        (0.35 + 1e-8j, region._BAND),
+        # tau = -0.0, so 1 - l tau is exactly 1.0
+        ((1 - 2**-53) + 1e-200j, 1e-300),
+    ])
+    def test_refusal_builds_no_matrix(self, monkeypatch, route, lam, band):
+        built = []
+
+        def recording(alpha):
+            built.append(alpha)
+            return CycleMatrix4(alpha)
+
+        monkeypatch.setattr(synthesis, "CycleMatrix4", recording)
+        with pytest.raises(AlphaOutOfRange) as err:
+            route(lam, band)
+        assert str(err.value) == f"shrunk weight for {lam!r} collapses onto 1"
+        assert built == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        b_exp=st.floats(-300.0, -4.0),
+        band_exp=st.floats(-300.0, -9.0),
+        route=st.sampled_from(ROUTES),
+    )
+    def test_refused_exactly_when_a_weight_leaves_the_range(self, a, b_exp, band_exp, route):
+        # a route makes one weight tuple unless it raises first; any error
+        # not named below, ParameterOutOfRange among them, fails the test
+        made, shrunk_alpha = [], synthesis._shrunk_alpha
+
+        def recording(l, tau):
+            made.append(shrunk_alpha(l, tau))
+            return made[-1]
+
+        with mock.patch.object(synthesis, "_shrunk_alpha", recording):
+            try:
+                result = route(complex(a, 10.0**b_exp), 10.0**band_exp)
+            except AlphaOutOfRange:
+                assert not all(0.0 <= w < 1.0 for w in made[0])
+                return
+            except (OutsideRegion, NoConvergence, ValueError):
+                assert all(0.0 <= w < 1.0 for alpha in made for w in alpha)
+                return
+        assert all(0.0 <= w < 1.0 for w in made[0])
+        assert all(0.0 <= w < 1.0 for w in result.matrix.alpha)
 
 
 class TestCrossConstruction:

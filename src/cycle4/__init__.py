@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     "criterion": "CriterionContext Regime criterion_max make_context",
     "errors": "AlphaOutOfRange ArgumentOutOfRange Cycle4Error NoConvergence OutsideRegion "
-    "ParameterOutOfRange SpectrumFailure",
+    "SpectrumFailure",
     "identities": "IdentityResult verify_identity_suite",
     "matrix": "CycleMatrix4 eigen_residual spectrum",
     "region": "RegionVerdict Status left_boundary_form left_branch_root membership "

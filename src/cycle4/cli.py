@@ -174,7 +174,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     # Each curve is traced at most once; the SVG reuses the CSV's points.
     right = trace_right_segment(args.n)
-    left = trace_left_curve(args.n) if args.curve != "CR" else None
+    left = trace_left_curve(args.n) if args.curve != "CR" or args.svg else None
     points = right if args.curve == "CR" else left if args.curve == "CL" else right + left
     rows = [
         f"{p.curve},{_g17(p.param)},{_g17(p.point.real)},{_g17(p.point.imag)},{_g17(p.boundary_form)}"
@@ -187,8 +187,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.svg:
         from .figure import render_region_svg
 
-        if left is None:
-            left = trace_left_curve(args.n)
         _write_text(args.svg, render_region_svg(right, left))
     return EXIT_OK
 

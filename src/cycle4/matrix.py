@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import ParameterOutOfRange, SpectrumFailure
+from .errors import ArgumentOutOfRange, SpectrumFailure
 
 
 # Where the real/complex split of the pair is in doubt, each seed moves by
@@ -219,7 +219,11 @@ class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
         try:
             a1, a2, a3, a4 = alpha
         except (TypeError, ValueError):  # not iterable, or not four values
-            raise ParameterOutOfRange(None, alpha) from None
+            try:
+                got = f"4 parameters, got {len(alpha)}"
+            except TypeError:  # no length, as a 0-d numpy array has none
+                got = f"a sequence of 4 parameters, got {alpha!r}"
+            raise ArgumentOutOfRange(f"expected {got}") from None
         if (type(a1) is type(a2) is type(a3) is type(a4) is float
                 and 0.0 <= a1 < 1.0 and 0.0 <= a2 < 1.0 and 0.0 <= a3 < 1.0 and 0.0 <= a4 < 1.0):
             return tuple.__new__(cls, ((a1, a2, a3, a4),))
@@ -229,7 +233,7 @@ class CycleMatrix4(namedtuple("CycleMatrix4", "alpha")):
             if isinstance(value, bool) or not (
                 isinstance(value, (int, float)) and 0.0 <= value < 1.0
             ):
-                raise ParameterOutOfRange(k, value)
+                raise ArgumentOutOfRange(f"parameter {k} = {value!r} is outside [0, 1)")
         return super().__new__(cls, (float(a1), float(a2), float(a3), float(a4)))
 
     @classmethod

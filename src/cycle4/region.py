@@ -159,11 +159,10 @@ def left_branch_root(anchor_alpha: float) -> complex:
     with positive Im (the rest are real, ``spectrum``'s snapped ones among
     them, or conjugates); this returns the root of greatest Im and raises
     SpectrumFailure if its Im is not positive or if a root misses
-    ``matrix._GUARD``, and ArgumentOutOfRange for a bool or a value outside
-    [0, 1).
+    ``matrix._GUARD``.  ``CycleMatrix4`` checks the weight: a bool, a
+    non-number or a value outside [0, 1) raises ArgumentOutOfRange naming
+    parameter 1.
     """
-    if isinstance(anchor_alpha, bool) or not 0.0 <= anchor_alpha < 1.0:
-        raise ArgumentOutOfRange(f"left anchor weight {anchor_alpha!r} outside [0, 1)")
     root = max(spectrum(CycleMatrix4((anchor_alpha, 0.0, 0.0, 0.0))), key=lambda r: r.imag)
     if root.imag <= 0.0:
         raise SpectrumFailure(f"no upper-half-plane root at alpha={anchor_alpha}")

@@ -129,12 +129,7 @@ def classify_points(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
         right = 1.0 - a - b
         g = left_boundary_form(a, b)
         rules = _rules(a, b, right, g, band)
-    # each point takes the code of the first rule that holds: later rules
-    # are written first and overwritten
-    codes = np.full(a.shape, _OUTSIDE_CODE)
-    for rule, code in zip(reversed(rules), reversed(_RULE_CODES)):
-        codes[rule] = code
-    return codes
+    return np.select(rules, _RULE_CODES, _OUTSIDE_CODE)
 
 
 def sample_records(

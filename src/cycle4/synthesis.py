@@ -37,10 +37,10 @@ _REAL_INTERVAL, _BOUNDARY_CL, _BOUNDARY_CR = Method.REAL_INTERVAL, Method.BOUNDA
 _INTERIOR_SHRINK, _CRITERION_SOLVER = Method.INTERIOR_SHRINK, Method.CRITERION_SOLVER
 
 
-class Realization(namedtuple("Realization", "matrix lam method mu shrink_l residual")):
+class Realization(namedtuple("Realization", "matrix method mu shrink_l residual")):
     """A realizing matrix plus the provenance of its construction: the
-    target, the ``Method``, the left-curve point ``mu`` and the shrink
-    factor ``shrink_l`` where the method uses them (else None), and the
+    ``Method``, the left-curve point ``mu`` and the shrink factor
+    ``shrink_l`` where the method uses them (else None), and the
     eigen-residual of the target."""
 
     __slots__ = ()
@@ -146,7 +146,7 @@ def _realize(lam: complex, band: float, interior: Method) -> Realization:
     if residual > _matrix._GUARD:  # ``spectrum``'s bound, read per call so one patch moves both
         raise NoConvergence(f"construction for {lam!r} missed the residual contract: {residual}")
     shrink_l = l if method is _INTERIOR_SHRINK else None
-    return Realization(matrix, lam, method, mu, shrink_l, residual)
+    return Realization(matrix, method, mu, shrink_l, residual)
 
 
 def realize(lam: complex, band: float = _BAND) -> Realization:

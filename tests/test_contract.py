@@ -13,7 +13,6 @@ from cycle4 import (
     ArgumentOutOfRange,
     NoConvergence,
     OutsideRegion,
-    ParameterOutOfRange,
     SpectrumFailure,
 )
 
@@ -50,7 +49,7 @@ def fields(record) -> st.SearchStrategy:
 # and the arguments the fuzz draws for it.
 CONTRACT = {
     "CriterionContext": ((), fields(cycle4.CriterionContext)),
-    "CycleMatrix4": ((ParameterOutOfRange,), st.tuples(st.lists(SPECIAL, max_size=5))),
+    "CycleMatrix4": ((ArgumentOutOfRange,), st.tuples(st.lists(SPECIAL, max_size=5))),
     "IdentityResult": ((), fields(cycle4.IdentityResult)),
     "Method": ((ValueError,), st.tuples(SPECIAL)),
     "Realization": ((), fields(cycle4.Realization)),

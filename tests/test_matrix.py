@@ -9,9 +9,9 @@ from conftest import clustered_rows, oracle_roots
 from hypothesis import given, settings, strategies as st
 
 from cycle4 import (
+    ArgumentOutOfRange,
     Cycle4Error,
     CycleMatrix4,
-    ParameterOutOfRange,
     SpectrumFailure,
     Status,
     eigen_residual,
@@ -127,14 +127,13 @@ class TestConstruction:
             assert all(entry >= 0.0 for entry in row)
 
     def test_rejects_one_with_index(self):
-        with pytest.raises(ParameterOutOfRange) as err:
+        with pytest.raises(ArgumentOutOfRange) as err:
             CycleMatrix4((0.2, 1.0, 0, 0))
-        assert err.value.index == 2
-        assert err.value.value == 1.0
+        assert str(err.value) == "parameter 2 = 1.0 is outside [0, 1)"
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, float("nan"), float("inf"), float("-inf")])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(ArgumentOutOfRange):
             CycleMatrix4((bad, 0.5, 0.5, 0.5))
 
     @pytest.mark.parametrize("k", [1, 4])
@@ -142,10 +141,9 @@ class TestConstruction:
     def test_rejects_bools(self, bad, k):
         alpha = [0.5] * 4
         alpha[k - 1] = bad
-        with pytest.raises(ParameterOutOfRange) as err:
+        with pytest.raises(ArgumentOutOfRange) as err:
             CycleMatrix4(alpha)
-        assert err.value.index == k
-        assert err.value.value is bad
+        assert str(err.value) == f"parameter {k} = {bad!r} is outside [0, 1)"
 
     def test_numeric_types_stored_as_exact_floats(self):
         m = CycleMatrix4((np.float64(0.1), 0, np.float64(0.3), 0.4))
@@ -157,27 +155,26 @@ class TestConstruction:
     def test_rejects_bool_among_numpy_floats(self, k):
         alpha = [np.float64(0.5)] * 4
         alpha[k - 1] = True
-        with pytest.raises(ParameterOutOfRange) as err:
+        with pytest.raises(ArgumentOutOfRange) as err:
             CycleMatrix4(alpha)
-        assert err.value.index == k
-        assert err.value.value is True
+        assert str(err.value) == f"parameter {k} = True is outside [0, 1)"
 
     @pytest.mark.parametrize("alpha, message", [
         (None, "expected a sequence of 4 parameters, got None"),
         (0.5, "expected a sequence of 4 parameters, got 0.5"),
         ((0.1, 0.2, 0.3), "expected 4 parameters, got 3"),
         ([0.1] * 5, "expected 4 parameters, got 5"),
-    ], ids=["none", "scalar", "three", "five"])
+        (np.array(0.5), "expected a sequence of 4 parameters, got array(0.5)"),
+    ], ids=["none", "scalar", "three", "five", "zero_d"])
     def test_rejects_wrong_count(self, alpha, message):
-        with pytest.raises(ParameterOutOfRange) as err:
+        with pytest.raises(ArgumentOutOfRange) as err:
             CycleMatrix4(alpha)
         assert str(err.value) == message
-        assert err.value.index is None and err.value.value is alpha
 
     def test_make_and_replace_validate(self):
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(ArgumentOutOfRange):
             CycleMatrix4._make([(2.0, 0, 0, 0)])
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(ArgumentOutOfRange):
             CycleMatrix4((0.1, 0.2, 0.3, 0.4))._replace(alpha=(0.5, 1.0, 0.5, 0.5))
         m = CycleMatrix4._make([(0, 0.25, 0.5, 0.75)])
         assert type(m) is CycleMatrix4 and m.alpha == (0.0, 0.25, 0.5, 0.75)

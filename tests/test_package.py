@@ -21,7 +21,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 EXPORTS = {
     "criterion": ["CriterionContext", "Regime", "criterion_max", "make_context"],
     "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "Cycle4Error", "NoConvergence",
-               "OutsideRegion", "ParameterOutOfRange", "SpectrumFailure"],
+               "OutsideRegion", "SpectrumFailure"],
     "identities": ["IdentityResult", "verify_identity_suite"],
     "matrix": ["CycleMatrix4", "eigen_residual", "spectrum"],
     "region": ["RegionVerdict", "Status", "left_boundary_form", "left_branch_root", "membership",
@@ -179,12 +179,10 @@ class TestRecords:
                    if isinstance(value, type) and issubclass(value, errors.Cycle4Error)]
         assert len(classes) == len(EXPORTS["errors"])
         for cls in classes:
-            err = cls(1, 2.0) if cls is errors.ParameterOutOfRange else cls("message")
+            err = cls("message")
             copy = pickle.loads(pickle.dumps(err))
             assert type(copy) is cls
             assert copy.args == err.args and str(copy) == str(err)
-        copy = pickle.loads(pickle.dumps(errors.ParameterOutOfRange(1, 2.0)))
-        assert (copy.index, copy.value) == (1, 2.0)
 
     def test_repr(self):
         matrix = cycle4.CycleMatrix4((0.5, 0, 0.25, 0))

@@ -190,6 +190,13 @@ class TestTraceLeftCurve:
         with pytest.raises(SpectrumFailure, match="no upper-half-plane root"):
             left_branch_root(0.5)
 
+    @pytest.mark.parametrize("anchor", [None, "0.5", 0.5j, [0.5], True, 1.0, float("nan")])
+    def test_matrix_checks_anchor_weight(self, anchor):
+        # the weight check is CycleMatrix4's: non-numbers raise its error too
+        with pytest.raises(ArgumentOutOfRange) as err:
+            left_branch_root(anchor)
+        assert str(err.value) == f"parameter 1 = {anchor!r} is outside [0, 1)"
+
     def test_mid_anchor_is_eigenvalue(self):
         lam = left_branch_root(0.5)
         assert eigen_residual(CycleMatrix4((0.5, 0, 0, 0)), lam) < 1e-12

@@ -266,7 +266,7 @@ class TestRealize:
 
     @pytest.mark.parametrize("lam", [0.85 + 1e-6j, 0.8 + 1e-6j])
     def test_near_axis_leaks_no_parameter_error(self, lam):
-        # both leaked ParameterOutOfRange once: a shrunk weight
+        # both leaked CycleMatrix4's weight error once: a shrunk weight
         # (1 - l) + l*alpha rounded onto 1
         try:
             realize(lam)
@@ -327,7 +327,7 @@ class TestRefusal:
     )
     def test_refused_exactly_when_a_weight_leaves_the_range(self, a, b_exp, band_exp, route):
         # a route makes one weight tuple unless it raises first; any error
-        # not named below, ParameterOutOfRange among them, fails the test
+        # not named below, ArgumentOutOfRange among them, fails the test
         made, shrunk_alpha = [], synthesis._shrunk_alpha
 
         def recording(l, tau):

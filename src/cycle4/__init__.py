@@ -13,7 +13,7 @@ defines each exported name; the submodules in it are exported too.
 import importlib
 
 _EXPORTS = {
-    "criterion": "CriterionContext Regime criterion_max make_context",
+    "criterion": "CriterionContext Regime make_context",
     "errors": "AlphaOutOfRange ArgumentOutOfRange Cycle4Error NoConvergence OutsideRegion "
     "SpectrumFailure",
     "identities": "IdentityResult verify_identity_suite",

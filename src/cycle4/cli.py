@@ -200,7 +200,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
         "M": ctx.upper_arg,
         "regime": ctx.regime.value,
         "U": ctx.peak_arg,
-        "maxPsi": criterion.criterion_max(ctx),
+        "maxPsi": ctx.max_psi,
     }
     _print_json(payload)
     return EXIT_OK

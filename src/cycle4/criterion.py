@@ -24,13 +24,12 @@ and identity I5, |lam|^6 - T = |lam - 1|^2 left_boundary_form(a, b), puts
 its zero on the left curve.  ``cycle4 verify`` proves both on the region's
 own forms.
 
-Both angle tests are exact sign tests on the binary values of a and b.
+All three tests are exact sign tests on the binary values of a and b.
 With b > 0 and a < 1, Arg(lam - 1) lies in (pi/2, pi).  If a < 0, then
-Arg(lam) > pi/2 and the sum passes 2*pi: tight.  If 3 b^2 < a^2 (a > 0),
+4 Arg(lam) > 2*pi and the feasible set is empty.  If 3 b^2 < a^2 (a > 0),
 then Arg(lam) < pi/6 and the sum stays below 3*pi/2: unbounded.  Otherwise
 Arg(lam) lies in [pi/6, pi/2] and the sum in (pi, 5*pi/2), where its sine
-has the sign of Im(lam^3 (lam - 1)) = b T(a, b): tight iff T > 0.  The
-feasible set is empty iff 4 Arg(lam) > 2*pi, that is iff a < 0.
+has the sign of Im(lam^3 (lam - 1)) = b T(a, b): tight iff T > 0.
 
 This module evaluates the criterion; it solves nothing.  The realizing
 weights come from ``synthesis``: the shrunk left-curve anchor has hop
@@ -57,25 +56,31 @@ class Regime(str, Enum):
     TIGHT = "Tight"
 
 
-class CriterionContext(namedtuple("CriterionContext", "lam lower_arg upper_arg regime peak_arg")):
+class CriterionContext(namedtuple("CriterionContext", "lower_arg upper_arg regime peak_arg max_psi")):
     """Per-target quantities of the angle parametrisation.
 
     lower_arg is Arg(lam) (the angle realised by shift t = 1), upper_arg
     is Arg(lam - 1) (the open supremum as t -> 0).  peak_arg is
     2*pi - 3*lower_arg, defined only in the tight regime where it bounds
-    the feasible box, else None.
+    the feasible box, else None.  max_psi is the supremum of the criterion
+    sum over the feasible set: +infinity in the unbounded regime, otherwise
+    log(|lam|^6 / T(a, b)), with T and the ratio formed exactly on the
+    binary values of a and b, so a normal result is within 4e-16 relative
+    of the true value.
     """
 
     __slots__ = ()
 
 
 def make_context(lam: complex) -> CriterionContext:
-    """Build the criterion context for an upper-half-plane target left of 1.
+    """Build the criterion context for an upper-half-plane target with
+    real part in [0, 1).
 
-    The regime takes the module's three exact sign tests: tight iff a < 0,
-    or 3 b^2 >= a^2 and T(a, b) > 0.  The angles are ``atan2`` floats.
-    Raises ValueError for a non-finite ``lam``, and ArgumentOutOfRange when
-    it is real, lies in the lower half-plane or has real part at least 1.
+    The regime takes the module's exact sign tests: tight iff 3 b^2 >= a^2
+    and T(a, b) > 0.  The angles are ``atan2`` floats.  Raises ValueError
+    for a non-finite ``lam``, and ArgumentOutOfRange when it is real, lies
+    in the lower half-plane or has real part at least 1, or when a < 0:
+    then 4 Arg(lam) > 2*pi, and no angle vector is feasible.
     """
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
@@ -86,30 +91,15 @@ def make_context(lam: complex) -> CriterionContext:
         raise ArgumentOutOfRange(f"{lam!r} lies in the lower half-plane; conjugate first")
     if lam.real >= 1.0:
         raise ArgumentOutOfRange(f"real part {lam.real} >= 1")
+    a, b = Fraction(lam.real), Fraction(lam.imag)
+    if a < 0:
+        raise ArgumentOutOfRange(f"feasible angle set of {lam!r} is empty: Re(lam) < 0")
     lower = math.atan2(lam.imag, lam.real)
     upper = math.atan2(lam.imag, lam.real - 1.0)
-    a, b = Fraction(lam.real), Fraction(lam.imag)
-    if a < 0 or (3 * b * b >= a * a and modulus_threshold(a, b) > 0):
-        return CriterionContext(lam, lower, upper, Regime.TIGHT, _TWO_PI - 3.0 * lower)
-    return CriterionContext(lam, lower, upper, Regime.UNBOUNDED, None)
-
-
-def criterion_max(ctx: CriterionContext) -> float:
-    """Supremum of the criterion sum over the feasible set.
-
-    +infinity in the unbounded regime; otherwise log(|lam|^6 / T(a, b)),
-    with T and the ratio formed exactly on the binary values of a and b, so
-    a normal result is within 4e-16 relative of the true value; T > 0, as a
-    tight target with a >= 0 passed the sign test on T.  Raises
-    ArgumentOutOfRange when a < 0: then 4 Arg(lam) > 2*pi, and no angle
-    vector is feasible.
-    """
-    if ctx.regime is Regime.UNBOUNDED:
-        return math.inf
-    a, b = Fraction(ctx.lam.real), Fraction(ctx.lam.imag)
-    if a < 0:
-        raise ArgumentOutOfRange(f"feasible angle set of {ctx.lam!r} is empty: Re(lam) < 0")
-    return _log((a * a + b * b) ** 3 / modulus_threshold(a, b))
+    if 3 * b * b >= a * a and (threshold := modulus_threshold(a, b)) > 0:
+        max_psi = _log((a * a + b * b) ** 3 / threshold)
+        return CriterionContext(lower, upper, Regime.TIGHT, _TWO_PI - 3.0 * lower, max_psi)
+    return CriterionContext(lower, upper, Regime.UNBOUNDED, None, math.inf)
 
 
 def _log(ratio: Fraction) -> float:

@@ -34,7 +34,6 @@ from conftest import (
 from cycle4 import (
     CycleMatrix4,
     Status,
-    criterion_max,
     eigen_residual,
     left_boundary_form,
     left_branch_root,
@@ -199,18 +198,18 @@ def test_criterion_5_criterion_bounds():
     jensen_margin = math.inf
     for lam in sample_inside_nonreal(rng, 20):
         ctx = make_context(lam)
-        floor = 4.0 * log_ratio(ctx.lam - 1, weight(ctx.lam - 1, math.pi / 2))
+        floor = 4.0 * log_ratio(lam - 1, weight(lam - 1, math.pi / 2))
         for angles in sample_feasible_angles(rng, ctx, 1000):
-            jensen_margin = min(jensen_margin, angle_sum(ctx.lam - 1, angles) - floor)
+            jensen_margin = min(jensen_margin, angle_sum(lam - 1, angles) - floor)
     assert jensen_margin >= -1e-9
 
     # tight-regime ceiling
     tight_margin = math.inf
     for lam in sample_tight(rng, 20):
         ctx = make_context(lam)
-        ceiling = criterion_max(ctx)
+        ceiling = ctx.max_psi
         for angles in sample_feasible_angles(rng, ctx, 1000):
-            tight_margin = min(tight_margin, ceiling - angle_sum(ctx.lam - 1, angles))
+            tight_margin = min(tight_margin, ceiling - angle_sum(lam - 1, angles))
     assert tight_margin >= -1e-9
 
     # closed form of the tight maximum
@@ -220,7 +219,7 @@ def test_criterion_5_criterion_bounds():
         threshold = modulus_threshold(lam.real, lam.imag)
         assert threshold > 0.0
         closed = math.log(abs(lam) ** 6 / threshold)
-        worst_closed = max(worst_closed, abs(criterion_max(ctx) - closed))
+        worst_closed = max(worst_closed, abs(ctx.max_psi - closed))
     assert worst_closed < 1e-9
     print(
         f"[PASS] criterion 5: Jensen margin {jensen_margin:.2e} >= -1e-9, "
@@ -240,10 +239,10 @@ def test_criterion_6_convexity_second_derivative():
             h = min(1e-3, 0.02 * (ctx.upper_arg - u), 0.2 * (u - ctx.lower_arg))
             if h <= 0.0:
                 continue
-            f = [log_ratio(ctx.lam - 1, weight(ctx.lam - 1, u + k * h)) for k in (-2, -1, 0, 1, 2)]
+            f = [log_ratio(lam - 1, weight(lam - 1, u + k * h)) for k in (-2, -1, 0, 1, 2)]
             fd = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-            t = weight(ctx.lam - 1, u)
-            closed = ((ctx.lam - 1).real**2 + (ctx.lam - 1).imag**2) / (t * t * math.sin(u) ** 2)
+            t = weight(lam - 1, u)
+            closed = ((lam - 1).real**2 + (lam - 1).imag**2) / (t * t * math.sin(u) ** 2)
             assert closed > 0.0
             worst = max(worst, abs(fd - closed) / closed)
     assert worst < 1e-4

@@ -677,7 +677,7 @@ class TestPsi:
         code = main(["psi", "-0.5", "0.1"])
         err = capsys.readouterr().err
         assert code == 4
-        assert "feasible angle set of (-0.5+0.1j) is empty" in err
+        assert err == "error: feasible angle set of (-0.5+0.1j) is empty: Re(lam) < 0\n"
 
     def test_just_left_of_axis_exits_4(self, capsys):
         # 4 Arg(lam) > 2*pi by 8e-15: no float slack hides the empty set
@@ -685,7 +685,7 @@ class TestPsi:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert "Re(lam) < 0" in captured.err
+        assert captured.err == "error: feasible angle set of (-1e-15+0.5j) is empty: Re(lam) < 0\n"
 
     def test_command_replaced_after_first_call_runs(self, capsys, monkeypatch):
         # the cached parser stores no command function: main() looks cmd_*

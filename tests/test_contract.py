@@ -34,9 +34,6 @@ SPECIAL = specials(lambda x: True)
 POINT = st.builds(complex, SPECIAL, SPECIAL)
 PARAMETER = specials(lambda x: 0.0 <= x < 1.0)
 MATRIX = st.tuples(PARAMETER, PARAMETER, PARAMETER, PARAMETER).map(cycle4.CycleMatrix4)
-POSITIVE = specials(lambda x: 0.0 < x < math.inf)
-CONTEXT = st.builds(complex, specials(lambda a: -math.inf < a < 1.0), POSITIVE).map(
-    cycle4.make_context)
 COUNT = st.one_of(st.integers(-1, 4), SPECIAL)
 REALIZE = (OutsideRegion, NoConvergence, AlphaOutOfRange, ValueError)
 
@@ -56,7 +53,6 @@ CONTRACT = {
     "Regime": ((ValueError,), st.tuples(SPECIAL)),
     "RegionVerdict": ((), fields(cycle4.RegionVerdict)),
     "Status": ((ValueError,), st.tuples(SPECIAL)),
-    "criterion_max": ((ArgumentOutOfRange,), st.tuples(CONTEXT)),
     "eigen_residual": ((), st.tuples(MATRIX, POINT)),
     "left_boundary_form": ((), st.tuples(SPECIAL, SPECIAL)),
     "left_branch_root": ((ArgumentOutOfRange, SpectrumFailure), st.tuples(SPECIAL)),

@@ -23,7 +23,6 @@ from cycle4 import (
     Method,
     OutsideRegion,
     Status,
-    criterion_max,
     eigen_residual,
     left_boundary_form,
     left_branch_root,
@@ -67,16 +66,17 @@ class TestMakeContext:
     def test_angle_ordering(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            a, b = rng.uniform(-1, 1), rng.uniform(1e-6, 2)
+            a, b = rng.uniform(0, 1), rng.uniform(1e-6, 2)
             ctx = make_context(complex(min(a, 0.999), b))
             assert 0.0 < ctx.lower_arg < ctx.upper_arg < math.pi
 
     def test_regime_exact_beside_the_threshold_curve(self):
-        # the regime must follow the angle sum of the floats' binary values:
-        # at the two float neighbours in a of T(a, b) = 0 on 0 < a < 1/2,
-        # where the sum crosses 2*pi (the float angle sum misjudges 89 of
-        # these 200 points), beside the lines Arg(lam) = pi/6 and 2*pi/3, and
-        # at random points with log-uniform b
+        # the regime must follow the angle sum of the floats' binary values,
+        # and an empty feasible set (4 Arg(lam) > 2*pi) must raise: at the
+        # two float neighbours in a of T(a, b) = 0 on 0 < a < 1/2, where the
+        # sum crosses 2*pi (the float angle sum misjudges 89 of these 200
+        # points), beside the lines Arg(lam) = pi/6 and 2*pi/3, and at
+        # random points with log-uniform b
         points = []
         for k in range(1, 101):
             b = k / 50
@@ -96,9 +96,14 @@ class TestMakeContext:
         wrong = []
         for a, b in points:
             with mpmath.workdps(60):
-                total = 3 * mpmath.atan2(b, a) + mpmath.atan2(b, mpmath.mpf(a) - 1)
-                tight = total > 2 * mpmath.pi
-            if (make_context(complex(a, b)).regime is Regime.TIGHT) != tight:
+                lower = mpmath.atan2(b, a)
+                empty = 4 * lower > 2 * mpmath.pi
+                tight = 3 * lower + mpmath.atan2(b, mpmath.mpf(a) - 1) > 2 * mpmath.pi
+            try:
+                regime = make_context(complex(a, b)).regime
+            except ArgumentOutOfRange:
+                regime = None
+            if regime is not (None if empty else Regime.TIGHT if tight else Regime.UNBOUNDED):
                 wrong.append((a, b))
         assert wrong == []
 
@@ -108,7 +113,7 @@ class TestMakeContext:
         ctx = make_context(0.1875 + 0.5625j)
         assert modulus_threshold(Fraction(3, 16), Fraction(9, 16)) == 0
         assert ctx.regime is Regime.UNBOUNDED
-        assert criterion_max(ctx) == math.inf
+        assert ctx.max_psi == math.inf
 
     def test_sign_of_the_angle_sum_is_the_threshold_in_sympy(self):
         # the sign test on T: Im(lam^3 (lam - 1)) = b T(a, b)
@@ -126,6 +131,27 @@ class TestMakeContext:
         with pytest.raises(ArgumentOutOfRange, match="real part"):
             make_context(1.2 + 0.3j)
 
+    def test_threshold_evaluated_at_most_once(self, monkeypatch):
+        # the regime and the supremum share one exact T
+        calls = []
+        monkeypatch.setattr("cycle4.criterion.modulus_threshold",
+                            lambda a, b: calls.append((a, b)) or modulus_threshold(a, b))
+        for lam in (0.05 + 0.1j, 0.2 + 0.3j, 0.5j, 0.9 + 0.01j):
+            calls.clear()
+            make_context(lam)
+            assert len(calls) <= 1
+        assert calls == []  # 3 b^2 < a^2 at 0.9 + 0.01i: no T at all
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.0, 1.0, exclude_max=True), b=st.floats(5e-324, 1e300))
+    @example(a=0.1875, b=0.5625)  # T = 0 exactly: unbounded
+    @example(a=0.0, b=5e-324)  # a subnormal supremum
+    @example(a=0.2425372141788141, b=2.0)  # tight where the float angle sum says unbounded
+    def test_regime_peak_and_supremum_agree(self, a, b):
+        ctx = make_context(complex(a, b))
+        tight = ctx.regime is Regime.TIGHT
+        assert tight == (ctx.peak_arg is not None) == math.isfinite(ctx.max_psi)
+
 
 class TestShiftAngleMaps:
     """The weight map t(u) = y cot u - x of the angle parametrisation, on
@@ -134,40 +160,43 @@ class TestShiftAngleMaps:
     def test_shift_at_lower_arg_is_one(self):
         for lam in (0.2 + 0.3j, 0.7 + 0.2j, 0.05 + 0.9j):
             ctx = make_context(lam)
-            assert weight(ctx.lam - 1, ctx.lower_arg) == pytest.approx(1.0, abs=1e-12)
+            assert weight(lam - 1, ctx.lower_arg) == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_point_half_pi(self):
-        ctx = make_context(1j)
-        assert weight(ctx.lam - 1, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+        lam = 1j
+        assert weight(lam - 1, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_pi_gives_one_minus_a(self):
-        ctx = make_context(0.2 + 0.3j)
-        assert weight(ctx.lam - 1, math.pi / 2) == pytest.approx(0.8, abs=1e-15)
+        lam = 0.2 + 0.3j
+        assert weight(lam - 1, math.pi / 2) == pytest.approx(0.8, abs=1e-15)
 
     def test_shift_vanishes_toward_upper_arg(self):
-        ctx = make_context(0.2 + 0.3j)
+        lam = 0.2 + 0.3j
+        ctx = make_context(lam)
         previous = 1.0
         for frac in (0.5, 0.9, 0.99, 0.9999):
             u = ctx.lower_arg + frac * (ctx.upper_arg - ctx.lower_arg)
-            t = weight(ctx.lam - 1, u)
+            t = weight(lam - 1, u)
             assert 0.0 < t < previous
             previous = t
         assert previous < 1e-3
 
     def test_angle_for_shift_inverse(self):
         # the angle of shift t is arg(z + t); the weight map inverts it
-        ctx = make_context(0.2 + 0.3j)
+        lam = 0.2 + 0.3j
+        ctx = make_context(lam)
         # (a - 1) + 1 recombines to a only up to one ulp
-        assert angle_for_shift(ctx, 1.0) == pytest.approx(ctx.lower_arg, abs=1e-14)
-        u = angle_for_shift(ctx, 0.37)
-        assert weight(ctx.lam - 1, u) == pytest.approx(0.37, abs=1e-12)
+        assert angle_for_shift(lam, 1.0) == pytest.approx(ctx.lower_arg, abs=1e-14)
+        u = angle_for_shift(lam, 0.37)
+        assert weight(lam - 1, u) == pytest.approx(0.37, abs=1e-12)
 
     def test_angle_increases_as_shift_shrinks(self):
-        ctx = make_context(0.3 + 0.4j)
-        angles = [angle_for_shift(ctx, t) for t in (1.0, 0.5, 0.1, 0.01, 1e-6)]
+        lam = 0.3 + 0.4j
+        ctx = make_context(lam)
+        angles = [angle_for_shift(lam, t) for t in (1.0, 0.5, 0.1, 0.01, 1e-6)]
         assert all(x < y for x, y in zip(angles, angles[1:]))
         assert angles[-1] < ctx.upper_arg
-        shifts = [weight(ctx.lam - 1, u) for u in angles]
+        shifts = [weight(lam - 1, u) for u in angles]
         assert all(x > y for x, y in zip(shifts, shifts[1:]))
 
 
@@ -180,21 +209,23 @@ class TestLogModulusRatio:
             ctx = make_context(lam)
             for frac in np.linspace(0.0, 0.999, 40):
                 u = ctx.lower_arg + frac * (ctx.upper_arg - ctx.lower_arg)
-                t = weight(ctx.lam - 1, u)
-                cosecant = math.log((ctx.lam - 1).imag / math.sin(u)) - math.log(t)
-                assert log_ratio(ctx.lam - 1, t) == pytest.approx(cosecant, abs=1e-12)
+                t = weight(lam - 1, u)
+                cosecant = math.log((lam - 1).imag / math.sin(u)) - math.log(t)
+                assert log_ratio(lam - 1, t) == pytest.approx(cosecant, abs=1e-12)
 
     def test_value_at_lower_arg(self):
-        ctx = make_context(0.2 + 0.3j)
-        assert F(ctx, ctx.lower_arg) == pytest.approx(math.log(abs(0.2 + 0.3j)), abs=1e-12)
+        lam = 0.2 + 0.3j
+        ctx = make_context(lam)
+        assert F(lam, ctx.lower_arg) == pytest.approx(math.log(abs(0.2 + 0.3j)), abs=1e-12)
 
     def test_value_at_half_pi(self):
-        ctx = make_context(0.2 + 0.3j)
-        assert F(ctx, math.pi / 2) == pytest.approx(math.log(0.3 / 0.8), abs=1e-12)
+        lam = 0.2 + 0.3j
+        assert F(lam, math.pi / 2) == pytest.approx(math.log(0.3 / 0.8), abs=1e-12)
 
     def test_blows_up_toward_upper_arg(self):
-        ctx = make_context(0.2 + 0.3j)
-        values = [F(ctx, ctx.upper_arg - gap) for gap in (1e-2, 1e-4, 1e-8)]
+        lam = 0.2 + 0.3j
+        ctx = make_context(lam)
+        values = [F(lam, ctx.upper_arg - gap) for gap in (1e-2, 1e-4, 1e-8)]
         assert values[0] < values[1] < values[2]
         assert values[2] > 15.0
 
@@ -205,51 +236,55 @@ class TestLogModulusRatio:
             h = 1e-4 * (ctx.upper_arg - ctx.lower_arg)
             for frac in np.linspace(0.05, 0.9, 20):
                 u = ctx.lower_arg + frac * (ctx.upper_arg - ctx.lower_arg)
-                assert F(ctx, u + h) - 2 * F(ctx, u) + F(ctx, u - h) > 0.0
+                assert F(lam, u + h) - 2 * F(lam, u) + F(lam, u - h) > 0.0
 
 
 class TestCriterionSum:
     def test_barycenter_value(self):
-        ctx = make_context(0.2 + 0.3j)
+        lam = 0.2 + 0.3j
         barycenter = (math.pi / 2,) * 4
-        assert angle_sum(ctx.lam - 1, barycenter) == pytest.approx(4 * math.log(0.375), abs=1e-12)
+        assert angle_sum(lam - 1, barycenter) == pytest.approx(4 * math.log(0.375), abs=1e-12)
 
     def test_tight_peak_matches_maximum(self):
-        ctx = make_context(0.05 + 0.1j)
+        lam = 0.05 + 0.1j
+        ctx = make_context(lam)
         peak = (ctx.peak_arg, ctx.lower_arg, ctx.lower_arg, ctx.lower_arg)
-        assert angle_sum(ctx.lam - 1, peak) == pytest.approx(criterion_max(ctx), abs=1e-10)
+        assert angle_sum(lam - 1, peak) == pytest.approx(ctx.max_psi, abs=1e-10)
 
 
 class TestCriterionMax:
     def test_unbounded(self):
-        assert criterion_max(make_context(0.2 + 0.3j)) == math.inf
+        assert make_context(0.2 + 0.3j).max_psi == math.inf
 
     def test_tight_closed_form(self):
         lam = 0.05 + 0.1j
         ctx = make_context(lam)
         expected = math.log(abs(lam) ** 6 / modulus_threshold(lam.real, lam.imag))
-        assert criterion_max(ctx) == pytest.approx(expected, abs=1e-9)
-        assert criterion_max(ctx) < 0.0  # not realizable: beyond the left curve
+        assert ctx.max_psi == pytest.approx(expected, abs=1e-9)
+        assert ctx.max_psi < 0.0  # not realizable: beyond the left curve
 
     def test_axis_boundary_value(self):
         # at i the peak coincides with the barycenter and the maximum is 0
-        assert criterion_max(make_context(1j)) == pytest.approx(0.0, abs=1e-12)
+        assert make_context(1j).max_psi == pytest.approx(0.0, abs=1e-12)
 
     def test_left_of_axis_names_empty_feasible_set(self):
-        # 4 Arg(lam) > 2*pi: the error names the empty set, not an angle
-        with pytest.raises(ArgumentOutOfRange, match="feasible angle set .* is empty"):
-            criterion_max(make_context(-0.5 + 0.1j))
+        # 4 Arg(lam) > 2*pi: the error names the empty set, not an angle,
+        # and no context, tight or otherwise, is returned
+        with pytest.raises(ArgumentOutOfRange) as err:
+            make_context(-0.5 + 0.1j)
+        assert str(err.value) == "feasible angle set of (-0.5+0.1j) is empty: Re(lam) < 0"
 
     @pytest.mark.parametrize("lam", [-1e-15 + 0.5j, -5e-324 + 0.5j])
     def test_empty_feasible_set_just_left_of_the_axis(self, lam):
         # 4 Arg(lam) exceeds 2*pi by less than any float slack: decided by
         # the sign of Re(lam)
-        with pytest.raises(ArgumentOutOfRange, match=r"Re\(lam\) < 0"):
-            criterion_max(make_context(lam))
+        with pytest.raises(ArgumentOutOfRange) as err:
+            make_context(lam)
+        assert str(err.value) == f"feasible angle set of {lam!r} is empty: Re(lam) < 0"
 
     def test_on_the_axis_the_set_is_one_point(self):
         # a = 0: |lam|^6 / T = b^6 / b^2 = 1/16
-        assert criterion_max(make_context(0.5j)) == math.log(0.0625)
+        assert make_context(0.5j).max_psi == math.log(0.0625)
 
     def test_closed_form_on_random_tight_points(self):
         rng = np.random.default_rng(21)
@@ -258,7 +293,7 @@ class TestCriterionMax:
             n_val = modulus_threshold(lam.real, lam.imag)
             assert n_val > 0.0
             expected = math.log(abs(lam) ** 6 / n_val)
-            assert criterion_max(ctx) == pytest.approx(expected, abs=1e-9)
+            assert ctx.max_psi == pytest.approx(expected, abs=1e-9)
 
 
 def oracle_max_psi(lam: complex, dps: int = 60):
@@ -281,11 +316,11 @@ def oracle_max_psi(lam: complex, dps: int = 60):
 
 
 def check_max_psi(lam: complex) -> float:
-    """criterion_max at lam, checked: infinite where the regime is unbounded,
-    else within 4e-16 relative of the oracle, or within the spacing 5e-324
-    of the subnormal floats."""
+    """max_psi at lam, checked: infinite where the regime is unbounded, else
+    within 4e-16 relative of the oracle, or within the spacing 5e-324 of
+    the subnormal floats."""
     ctx = make_context(lam)
-    value = criterion_max(ctx)
+    value = ctx.max_psi
     if ctx.regime is Regime.UNBOUNDED:
         assert value == math.inf
         return value
@@ -301,7 +336,7 @@ def left_curve_point(alpha: float, k: int, sign: int) -> complex:
 
 
 class TestCriterionMaxAccuracy:
-    """``criterion_max`` against a 60-digit oracle of the angle form."""
+    """``max_psi`` against a 60-digit oracle of the angle form."""
 
     @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
     def test_below_the_left_curve(self, d):
@@ -347,14 +382,14 @@ class TestLogBranches:
 
     def test_scaled_ratio_above_two_to_the_thousand(self):
         # |lam|^6 / T ~ b^4 / 0.6 leaves the floats: log of a scaled mantissa
-        value = criterion_max(make_context(0.1 + 1e200j))
+        value = make_context(0.1 + 1e200j).max_psi
         assert value == 1842.5789000190023
         assert abs(value - oracle_closed_max(0.1 + 1e200j)) <= 4e-16 * value
 
     def test_ratio_just_below_one(self):
         # just past the left curve (form -1.5e-11): log1p of the exact ratio - 1
         lam = 0.05 + 0.09355095214853487j
-        value, oracle = criterion_max(make_context(lam)), oracle_closed_max(lam)
+        value, oracle = make_context(lam).max_psi, oracle_closed_max(lam)
         assert -1e-5 < value < 0.0
         assert abs(value - oracle) <= 4e-16 * abs(oracle)
 
@@ -364,17 +399,17 @@ class TestBounds:
         rng = np.random.default_rng(31)
         for lam in sample_inside_nonreal(rng, 5):
             ctx = make_context(lam)
-            floor = 4.0 * F(ctx, math.pi / 2)
+            floor = 4.0 * F(lam, math.pi / 2)
             for u in sample_feasible_angles(rng, ctx, 200):
-                assert angle_sum(ctx.lam - 1, u) >= floor - 1e-9
+                assert angle_sum(lam - 1, u) >= floor - 1e-9
 
     def test_tight_upper_bound(self):
         rng = np.random.default_rng(32)
         for lam in sample_tight(rng, 5):
             ctx = make_context(lam)
-            ceiling = criterion_max(ctx)
+            ceiling = ctx.max_psi
             for u in sample_feasible_angles(rng, ctx, 200):
-                assert angle_sum(ctx.lam - 1, u) <= ceiling + 1e-9
+                assert angle_sum(lam - 1, u) <= ceiling + 1e-9
 
     def test_negative_form_implies_tight(self):
         rng = np.random.default_rng(33)
@@ -407,7 +442,7 @@ class TestSolveCriterion:
         assert realize_via_criterion(0.5 + 0.5j).matrix.alpha == (0.5, 0.5, 0.5, 0.5)
 
     def test_not_realizable_beyond_left_curve(self):
-        assert criterion_max(make_context(0.05 + 0.1j)) < 0.0
+        assert make_context(0.05 + 0.1j).max_psi < 0.0
         with pytest.raises(OutsideRegion):
             realize_via_criterion(0.05 + 0.1j)
 
@@ -417,7 +452,7 @@ class TestSolveCriterion:
 
     def test_feasibility_violation_negative_a(self):
         # four angles of at least arg(lam) > pi/2 cannot sum to 2*pi
-        assert 4.0 * make_context(-0.1 + 0.5j).lower_arg > TWO_PI
+        assert 4.0 * math.atan2(0.5, -0.1) > TWO_PI
         with pytest.raises(OutsideRegion):
             realize_via_criterion(-0.1 + 0.5j)
 
@@ -426,11 +461,10 @@ class TestSolveCriterion:
         # their log-modulus ratios sum to zero
         rng = np.random.default_rng(44)
         for lam in sample_inside_nonreal(rng, 20):
-            ctx = make_context(lam)
             shifts = [1.0 - a for a in realize_via_criterion(lam).matrix.alpha]
-            angles = [angle_for_shift(ctx, t) for t in shifts]
+            angles = [angle_for_shift(lam, t) for t in shifts]
             assert abs(sum(angles) - TWO_PI) < 1e-9
-            assert abs(sum(log_ratio(ctx.lam - 1, t) for t in shifts)) < 1e-9
+            assert abs(sum(log_ratio(lam - 1, t) for t in shifts)) < 1e-9
 
     def test_grid_weights_solve_the_criterion(self):
         # the paper's criterion on every interior grid matrix: the angles
@@ -438,31 +472,30 @@ class TestSolveCriterion:
         # log-modulus ratios
         worst_sum = worst_criterion = 0.0
         for lam in interior_grid():
-            ctx = make_context(lam)
             shifts = [1.0 - a for a in realize_via_criterion(lam).matrix.alpha]
-            angles = [angle_for_shift(ctx, t) for t in shifts]
+            angles = [angle_for_shift(lam, t) for t in shifts]
             worst_sum = max(worst_sum, abs(math.fsum(angles) - TWO_PI))
-            criterion = math.fsum(log_ratio(ctx.lam - 1, t) for t in shifts)
+            criterion = math.fsum(log_ratio(lam - 1, t) for t in shifts)
             worst_criterion = max(worst_criterion, abs(criterion))
         assert worst_sum <= 1e-9
         assert worst_criterion <= 1e-8
 
 
-def angle_for_shift(ctx, t: float) -> float:
+def angle_for_shift(lam: complex, t: float) -> float:
     """Arg(z + t), the angle whose shift is t."""
-    return math.atan2((ctx.lam - 1).imag, (ctx.lam - 1).real + t)
+    return math.atan2((lam - 1).imag, (lam - 1).real + t)
 
 
-def F(ctx, u: float) -> float:
+def F(lam: complex, u: float) -> float:
     """The log-modulus ratio at the angle u."""
-    return log_ratio(ctx.lam - 1, weight(ctx.lam - 1, u))
+    return log_ratio(lam - 1, weight(lam - 1, u))
 
 
-def relative_defect(ctx, shifts) -> float:
+def relative_defect(lam: complex, shifts) -> float:
     """|prod(z + t_k) / prod(t_k) - 1| of the multiplicative identity."""
     left, right = 1.0 + 0.0j, 1.0
     for t in shifts:
-        left *= (ctx.lam - 1) + t
+        left *= (lam - 1) + t
         right *= t
     return abs(left / right - 1.0)
 
@@ -491,7 +524,7 @@ class TestCriterionPath:
         lam = complex(a, b)
         # the solver's own weights; storing them as alpha = 1 - t rounds
         _, l, tau, _ = synthesis._left_hit(lam)
-        assert relative_defect(make_context(lam), (l, l, l, l * tau)) <= 1e-8
+        assert relative_defect(lam, (l, l, l, l * tau)) <= 1e-8
         result = realize_via_criterion(lam)
         assert result.residual <= 1e-8
         assert oracle_gap(result.matrix.alpha, lam) <= b / 100

@@ -19,7 +19,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # Each exported name under the module that defines it; the modules are
 # exported too.
 EXPORTS = {
-    "criterion": ["CriterionContext", "Regime", "criterion_max", "make_context"],
+    "criterion": ["CriterionContext", "Regime", "make_context"],
     "errors": ["AlphaOutOfRange", "ArgumentOutOfRange", "Cycle4Error", "NoConvergence",
                "OutsideRegion", "SpectrumFailure"],
     "identities": ["IdentityResult", "verify_identity_suite"],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import off_left_curve
@@ -189,6 +191,25 @@ class TestTraceLeftCurve:
         monkeypatch.setattr(region, "spectrum", lambda m: (0j, 0.25 + 0j, 0.5 + 0j, 1 + 0j))
         with pytest.raises(SpectrumFailure, match="no upper-half-plane root"):
             left_branch_root(0.5)
+
+    def test_off_curve_root_raises(self, monkeypatch):
+        # 0.1 + 0.5i is inside the strip but its left form is -0.1004
+        root = 0.1 + 0.5j
+        form = left_boundary_form(root.real, root.imag)
+        assert form == pytest.approx(-0.1004, abs=1e-15)
+        monkeypatch.setattr(region, "left_branch_root", lambda alpha: root)
+        with pytest.raises(SpectrumFailure) as err:
+            trace_left_curve(2)
+        assert str(err.value) == f"traced point {root!r} misses the curve: form={form}"
+
+    def test_root_outside_strip_raises(self, monkeypatch):
+        # a cube root of 1: the left form is exactly 0 but Re = -1/2
+        root = complex(-0.5, math.sqrt(0.75))
+        assert left_boundary_form(root.real, root.imag) == 0.0
+        monkeypatch.setattr(region, "left_branch_root", lambda alpha: root)
+        with pytest.raises(SpectrumFailure) as err:
+            trace_left_curve(2)
+        assert str(err.value) == f"traced point {root!r} outside the left strip"
 
     @pytest.mark.parametrize("anchor", [None, "0.5", 0.5j, [0.5], True, 1.0, float("nan")])
     def test_matrix_checks_anchor_weight(self, anchor):

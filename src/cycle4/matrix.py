@@ -23,18 +23,20 @@ settle in one step, which reaches full accuracy and confirms it, and the
 rest in two.  The kernel works on (re, im) float pairs with only
 ``+ - * /``, ``abs``, comparisons and the caller's ``sqrt``, all correctly
 rounded under IEEE 754, so ``sampling.bulk_spectra`` runs ``_seeds`` and
-``_step`` on numpy arrays and gets the same bits.  p is real, so where
-the seeds are a real iterate and an exact conjugate pair (a pair clearly
-complex) ``spectrum`` steps them by ``_pair_step``: the pair's second
-correction is the first's conjugate, and the real iterate's terms in its
-zero imaginary part only add or multiply zeros, so dropping both changes
-no bit; the finish then takes them as the real root and the pair, with no
-search for the least |Im|.  A pair between the real root and 1, as every
-nonreal spectrum probed has it, returns in the sort's order with no sort;
-only four reals, and ties or NaN, are sorted.  Unspread seeds on the wrong
-side of the split never settle, and a run from them that reaches the step
-cap starts again from spread ones.  The kernel's margins are its own
-constants; the boundary band of the region's verdicts is ``region``'s.
+``_step`` on numpy arrays and gets the same bits.  ``spectrum`` runs one
+Aberth loop with a step function chosen from the seeds.  p is real, so
+where the seeds are a real iterate and an exact conjugate pair (a pair
+clearly complex) it steps them by ``_pair_step``, which takes and returns
+what ``_step`` does: the pair's second correction is the first's
+conjugate, and the real iterate's terms in its zero imaginary part only
+add or multiply zeros, so dropping both changes no bit; the finish then
+takes them as the real root and the pair, with no search for the least
+|Im|.  A pair between the real root and 1, as every nonreal spectrum
+probed has it, returns in the sort's order with no sort; only four reals,
+and ties or NaN, are sorted.  Unspread seeds on the wrong side of the
+split never settle, and a run from them that reaches the step cap starts
+again from spread ones.  The kernel's margins are its own constants; the
+boundary band of the region's verdicts is ``region``'s.
 """
 
 from __future__ import annotations
@@ -155,11 +157,12 @@ def _step(x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop):
     return sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done0 & done1 & done2
 
 
-def _pair_step(x0, x1, y1, a1, a2, a3, a4, hop):
-    """``_step`` on ``x0``, ``x1 + i y1`` and ``x1 - i y1``, bit for bit:
-    ``sx0, sx1, sy1, ok0, ok1, done``.  ``r02 = r01``, ``i01 + i02 = +0``,
-    the terms dropped from the real correction are zeros (NaN only where the
-    step is not finite anyway), and iterate 2's step is the conjugate."""
+def _pair_step(x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop):
+    """``_step`` on ``x0``, ``x1 + i y1`` and ``x1 - i y1``, bit for bit but
+    for the sign of a zero ``sy2``; ``y0``, ``x2`` and ``y2`` are not read.
+    ``r02 = r01``, ``i01 + i02 = +0``, the terms dropped from the real
+    correction are zeros (NaN only where the step is not finite anyway), and
+    iterate 2's step is the conjugate."""
     dx, dy = x0 - x1, -y1
     n = dx * dx + dy * dy
     r01, i01 = dx / n, -dy / n
@@ -179,7 +182,7 @@ def _pair_step(x0, x1, y1, a1, a2, a3, a4, hop):
     ok0 = moved < math.inf
     done0 = ok0 & ((moved <= _NEAR2 * (x0 * x0)) | (value * value <= noise))
     sx1, sy1, ok1, done1 = _correction(x1, y1, r12 - r01, i12 - i01, a1, a2, a3, a4, hop, noise)
-    return sx0, sx1, sy1, ok0, ok1, done0 & done1
+    return sx0, 0.0, sx1, sy1, sx1, -sy1, ok0, ok1, ok1, done0 & done1
 
 
 def _correction(x, y, ox, oy, a1, a2, a3, a4, hop, noise):
@@ -273,25 +276,12 @@ def spectrum(m: CycleMatrix4) -> tuple[complex, complex, complex, complex]:
         for spread in (False, True):
             x0, y0, x1, y1, x2, y2 = _seeds(a1, a2, a3, a4, hop, low, math.sqrt, spread)
             unspread = y0 == 0.0
-            if unspread and x1 == x2 and y2 == -y1:
-                # a real seed and a conjugate pair stay so under ``_step``:
-                # step them as such (a pair with y1 == 0 coincides on either path)
-                for _ in range(_ABERTH_STEPS):
-                    sx0, sx1, sy1, ok0, ok1, done = _pair_step(x0, x1, y1, a1, a2, a3, a4, hop)
-                    if ok0:
-                        x0 = x0 - sx0
-                    if ok1:
-                        x1, y1 = x1 - sx1, y1 - sy1
-                    if done:
-                        break
-                else:
-                    continue  # unsettled: the pair may be real
-                # the selection below would give this: k0 = 0 <= k1 = k2, and
-                # 0.5 (x + x) = x, since a finite step keeps iterates far from overflow
-                real, u, v, pair_re, pair_im = x0, x1, x1, x1, abs(y1)
-                break
+            # a real seed and a conjugate pair stay so under ``_step``: step
+            # them as such (a pair with y1 == 0 coincides on either path)
+            pair = unspread and x1 == x2 and y2 == -y1
+            step = _pair_step if pair else _step
             for _ in range(_ABERTH_STEPS):
-                sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = _step(
+                sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = step(
                     x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)
                 # a root whose step is not finite stays where it is, unsettled
                 if ok0:
@@ -304,7 +294,12 @@ def spectrum(m: CycleMatrix4) -> tuple[complex, complex, complex, complex]:
                     break
             else:
                 if unspread:
-                    continue  # unsettled: the pair may be complex
+                    continue  # unsettled: the pair may be real, or complex
+            if pair:
+                # the selection below would give this: k0 = 0 <= k1 = k2, and
+                # 0.5 (x + x) = x, since a finite step keeps iterates far from overflow
+                real, u, v, pair_re, pair_im = x0, x1, x1, x1, abs(y1)
+                break
             # The root of least |Im| (the first such, as a stable sort takes
             # it) is the real root; the other two form the pair.
             k0, k1, k2 = abs(y0), abs(y1), abs(y2)

@@ -3,7 +3,8 @@ its measured figures once every assertion has held.
 
 Criteria, tolerances, and runtime budgets:
   1. exact identity suite zero + mutation detection, < 1 s
-  2. necessity on 1e5 sampled matrices (4e5 eigenvalues), band 1e-7, < 30 s
+  2. necessity on 1e5 sampled matrices (4e5 eigenvalues), band 1e-7, < 30 s,
+     and on 1e5 rows near each nonreal boundary piece, oracle-checked
   3. converse on the 60x60 interior grid, both construction routes,
      residual < 1e-8, < 10 s
   4. boundary exactness: right segment eigenvalue lists within 1e-10,
@@ -20,12 +21,14 @@ import hashlib
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import (
     angle_sum,
     log_ratio,
+    oracle_roots,
     sample_feasible_angles,
     sample_inside_nonreal,
     sample_tight,
@@ -49,7 +52,7 @@ from cycle4 import (
 from cycle4.cli import main as cli_main
 from cycle4.criterion import Regime
 from cycle4.identities import GRID, grid_witness
-from cycle4.sampling import classify_points, sample_records
+from cycle4.sampling import bulk_spectra, classify_points, sample_records
 
 
 def test_criterion_1_exact_identities():
@@ -123,6 +126,51 @@ def test_criterion_2_necessity_monte_carlo():
         f"[PASS] criterion 2: {4 * n} eigenvalues from {n} seeded matrices, "
         f"0 outside at band 1e-7, {elapsed:.2f}s"
     )
+
+
+def _boundary_pool(piece: str, n: int = 100_000) -> np.ndarray:
+    """(n, 4) Philox-seeded rows whose eigenvalues crowd one boundary piece.
+    Near the left curve: one uniform weight and three of 10^-U(2,14), in
+    random positions.  Near the right segment: one uniform base, each weight
+    moved by +-10^-U(2,14) and clipped to [0, 1 - 2^-53]."""
+    rng = np.random.Generator(np.random.Philox(key=13))
+    base = rng.random((n, 1))
+    tiny = 10.0 ** -rng.uniform(2.0, 14.0, (n, 4))
+    if piece == "left":
+        return rng.permuted(np.hstack((base, tiny[:, 1:])), axis=1)
+    return np.clip(base + rng.choice((-1.0, 1.0), (n, 4)) * tiny, 0.0, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("piece", ["left", "right"])
+def test_criterion_2_necessity_near_the_boundary(piece):
+    # the uniform rows above keep a left form of at least 0.005 and a right
+    # margin of at least 1e-5; these come within a rounding of either piece
+    start = time.perf_counter()
+    alphas = _boundary_pool(piece)
+    eigenvalues = bulk_spectra(alphas)
+    codes = classify_points(eigenvalues.real, eigenvalues.imag, 1e-7)
+    outside = np.argwhere(codes == tuple(Status).index(Status.OUTSIDE))
+    assert outside.size == 0, [(complex(eigenvalues[i, k]), alphas[i].tolist()) for i, k in outside[:5]]
+    rows, cols = np.nonzero(eigenvalues.imag > 0.0)
+    a, b = eigenvalues.real[rows, cols], eigenvalues.imag[rows, cols]
+    margin = left_boundary_form(a, b) if piece == "left" else 1.0 - a - b
+    assert (margin < 1e-9).sum() > 1000
+    # the 20 upper eigenvalues nearest the piece are the oracle's roots, and
+    # those lie in the closed region
+    near = np.argsort(abs(margin))[:20]
+    for i, k in zip(rows[near], cols[near]):
+        got, alpha = complex(eigenvalues[i, k]), alphas[i].tolist()
+        with mpmath.workdps(60):
+            want = min(oracle_roots(alpha), key=lambda z: abs(z - got))
+            gap = abs(want - got)
+            re, im = want.real, abs(want.imag)
+            worst = min(re, 1 - re - im, (im * im + re * re + re) ** 2 + 2 * re * re - im * im)
+        assert gap < 1e-13, f"eigenvalue {got!r} of {alpha} is {float(gap):.3g} off the oracle's root"
+        assert worst >= -1e-30, f"oracle root {want} of {alpha} leaves the region by {float(-worst):.3g}"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    print(f"[PASS] criterion 2 near the {piece} piece: 0 outside at band 1e-7, "
+          f"{int((margin < 1e-9).sum())} upper eigenvalues within 1e-9, {elapsed:.2f}s")
 
 
 def test_criterion_3_converse_on_grid():

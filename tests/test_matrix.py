@@ -457,14 +457,17 @@ def _walk_pair(a1, a2, a3, a4, hop, seeds, move):
     flags and iterates agree bit for bit."""
     x0, y0, x1, y1, x2, y2 = seeds
     for _ in range(50):
-        sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = matrix._step(
-            x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)
-        pair = matrix._pair_step(x0, x1, y1, a1, a2, a3, a4, hop)
-        assert _bits(pair) == _bits((sx0, sx1, sy1, ok0, ok1, done))
-        # iterate 2's step is iterate 1's conjugate (a zero's sign aside),
-        # iterate 0's is real, and they keep the iterates so
-        assert _bits((sx2, ok2)) == _bits((sx1, ok1)) and np.all((sy2 == -sy1) | ~ok1)
-        assert np.all((sy0 == 0.0) | ~ok0)
+        step = [*matrix._step(x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)]
+        pair = [*matrix._pair_step(x0, y0, x1, y1, x2, y2, a1, a2, a3, a4, hop)]
+        sx0, sy0, sx1, sy1, sx2, sy2, ok0, ok1, ok2, done = step
+        # all ten results agree, so iterate 0's step is real and iterate
+        # 2's is iterate 1's conjugate, but for the sign of a zero sy2:
+        # ``_step`` gives +0 where -sy1 is -0, and adding +0 makes either +0
+        step[5], pair[5] = sy2 + 0.0, pair[5] + 0.0
+        if isinstance(sy0, np.ndarray):  # the pair's sy0 is one 0.0 for all rows
+            pair[1] = np.full_like(sy0, pair[1])
+        assert len(pair) == 10 and _bits(pair) == _bits(step)
+        # moved as ``spectrum`` moves them, the iterates stay a real one and a pair
         x0, y0 = move(ok0, x0, sx0), move(ok0, y0, sy0)
         x1, y1 = move(ok1, x1, sx1), move(ok1, y1, sy1)
         x2, y2 = move(ok2, x2, sx2), move(ok2, y2, sy2)
